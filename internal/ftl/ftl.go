@@ -58,10 +58,9 @@ type Config struct {
 	GCFreeTarget int
 
 	// LogicalPages hints the size of the logical address space, sizing
-	// the L2P mapping table: small spaces get a flat dense table, large
-	// ones a paged table that allocates only touched chunks. Zero falls
-	// back to the physical page count. The hint is not a bound — LPNs
-	// beyond it still map correctly.
+	// the L2P mapping table's key ceiling (the table itself allocates
+	// only touched chunks). Zero falls back to the physical page count.
+	// The hint is not a bound — LPNs beyond it still map correctly.
 	LogicalPages int64
 
 	// MigrateCrossPlane lets the GC allocate migration destinations on a
@@ -108,14 +107,26 @@ func DefaultConfig(g flash.Geometry) Config {
 // The SSD layer forwards this to the scheduler's readdressing callback.
 type MigrationFunc func(lpn req.LPN, old, new flash.Addr)
 
-// blockMeta tracks one erase block.
+// blockMeta tracks one erase block. The counters are int32 and the flags
+// grouped so the record packs into 40 bytes: a default-geometry device
+// carries a million of them.
 type blockMeta struct {
 	valid      req.Bitmap // live pages
-	validCount int
-	written    int  // next free page index (write pointer when active)
-	full       bool // no more free pages
-	erases     int  // wear counter
-	bad        bool // retired (erase failure)
+	validCount int32
+	written    int32 // next free page index (write pointer when active)
+	erases     int32 // wear counter
+	full       bool  // no more free pages
+	bad        bool  // retired (erase failure)
+	dirty      bool  // left the erased state since the last Reset (listed in FTL.dirtyBlocks)
+}
+
+// scrub returns the block to the factory (erased, unworn) state.
+func (blk *blockMeta) scrub() {
+	for w := range blk.valid {
+		blk.valid[w] = 0
+	}
+	blk.validCount, blk.written, blk.erases = 0, 0, 0
+	blk.full, blk.bad, blk.dirty = false, false, false
 }
 
 // planeState is the per-plane allocation state.
@@ -124,6 +135,32 @@ type planeState struct {
 	free   []int // erased block indices (LIFO)
 	spare  []int // reserved bad-block replacement blocks (LIFO)
 	active int   // current write block, -1 if none
+	dirty  bool  // holds a dirty block (listed in FTL.dirtyPlanes)
+	// freeLow is the shortest the free list has been since it was last
+	// laid out. The list only pops and pushes at its tail, so free[:freeLow]
+	// still holds the canonical layout.
+	freeLow int
+}
+
+// layoutPools puts the plane's pools in the canonical order of a fresh
+// FTL: the top nSpare block indices form the spare pool; the remainder
+// build the free list in descending order so blocks are consumed
+// 0,1,2,... (with nSpare == 0 this is exactly the historic layout). The
+// first keep free-list entries must already be canonical; only the tail
+// past them is rewritten.
+func (ps *planeState) layoutPools(nSpare, keep int) {
+	n := len(ps.blocks)
+	ps.spare = ps.spare[:0]
+	for b := n - nSpare; b < n; b++ {
+		ps.spare = append(ps.spare, b)
+	}
+	ps.free = ps.free[:keep]
+	for b := n - nSpare - 1 - keep; b >= 0; b-- {
+		ps.free = append(ps.free, b)
+	}
+	ps.freeLow = len(ps.free)
+	ps.active = -1
+	ps.dirty = false
 }
 
 // BlockMeta is the bulk block-metadata arena behind an FTL: the per-plane
@@ -155,9 +192,9 @@ func (m *BlockMeta) Geometry() flash.Geometry { return m.geo }
 type FTL struct {
 	cfg     Config
 	geo     flash.Geometry
-	l2p     pageTable // LPN -> PPN
-	l2pSpan int64     // sizing hint l2p was built for (Reset reuse check)
-	p2l     pageTable // PPN -> LPN
+	l2p     *boundedTable // LPN -> PPN
+	l2pSpan int64         // sizing hint l2p was built for (Reset reuse check)
+	p2l     *boundedTable // PPN -> LPN
 	planes  []*planeState
 	meta    *BlockMeta // bulk arena the planes are carved from
 
@@ -168,6 +205,17 @@ type FTL struct {
 
 	onMigrate MigrationFunc
 	rng       *sim.Rand
+
+	// Recycle bookkeeping. allocate is the only way a block leaves the
+	// erased state (GC erase, retirement and spare promotion act only on
+	// blocks that were once active), so it lists each block, and its plane,
+	// the first time it does; Reset then scrubs just those. RestoreState
+	// rewrites blocks allocate never saw, and a different spare count moves
+	// every plane's pool boundary: either forces Reset's full pass.
+	dirtyBlocks []int // plane*BlocksPerPlane + block
+	dirtyPlanes []int
+	nSpare      int  // per-plane spare-pool size the pools are laid out for
+	restored    bool // RestoreState ran since the last New/Reset
 
 	// Counters.
 	hostWrites    int64
@@ -216,6 +264,11 @@ func NewWithMeta(cfg Config, meta *BlockMeta) (*FTL, error) {
 		l2pSpan: logical,
 		p2l:     newTable(g.TotalPages()),
 		planes:  make([]*planeState, nPlanes),
+		nSpare:  nSpare,
+		// Capacity hint: striped writes open a block in every plane
+		// before any plane fills its first.
+		dirtyBlocks: make([]int, 0, nPlanes),
+		dirtyPlanes: make([]int, 0, nPlanes),
 	}
 	f.rng = sim.NewRand(cfg.Seed + 0x5EED)
 	// All validity bitmaps, plane structs, block metadata and free-list
@@ -241,30 +294,18 @@ func NewWithMeta(cfg Config, meta *BlockMeta) (*FTL, error) {
 	for i := range f.planes {
 		ps := &meta.planePool[i]
 		ps.blocks = meta.blockPool[i*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane]
-		ps.active = -1
 		for b := range ps.blocks {
 			off := (i*g.BlocksPerPlane + b) * words
 			blk := &ps.blocks[b]
 			blk.valid = req.Bitmap(meta.bitmapPool[off : off+words : off+words])
-			// A retained arena carries the evicted device's state; scrub it
-			// (no-op on the zeroed pools of a fresh build).
-			for w := range blk.valid {
-				blk.valid[w] = 0
-			}
-			blk.validCount, blk.written, blk.erases = 0, 0, 0
-			blk.full, blk.bad = false, false
+			// A retained arena carries the evicted device's state, dirty
+			// flags included; scrub it (no-op on the zeroed pools of a
+			// fresh build).
+			blk.scrub()
 		}
-		// The top nSpare block indices form the spare pool; the remainder
-		// build the free list in descending order so blocks are consumed
-		// 0,1,2,... (with nSpare == 0 this is exactly the historic layout).
 		ps.spare = meta.sparePool[i*g.BlocksPerPlane : i*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane]
-		for b := g.BlocksPerPlane - nSpare; b < g.BlocksPerPlane; b++ {
-			ps.spare = append(ps.spare, b)
-		}
 		ps.free = meta.freePool[i*g.BlocksPerPlane : i*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane]
-		for b := g.BlocksPerPlane - nSpare - 1; b >= 0; b-- {
-			ps.free = append(ps.free, b)
-		}
+		ps.layoutPools(nSpare, 0)
 		f.planes[i] = ps
 	}
 	return f, nil
@@ -297,6 +338,12 @@ func (f *FTL) DetachBlockMeta() *BlockMeta { return f.meta }
 // arenas New allocated, which is what makes device reuse cheap. Per-run
 // knobs (GC threshold, allocation scheme, logical-space hint, failure
 // injection, wear-leveling) may change; the geometry may not.
+//
+// The cost is O(what the last run touched): only blocks allocated since
+// the previous reset are scrubbed, only the free-list tails their planes
+// popped are laid out again, and the mapping tables recycle just the
+// chunks the run used. A RestoreState since the last reset, or a change
+// of spare-pool size, falls back to a pass over every block.
 func (f *FTL) Reset(cfg Config) error {
 	if cfg.Geo != f.geo {
 		return fmt.Errorf("ftl: Reset geometry mismatch (have %+v)", f.geo)
@@ -319,26 +366,26 @@ func (f *FTL) Reset(cfg Config) error {
 		f.l2pSpan = logical
 	}
 	f.p2l.reset()
-	g := f.geo
-	for _, ps := range f.planes {
-		for b := range ps.blocks {
-			blk := &ps.blocks[b]
-			for i := range blk.valid {
-				blk.valid[i] = 0
+	if f.restored || nSpare != f.nSpare {
+		for _, ps := range f.planes {
+			for b := range ps.blocks {
+				ps.blocks[b].scrub()
 			}
-			blk.validCount, blk.written, blk.erases = 0, 0, 0
-			blk.full, blk.bad = false, false
+			ps.layoutPools(nSpare, 0)
 		}
-		ps.spare = ps.spare[:0]
-		for b := g.BlocksPerPlane - nSpare; b < g.BlocksPerPlane; b++ {
-			ps.spare = append(ps.spare, b)
+	} else {
+		bpp := f.geo.BlocksPerPlane
+		for _, gb := range f.dirtyBlocks {
+			f.planes[gb/bpp].blocks[gb%bpp].scrub()
 		}
-		ps.free = ps.free[:0]
-		for b := g.BlocksPerPlane - nSpare - 1; b >= 0; b-- {
-			ps.free = append(ps.free, b)
+		for _, pi := range f.dirtyPlanes {
+			ps := f.planes[pi]
+			ps.layoutPools(nSpare, ps.freeLow)
 		}
-		ps.active = -1
 	}
+	f.dirtyBlocks = f.dirtyBlocks[:0]
+	f.dirtyPlanes = f.dirtyPlanes[:0]
+	f.nSpare, f.restored = nSpare, false
 	f.cfg = cfg
 	f.cursor = 0
 	f.onMigrate = nil
@@ -433,12 +480,23 @@ func (f *FTL) allocate(planeIdx, reserve int) (flash.Addr, error) {
 		}
 		ps.active = ps.free[len(ps.free)-1]
 		ps.free = ps.free[:len(ps.free)-1]
+		if len(ps.free) < ps.freeLow {
+			ps.freeLow = len(ps.free)
+		}
+		if blk := &ps.blocks[ps.active]; !blk.dirty {
+			blk.dirty = true
+			f.dirtyBlocks = append(f.dirtyBlocks, planeIdx*f.geo.BlocksPerPlane+ps.active)
+			if !ps.dirty {
+				ps.dirty = true
+				f.dirtyPlanes = append(f.dirtyPlanes, planeIdx)
+			}
+		}
 	}
 	blk := &ps.blocks[ps.active]
 	chip, die, plane := f.planeAddr(planeIdx)
-	a := flash.Addr{Chip: chip, Die: die, Plane: plane, Block: ps.active, Page: blk.written}
+	a := flash.Addr{Chip: chip, Die: die, Plane: plane, Block: ps.active, Page: int(blk.written)}
 	blk.written++
-	if blk.written >= f.geo.PagesPerBlock {
+	if int(blk.written) >= f.geo.PagesPerBlock {
 		blk.full = true
 	}
 	return a, nil
@@ -603,7 +661,7 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 		// is fully valid.
 		minE, maxE, cold := f.wearSpread(ps)
 		if maxE-minE > f.cfg.WearDeltaMax && cold >= 0 {
-			victim, best = cold, ps.blocks[cold].validCount
+			victim, best = cold, int(ps.blocks[cold].validCount)
 			wear = true
 		}
 	}
@@ -613,8 +671,8 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 			if !blk.full || b == ps.active || blk.bad {
 				continue
 			}
-			if blk.validCount < best {
-				best = blk.validCount
+			if int(blk.validCount) < best {
+				best = int(blk.validCount)
 				victim = b
 			}
 		}
@@ -721,7 +779,8 @@ func (f *FTL) CommitGCOutcome(job *GCJob, eraseFailed bool) []Migration {
 	if blk.validCount != 0 {
 		panic(fmt.Sprintf("ftl: erasing block %v with %d valid pages", job.Victim, blk.validCount))
 	}
-	blk.valid = req.NewBitmap(f.geo.PagesPerBlock)
+	// validCount == 0 means the bitmap is already all clear: keep the
+	// pooled one rather than allocating a fresh bitmap per erase.
 	blk.written = 0
 	blk.full = false
 	blk.erases++
@@ -801,14 +860,15 @@ func (f *FTL) wearSpread(ps *planeState) (minE, maxE, coldest int) {
 		if blk.bad {
 			continue
 		}
-		if blk.erases < minE {
-			minE = blk.erases
+		e := int(blk.erases)
+		if e < minE {
+			minE = e
 		}
-		if blk.erases > maxE {
-			maxE = blk.erases
+		if e > maxE {
+			maxE = e
 		}
-		if blk.full && b != ps.active && blk.erases < coldE {
-			coldE = blk.erases
+		if blk.full && b != ps.active && e < coldE {
+			coldE = e
 			coldest = b
 		}
 	}
@@ -887,18 +947,15 @@ func (f *FTL) CheckInvariants() error {
 		return ierr
 	}
 	for i, ps := range f.planes {
-		counted := 0
 		for b := range ps.blocks {
 			blk := &ps.blocks[b]
-			if got := blk.valid.Count(); got != blk.validCount {
+			if got := blk.valid.Count(); got != int(blk.validCount) {
 				return fmt.Errorf("ftl: plane %d block %d validCount %d != bitmap %d", i, b, blk.validCount, got)
 			}
 			if blk.validCount > blk.written {
 				return fmt.Errorf("ftl: plane %d block %d valid %d > written %d", i, b, blk.validCount, blk.written)
 			}
-			counted += blk.validCount
 		}
-		_ = counted
 		free := map[int]bool{}
 		for _, b := range ps.free {
 			if free[b] {

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"sprinkler/internal/flash"
@@ -97,7 +98,7 @@ func (f *FTL) CaptureState() State {
 		out.Blocks = make([]BlockState, len(ps.blocks))
 		for b := range ps.blocks {
 			blk := &ps.blocks[b]
-			out.Blocks[b] = BlockState{Written: blk.written, Erases: blk.erases, Full: blk.full, Bad: blk.bad}
+			out.Blocks[b] = BlockState{Written: int(blk.written), Erases: int(blk.erases), Full: blk.full, Bad: blk.bad}
 		}
 		out.Free = append([]int(nil), ps.free...)
 		out.Spare = append([]int(nil), ps.spare...)
@@ -118,6 +119,9 @@ func (f *FTL) RestoreState(st State) error {
 	if len(st.Planes) != len(f.planes) {
 		return fmt.Errorf("ftl: snapshot has %d planes, geometry needs %d", len(st.Planes), len(f.planes))
 	}
+	// Restored blocks bypass allocate's dirty tracking: the next Reset
+	// must scrub every block.
+	f.restored = true
 	f.l2p.reset()
 	f.p2l.reset()
 	for i, ps := range f.planes {
@@ -131,12 +135,12 @@ func (f *FTL) RestoreState(st State) error {
 			if bs.Written < 0 || bs.Written > f.geo.PagesPerBlock {
 				return fmt.Errorf("ftl: snapshot plane %d block %d written %d outside [0, %d]", i, b, bs.Written, f.geo.PagesPerBlock)
 			}
-			for w := range blk.valid {
-				blk.valid[w] = 0
+			if bs.Erases < 0 || bs.Erases > math.MaxInt32 {
+				return fmt.Errorf("ftl: snapshot plane %d block %d erase count %d outside [0, %d]", i, b, bs.Erases, math.MaxInt32)
 			}
-			blk.validCount = 0
-			blk.written = bs.Written
-			blk.erases = bs.Erases
+			blk.scrub()
+			blk.written = int32(bs.Written)
+			blk.erases = int32(bs.Erases)
 			blk.full = bs.Full
 			blk.bad = bs.Bad
 		}

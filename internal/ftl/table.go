@@ -1,70 +1,47 @@
 package ftl
 
-// pageTable is the FTL's mapping-table abstraction: a partial map from
-// one page-number space to another (LPN→PPN and PPN→LPN), tuned for the
-// translate/commit/GC-relocate hot path. Both implementations replace the
-// Go maps the FTL used to carry — map probes were ~10% of hot-path CPU —
-// with direct slice indexing.
-//
-// Keys and values are non-negative; the tables use -1 internally as the
-// "unmapped" sentinel.
-type pageTable interface {
-	// get returns the value mapped for k.
-	get(k int64) (int64, bool)
-	// set maps k to v, reporting whether k was previously mapped.
-	set(k int64, v int64) bool
-	// del removes k's mapping, reporting whether it existed.
-	del(k int64) bool
-	// len returns the number of live mappings.
-	len() int
-	// forEach visits every live mapping until fn returns false.
-	forEach(fn func(k, v int64) bool)
-	// footprint returns the table's resident entry count (capacity
-	// actually allocated), for memory accounting and tests.
-	footprint() int64
-	// reset drops every mapping while retaining allocated storage, so a
-	// reused FTL starts its next run without rebuilding the table.
-	reset()
-}
+// minTableCeiling is the smallest key ceiling newTable gives its slice
+// table: keys below it always take the chunked fast path, whatever the
+// sizing hint (1<<22 keys span 1024 chunks, allocated only as touched).
+const minTableCeiling = 1 << 22
 
-// denseTableMax is the page-count threshold up to which newTable picks
-// the flat dense layout: 1<<22 entries × 8 bytes = 32 MB worst case. Past
-// it the paged variant allocates only the chunks the workload touches —
-// the scale-aware choice the ROADMAP called for.
-const denseTableMax = 1 << 22
-
-// newTable picks a table for a space of `span` pages. The span is a
+// newTable builds a table for a space of `span` pages. The span is a
 // sizing hint, not a bound: keys past it still map correctly (hosts may
 // address LPNs beyond the configured logical space in tests), but keys
 // far past it — beyond boundedTable's ceiling — spill into a plain map,
 // so one pathological huge key costs a map entry, never a
 // proportionally huge array.
-func newTable(span int64) pageTable {
-	var main pageTable
-	if span <= denseTableMax {
-		main = &denseTable{}
-	} else {
-		main = &pagedTable{}
-	}
+func newTable(span int64) *boundedTable {
 	// Twice the hinted span tolerates mildly out-of-range addressing in
-	// the slice tables; anything past that is pathological input.
+	// the slice table; anything past that is pathological input.
 	ceiling := 2 * span
-	if ceiling < denseTableMax {
-		ceiling = denseTableMax
+	if ceiling < minTableCeiling {
+		ceiling = minTableCeiling
 	}
+	// Presize the chunk slots to the hint so a growing table does not
+	// reallocate them (a 24-byte slot per 32 KB chunk of key space).
+	main := &pagedTable{chunks: make([][]int64, (span+tableChunkMask)>>tableChunkBits)}
 	return &boundedTable{main: main, ceiling: ceiling}
 }
 
-// boundedTable routes keys below the ceiling to the slice-backed main
-// table and everything above into an overflow map. The hot path (every
-// key a well-formed workload produces) pays one extra compare; outliers
-// get the old map semantics at O(touched) memory.
+// boundedTable is the FTL's mapping table: a partial map from one
+// page-number space to another (LPN→PPN and PPN→LPN), tuned for the
+// translate/commit/GC-relocate hot path. Keys below the ceiling go to a
+// chunked slice table — direct indexing replaced the Go maps the FTL used
+// to carry, whose probes were ~10% of hot-path CPU — and everything above
+// into an overflow map. The hot path (every key a well-formed workload
+// produces) pays one extra compare; outliers get the old map semantics at
+// O(touched) memory.
+//
+// Keys and values are non-negative; the slice table uses -1 as the
+// "unmapped" sentinel.
 type boundedTable struct {
-	main     pageTable
+	main     *pagedTable
 	ceiling  int64
 	overflow map[int64]int64
 }
 
+// get returns the value mapped for k.
 func (t *boundedTable) get(k int64) (int64, bool) {
 	if k < t.ceiling {
 		return t.main.get(k)
@@ -73,6 +50,7 @@ func (t *boundedTable) get(k int64) (int64, bool) {
 	return v, ok
 }
 
+// set maps k to v, reporting whether k was previously mapped.
 func (t *boundedTable) set(k int64, v int64) bool {
 	if k < t.ceiling {
 		return t.main.set(k, v)
@@ -85,6 +63,7 @@ func (t *boundedTable) set(k int64, v int64) bool {
 	return had
 }
 
+// del removes k's mapping, reporting whether it existed.
 func (t *boundedTable) del(k int64) bool {
 	if k < t.ceiling {
 		return t.main.del(k)
@@ -94,8 +73,10 @@ func (t *boundedTable) del(k int64) bool {
 	return had
 }
 
+// len returns the number of live mappings.
 func (t *boundedTable) len() int { return t.main.len() + len(t.overflow) }
 
+// forEach visits every live mapping until fn returns false.
 func (t *boundedTable) forEach(fn func(k, v int64) bool) {
 	done := false
 	t.main.forEach(func(k, v int64) bool {
@@ -115,85 +96,18 @@ func (t *boundedTable) forEach(fn func(k, v int64) bool) {
 	}
 }
 
+// footprint returns the table's resident entry count (capacity actually
+// allocated), for memory accounting and tests.
 func (t *boundedTable) footprint() int64 {
 	return t.main.footprint() + int64(len(t.overflow))
 }
 
+// reset drops every mapping while retaining allocated storage, so a
+// reused FTL starts its next run without rebuilding the table. It costs
+// O(what the last run touched), not O(capacity).
 func (t *boundedTable) reset() {
 	t.main.reset()
 	t.overflow = nil
-}
-
-// denseTable is a flat slice indexed by key, grown on demand. Lookups are
-// one bounds check and one load.
-type denseTable struct {
-	v    []int64
-	live int
-}
-
-func (t *denseTable) grow(k int64) {
-	n := int64(len(t.v))
-	for n <= k {
-		if n == 0 {
-			n = 1024
-		} else {
-			n *= 2
-		}
-	}
-	nv := make([]int64, n)
-	copy(nv, t.v)
-	for i := len(t.v); i < len(nv); i++ {
-		nv[i] = -1
-	}
-	t.v = nv
-}
-
-func (t *denseTable) get(k int64) (int64, bool) {
-	if k >= int64(len(t.v)) {
-		return 0, false
-	}
-	v := t.v[k]
-	return v, v >= 0
-}
-
-func (t *denseTable) set(k int64, v int64) bool {
-	if k >= int64(len(t.v)) {
-		t.grow(k)
-	}
-	had := t.v[k] >= 0
-	t.v[k] = v
-	if !had {
-		t.live++
-	}
-	return had
-}
-
-func (t *denseTable) del(k int64) bool {
-	if k >= int64(len(t.v)) || t.v[k] < 0 {
-		return false
-	}
-	t.v[k] = -1
-	t.live--
-	return true
-}
-
-func (t *denseTable) len() int { return t.live }
-
-func (t *denseTable) forEach(fn func(k, v int64) bool) {
-	for k, v := range t.v {
-		if v >= 0 && !fn(int64(k), v) {
-			return
-		}
-	}
-}
-
-func (t *denseTable) footprint() int64 { return int64(cap(t.v)) }
-
-func (t *denseTable) reset() {
-	for i := range t.v {
-		t.v[i] = -1
-	}
-	t.live = 0
 }
 
 // pagedTable chunks the key space into fixed pages allocated on first
@@ -204,10 +118,20 @@ const (
 	tableChunkBits = 12 // 4096 entries (32 KB) per chunk
 	tableChunkSize = 1 << tableChunkBits
 	tableChunkMask = tableChunkSize - 1
+	// tableBatchMax caps how many chunks one allocation carves (2 MB).
+	tableBatchMax = 64
 )
 
+// pagedTable keeps the chunks the current run touched in used; reset
+// moves them onto the spare stack instead of clearing them, and chunk
+// refills a spare with the sentinel only when a later run touches that
+// part of the key space. Reset therefore costs O(chunks touched this run),
+// and the table's memory is bounded by the largest single run's touch set
+// (within grow's batch slack) rather than the union of every run's keys.
 type pagedTable struct {
 	chunks [][]int64
+	used   []int64   // chunk indices allocated since the last reset
+	spare  [][]int64 // recycled chunks awaiting reuse (contents stale)
 	live   int
 }
 
@@ -231,13 +155,33 @@ func (t *pagedTable) chunk(k int64) []int64 {
 	}
 	c := t.chunks[ci]
 	if c == nil {
-		c = make([]int64, tableChunkSize)
+		if len(t.spare) == 0 {
+			t.grow()
+		}
+		n := len(t.spare)
+		c = t.spare[n-1]
+		t.spare[n-1] = nil
+		t.spare = t.spare[:n-1]
 		for i := range c {
 			c[i] = -1
 		}
 		t.chunks[ci] = c
+		t.used = append(t.used, ci)
 	}
 	return c
+}
+
+// grow refills the empty spare stack with a batch of chunks carved from
+// one allocation. The batch matches the table's current size, capped at
+// tableBatchMax, so a growing table makes O(log n) allocations, as a
+// doubling flat array would, while allocating less than twice the chunks
+// any single run has touched.
+func (t *pagedTable) grow() {
+	k := min(max(len(t.used), 1), tableBatchMax)
+	slab := make([]int64, k*tableChunkSize)
+	for i := 0; i < k; i++ {
+		t.spare = append(t.spare, slab[i*tableChunkSize:(i+1)*tableChunkSize:(i+1)*tableChunkSize])
+	}
 }
 
 func (t *pagedTable) set(k int64, v int64) bool {
@@ -281,20 +225,14 @@ func (t *pagedTable) forEach(fn func(k, v int64) bool) {
 }
 
 func (t *pagedTable) footprint() int64 {
-	var n int64
-	for _, c := range t.chunks {
-		if c != nil {
-			n += tableChunkSize
-		}
-	}
-	return n
+	return int64(len(t.used)+len(t.spare)) * tableChunkSize
 }
 
 func (t *pagedTable) reset() {
-	for _, c := range t.chunks {
-		for i := range c {
-			c[i] = -1
-		}
+	for _, ci := range t.used {
+		t.spare = append(t.spare, t.chunks[ci])
+		t.chunks[ci] = nil
 	}
+	t.used = t.used[:0]
 	t.live = 0
 }
