@@ -4,14 +4,22 @@ package sprinkler_test
 // inputs. Representative workloads (a seeded msnfs1 trace and a sequential
 // stream) run under every scheduler, and the full public Result must be
 // byte-identical across repeated runs and across Runner concurrency
-// levels. This is the safety net for every kernel/scheduler performance
-// change: an optimization that perturbs event order, tie-breaking, or
-// scheduling decisions shows up here as a field-level diff.
+// levels, and match the digests pinned in
+// testdata/determinism_digests.golden. This is the safety net for every
+// kernel/scheduler performance change: an optimization that perturbs event
+// order, tie-breaking, or scheduling decisions shows up here as a
+// field-level diff between runs or a digest diff against the file.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sprinkler"
@@ -84,8 +92,45 @@ func runGolden(t *testing.T, workers int) map[string]string {
 	return out
 }
 
+// digestFile pins the FNV-64a digest of every golden cell's Result JSON.
+const digestFile = "determinism_digests.golden"
+
+// hydratedGolden fingerprints a workload on a device hydrated from an aged
+// checkpoint, so the pinned digests cover the snapshot restore path too.
+func hydratedGolden(t *testing.T) string {
+	t.Helper()
+	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(checkpointOf(t, agedConfig(sprinkler.SPK3), 0.75, 0.4, 17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := snap.NewDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runWorkload(t, dev, "msnfs1", 200, 13)
+}
+
+// renderDigests formats one "name digest" line per cell, sorted by name.
+func renderDigests(fps map[string]string) []byte {
+	names := make([]string, 0, len(fps))
+	for name := range fps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b bytes.Buffer
+	for _, name := range names {
+		h := fnv.New64a()
+		h.Write([]byte(fps[name]))
+		fmt.Fprintf(&b, "%s %016x\n", name, h.Sum64())
+	}
+	return b.Bytes()
+}
+
 // TestDeterminismGolden asserts run-to-run reproducibility for all five
-// schedulers on the representative workloads.
+// schedulers on the representative workloads, and that the Results match
+// the digests committed in testdata — so a change that perturbs any Result
+// fails even when it is self-consistent. Regenerate with -update only for
+// a deliberate model change.
 func TestDeterminismGolden(t *testing.T) {
 	first := runGolden(t, 1)
 	second := runGolden(t, 1)
@@ -96,6 +141,22 @@ func TestDeterminismGolden(t *testing.T) {
 			}
 		}
 		t.Fatal("simulation results drifted between identical runs")
+	}
+	first["SPK3/aged-hydrated/msnfs1"] = hydratedGolden(t)
+	got := renderDigests(first)
+	path := filepath.Join("testdata", digestFile)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run TestDeterminismGolden -update` to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Result digests drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
