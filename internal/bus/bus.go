@@ -16,7 +16,8 @@ type Channel struct {
 	q    []pending
 	qh   int // queue head index; popped entries leave a reusable prefix
 
-	releaseT *sim.Timer // reusable release event (one hold at a time)
+	releaseT *sim.Timer         // reusable release event (one hold at a time)
+	done     func(end sim.Time) // current holder's end-of-hold callback
 
 	// Accounting.
 	busyTime sim.TimedCounter
@@ -27,6 +28,7 @@ type Channel struct {
 type pending struct {
 	dur     sim.Time
 	granted func(start sim.Time)
+	done    func(end sim.Time)
 	asked   sim.Time
 }
 
@@ -55,24 +57,29 @@ func (c *Channel) Reset() {
 	c.q = c.q[:0]
 	c.qh = 0
 	c.releaseT.Stop()
+	c.done = nil
 	c.busyTime = sim.TimedCounter{}
 	c.waitTime = 0
 	c.grants = 0
 }
 
 // Acquire requests the bus for dur. When granted, granted(start) runs at
-// the grant instant; the bus frees itself at start+dur. Grants are FIFO in
-// request order, which keeps the simulation deterministic.
-func (c *Channel) Acquire(dur sim.Time, granted func(start sim.Time)) {
+// the grant instant. The bus's release event at start+dur first runs
+// done(end), if non-nil, with the bus still held (an Acquire from done
+// queues behind every waiter), then frees the bus and grants the next
+// waiter. Grants are FIFO in request order, which keeps the simulation
+// deterministic.
+func (c *Channel) Acquire(dur sim.Time, granted, done func(sim.Time)) {
 	if dur < 0 {
 		panic("bus: negative duration")
 	}
 	now := c.eng.Now()
+	p := pending{dur: dur, granted: granted, done: done, asked: now}
 	if !c.busy && c.queueLen() == 0 {
-		c.grant(now, pending{dur: dur, granted: granted, asked: now})
+		c.grant(now, p)
 		return
 	}
-	c.q = append(c.q, pending{dur: dur, granted: granted, asked: now})
+	c.q = append(c.q, p)
 }
 
 func (c *Channel) grant(now sim.Time, p pending) {
@@ -80,11 +87,15 @@ func (c *Channel) grant(now sim.Time, p pending) {
 	c.busyTime.Set(now, true)
 	c.waitTime += now - p.asked
 	c.grants++
+	c.done = p.done
 	p.granted(now)
 	c.eng.AtTimer(now+p.dur, c.releaseT)
 }
 
 func (c *Channel) release(now sim.Time) {
+	if c.done != nil {
+		c.done(now)
+	}
 	c.busy = false
 	c.busyTime.Set(now, false)
 	if c.queueLen() > 0 {

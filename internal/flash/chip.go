@@ -11,8 +11,9 @@ import (
 // dependent only on the sim kernel.
 type Bus interface {
 	// Acquire requests the bus for dur and calls granted at the grant
-	// instant. The bus frees itself dur later.
-	Acquire(dur sim.Time, granted func(start sim.Time))
+	// instant. dur later the bus's release event calls done, then frees
+	// the bus for the next waiter.
+	Acquire(dur sim.Time, granted, done func(sim.Time))
 }
 
 // Callbacks receives transaction progress notifications from a chip.
@@ -60,9 +61,11 @@ type ChipStats struct {
 //
 // Because a chip runs exactly one transaction (and holds at most one
 // pending bus acquisition) at a time, the phase walk is a state machine
-// over fields of the Chip itself, driven by reusable timers and bus-grant
-// callbacks bound once at construction — executing a transaction performs
-// no heap allocations.
+// over fields of the Chip itself, driven by one reusable cell-phase timer
+// and bus grant/hold-end callbacks bound once at construction. A bus hold
+// ends inside the bus's own release event, so bus phases cost the kernel
+// no event of the chip's — and executing a transaction performs no heap
+// allocations.
 type Chip struct {
 	ID    ChipID
 	Geo   Geometry
@@ -85,36 +88,33 @@ type Chip struct {
 	t     *Transaction
 	cb    Callbacks
 	idx   int      // member index in the submit/read-out phase
-	dur   sim.Time // duration of the pending bus hold
 	asked sim.Time // when the pending bus hold was requested
 
-	// Preallocated continuations.
-	grantedSubmit func(start sim.Time)
-	grantedRead   func(start sim.Time)
-	grantedStatus func(start sim.Time)
-	submitEnd     *sim.Timer
-	cellEnd       *sim.Timer
-	readEnd       *sim.Timer
-	statusEnd     *sim.Timer
+	// Preallocated continuations: granted starts any bus hold, the *End
+	// funcs end one (passed to Bus.Acquire as done), cellEnd ends the
+	// cell phase.
+	granted   func(start sim.Time)
+	submitEnd func(now sim.Time)
+	readEnd   func(now sim.Time)
+	statusEnd func(now sim.Time)
+	cellEnd   *sim.Timer
 }
 
-// NewChip returns an idle chip bound to eng and bus. All of the chip's
+// NewChip returns an idle chip bound to eng and bus. The chip's cell-phase
 // events run on its channel's lane (channel index + 1), matching the bus it
 // hangs off: a channel's whole event population shares one lane, which is
 // what lets the parallel device kernel give each channel its own engine
 // while reproducing the serial timeline exactly.
 func NewChip(eng *sim.Engine, bus Bus, id ChipID, g Geometry, t Timing) *Chip {
 	c := &Chip{ID: id, Geo: g, Tim: t, eng: eng, bus: bus}
-	lane := int32(g.Channel(id)) + 1
-	c.grantedSubmit = func(start sim.Time) {
+	c.granted = func(start sim.Time) {
 		c.stats.BusWait += start - c.asked
 		c.stats.BusActive.Set(start, true)
-		c.eng.AtTimer(start+c.dur, c.submitEnd)
 	}
-	c.submitEnd = sim.NewTimer(func(now sim.Time) {
+	c.submitEnd = func(now sim.Time) {
 		c.stats.BusActive.Set(now, false)
 		c.submitPhase(now, c.idx+1)
-	})
+	}
 	c.cellEnd = sim.NewTimer(func(end sim.Time) {
 		c.stats.CellActive.Set(end, false)
 		c.stats.PlaneUse.Set(end, 0)
@@ -134,24 +134,14 @@ func NewChip(eng *sim.Engine, bus Bus, id ChipID, g Geometry, t Timing) *Chip {
 		}
 		c.statusPhase(end)
 	})
-	c.grantedRead = func(start sim.Time) {
-		c.stats.BusWait += start - c.asked
-		c.stats.BusActive.Set(start, true)
-		c.eng.AtTimer(start+c.dur, c.readEnd)
-	}
-	c.readEnd = sim.NewTimer(func(now sim.Time) {
+	c.readEnd = func(now sim.Time) {
 		c.stats.BusActive.Set(now, false)
 		if c.cb.RequestDone != nil {
 			c.cb.RequestDone(now, c.t.Requests[c.idx])
 		}
 		c.readOutPhase(now, c.idx+1)
-	})
-	c.grantedStatus = func(start sim.Time) {
-		c.stats.BusWait += start - c.asked
-		c.stats.BusActive.Set(start, true)
-		c.eng.AtTimer(start+c.dur, c.statusEnd)
 	}
-	c.statusEnd = sim.NewTimer(func(now sim.Time) {
+	c.statusEnd = func(now sim.Time) {
 		c.stats.BusActive.Set(now, false)
 		c.busy = false
 		c.stats.BusyAll.Set(now, false)
@@ -160,11 +150,8 @@ func NewChip(eng *sim.Engine, bus Bus, id ChipID, g Geometry, t Timing) *Chip {
 		if cb.TxnDone != nil {
 			cb.TxnDone(now, t)
 		}
-	})
-	c.submitEnd.SetLane(lane)
-	c.cellEnd.SetLane(lane)
-	c.readEnd.SetLane(lane)
-	c.statusEnd.SetLane(lane)
+	}
+	c.cellEnd.SetLane(int32(g.Channel(id)) + 1)
 	return c
 }
 
@@ -180,12 +167,9 @@ func (c *Chip) Reset(t Timing) {
 	c.t = nil
 	c.cb = Callbacks{}
 	c.idx = 0
-	c.dur, c.asked = 0, 0
+	c.asked = 0
 	c.retryRung, c.retryMask = 0, 0
-	c.submitEnd.Stop()
 	c.cellEnd.Stop()
-	c.readEnd.Stop()
-	c.statusEnd.Stop()
 }
 
 // SetFaults installs (or, with a disabled config, removes) the fault model
@@ -287,9 +271,8 @@ func (c *Chip) submitPhase(now sim.Time, i int) {
 		return
 	}
 	c.idx = i
-	c.dur = c.busInDur(c.t.Requests[i])
 	c.asked = now
-	c.bus.Acquire(c.dur, c.grantedSubmit)
+	c.bus.Acquire(c.busInDur(c.t.Requests[i]), c.granted, c.submitEnd)
 }
 
 // cellPhase runs the overlapped array operation. With outage windows
@@ -418,16 +401,14 @@ func (c *Chip) readOutPhase(now sim.Time, i int) {
 		return
 	}
 	c.idx = i
-	c.dur = c.Tim.DataTransferTime(c.Geo.PageSize)
 	c.asked = now
-	c.bus.Acquire(c.dur, c.grantedRead)
+	c.bus.Acquire(c.Tim.DataTransferTime(c.Geo.PageSize), c.granted, c.readEnd)
 }
 
 // statusPhase reads chip status and retires the transaction.
 func (c *Chip) statusPhase(now sim.Time) {
-	c.dur = c.Tim.StatusCycle
 	c.asked = now
-	c.bus.Acquire(c.dur, c.grantedStatus)
+	c.bus.Acquire(c.Tim.StatusCycle, c.granted, c.statusEnd)
 }
 
 // ServiceTime estimates, without simulating, how long t would occupy the

@@ -224,6 +224,71 @@ func TestTwoChipsShareBusContention(t *testing.T) {
 	}
 }
 
+func TestChipBusHoldsEndInReleaseEvent(t *testing.T) {
+	eng, ch, c := testRig()
+	var tx Transaction
+	must(t, tx.Add(c.Geo, req(0, 0, 0, 1, 2, OpRead)))
+	must(t, tx.Add(c.Geo, req(0, 1, 0, 3, 9, OpRead)))
+	var doneAt sim.Time
+	c.Execute(&tx, Callbacks{TxnDone: func(now sim.Time, _ *Transaction) { doneAt = now }})
+	eng.Run(0)
+	if doneAt != c.ServiceTime(&tx) {
+		t.Fatalf("finished at %v, want %v", doneAt, c.ServiceTime(&tx))
+	}
+	// 2 cmd + 2 data-out + status holds, each ended by its release event,
+	// plus the one cell-phase event.
+	if ch.Grants() != 5 || eng.Fired() != 6 {
+		t.Fatalf("grants=%d events=%d, want 5 holds in 6 events", ch.Grants(), eng.Fired())
+	}
+}
+
+func TestChipHoldEndQueuesBehindWaiters(t *testing.T) {
+	eng := sim.NewEngine()
+	ch := bus.New(eng, 0)
+	g := smallGeo()
+	tim := DefaultTiming()
+	c0 := NewChip(eng, ch, 0, g, tim)
+	c1 := NewChip(eng, ch, 1, g, tim)
+	var t0, t1 Transaction
+	must(t, t0.Add(g, req(0, 0, 0, 1, 2, OpRead)))
+	must(t, t0.Add(g, req(0, 1, 0, 1, 2, OpRead)))
+	must(t, t1.Add(g, req(1, 0, 0, 1, 2, OpRead)))
+	c0.Execute(&t0, Callbacks{})
+	c1.Execute(&t1, Callbacks{})
+	// Chip 0's first command ends in the release event, before chip 1
+	// (already waiting) is granted, so chip 0's second command queues
+	// behind it: each chip waits one command slot.
+	cmd := tim.CommandOverhead(OpRead)
+	eng.RunUntil(3 * cmd) // all three commands, none of the read-outs
+	if w0, w1 := c0.Stats().BusWait, c1.Stats().BusWait; w0 != cmd || w1 != cmd {
+		t.Fatalf("bus waits = %v/%v, want %v each", w0, w1, cmd)
+	}
+}
+
+func TestChipResetDropsHoldInFlight(t *testing.T) {
+	eng, ch, c := testRig()
+	var tx Transaction
+	must(t, tx.Add(c.Geo, req(0, 0, 0, 1, 2, OpProgram)))
+	stale := false
+	c.Execute(&tx, Callbacks{TxnDone: func(sim.Time, *Transaction) { stale = true }})
+	eng.RunUntil(c.Tim.CommandOverhead(OpProgram)) // mid data-in hold
+	if !ch.Busy() {
+		t.Fatal("bus should be held mid data-in")
+	}
+	eng.Reset()
+	ch.Reset()
+	c.Reset(c.Tim)
+	var doneAt sim.Time
+	c.Execute(&tx, Callbacks{TxnDone: func(now sim.Time, _ *Transaction) { doneAt = now }})
+	eng.Run(0)
+	if stale {
+		t.Fatal("the reset transaction's hold still ended")
+	}
+	if doneAt != c.ServiceTime(&tx) {
+		t.Fatalf("finished at %v, want %v", doneAt, c.ServiceTime(&tx))
+	}
+}
+
 func TestServiceTimeMatchesSimulated(t *testing.T) {
 	for _, op := range []Op{OpRead, OpProgram, OpErase} {
 		eng, _, c := testRig()

@@ -17,6 +17,12 @@
 // partitioned execution's timeline provably identical to the serial one —
 // the serial kernel stays the reference, the parallel kernel replays it.
 //
+// Work that must follow every event of an instant, on every lane, is not an
+// event but the engine's end-of-instant hook (SetInstantEnd): once armed
+// (ArmInstantEnd), Run and RunUntil call it as soon as no event is left at
+// the current instant — the single-engine device flushes its staged
+// channel→device messages there.
+//
 // The event queue is a slab-backed 4-ary heap of event values: scheduling
 // reuses slab slots through a free list, so steady-state operation performs
 // no heap allocations. Components that schedule on the hot path own
@@ -170,6 +176,10 @@ type Engine struct {
 	// channel parks there until the coordinator has applied the commit.
 	capT      Time
 	capActive bool
+
+	// instantEnd is the end-of-instant hook, armed by ArmInstantEnd.
+	instantEnd   Event
+	instantArmed bool
 }
 
 // NewEngine returns an Engine at time zero with an empty event queue.
@@ -351,13 +361,22 @@ func (e *Engine) Uncap() { e.capActive = false }
 // CappedAt returns the active RunUntil bound, if any.
 func (e *Engine) CappedAt() (Time, bool) { return e.capT, e.capActive }
 
+// SetInstantEnd installs the end-of-instant hook. Set it once, at
+// construction, before anything arms it.
+func (e *Engine) SetInstantEnd(fn Event) { e.instantEnd = fn }
+
+// ArmInstantEnd requests one call of the end-of-instant hook after the
+// last event of the current instant. Arming an armed hook is a no-op.
+func (e *Engine) ArmInstantEnd() { e.instantArmed = true }
+
 // Reset returns the engine to time zero with an empty event queue, as if
 // freshly constructed — but with the slab and heap storage retained, so a
 // reused engine schedules its next run without growing allocations. Every
 // pending event is cancelled: outstanding Handles go stale and owning
-// Timers become non-pending. The sequence counter restarts at zero, so a
-// reset engine breaks same-instant ties exactly like a new one — the
-// property device reuse needs for run-for-run identical timelines.
+// Timers become non-pending; the end-of-instant hook is disarmed. The
+// sequence counter restarts at zero, so a reset engine breaks same-instant
+// ties exactly like a new one — the property device reuse needs for
+// run-for-run identical timelines.
 func (e *Engine) Reset() {
 	for _, idx := range e.heap {
 		ev := &e.slab[idx]
@@ -369,12 +388,16 @@ func (e *Engine) Reset() {
 	e.heap = e.heap[:0]
 	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
 	e.capT, e.capActive = 0, false
+	e.instantArmed = false
 }
 
-// pop removes and returns the earliest event's payload, releasing its slot
-// before the caller runs the callback (so the callback can schedule new
-// events into the freed slot, and handles to the fired event go stale).
-func (e *Engine) pop() (Time, Event) {
+// step executes the earliest event, releasing its slot before the callback
+// runs (so the callback can schedule new events into the freed slot, and
+// handles to the fired event go stale). Once no event is left at the
+// instant, it then runs the armed end-of-instant hook — again while the
+// hook re-arms itself — ahead of the caller's budget, stop and deadline
+// checks.
+func (e *Engine) step() {
 	idx := e.heap[0]
 	ev := &e.slab[idx]
 	at, fn, timer := ev.at, ev.fn, ev.timer
@@ -383,22 +406,25 @@ func (e *Engine) pop() (Time, Event) {
 	if timer != nil {
 		timer.h = Handle{}
 	}
-	return at, fn
+	if at < e.now {
+		panic("sim: event queue went backwards")
+	}
+	e.now = at
+	e.fired++
+	fn(at)
+	for e.instantArmed && (len(e.heap) == 0 || e.slab[e.heap[0]].at > at) {
+		e.instantArmed = false
+		e.instantEnd(at)
+	}
 }
 
 // Run executes events until the queue drains, the event budget is exhausted,
-// or Stop is called. A budget of 0 means unlimited. It returns the time of
-// the last executed event.
+// or Stop is called. A budget of 0 means unlimited (the end-of-instant hook
+// is not an event). It returns the time of the last executed event.
 func (e *Engine) Run(budget uint64) Time {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
-		at, fn := e.pop()
-		if at < e.now {
-			panic("sim: event queue went backwards")
-		}
-		e.now = at
-		e.fired++
-		fn(e.now)
+		e.step()
 		if budget != 0 && e.fired >= budget {
 			break
 		}
@@ -417,19 +443,12 @@ func (e *Engine) RunUntil(deadline Time) {
 		if at > deadline || (e.capActive && at > e.capT) {
 			break
 		}
-		var fn Event
-		at, fn = e.pop()
-		e.now = at
-		e.fired++
-		fn(e.now)
+		e.step()
 	}
 	if e.now < deadline && !e.capActive {
 		e.now = deadline
 	}
 }
-
-// Drained reports whether the queue holds no events.
-func (e *Engine) Drained() bool { return len(e.heap) == 0 }
 
 // NextAt peeks at the earliest pending event's timestamp without executing
 // anything. ok is false when the queue is empty. The epoch loop of the

@@ -129,12 +129,15 @@ func (e *Engine) Clock() EngineClock {
 	return EngineClock{Now: e.now, Seq: e.seq, Fired: e.fired}
 }
 
-// SetClock restores a captured clock. The engine must be drained: a
-// pending event scheduled under the old clock would fire out of order
-// under the new one.
+// SetClock restores a captured clock. The engine must be drained, with its
+// end-of-instant hook disarmed: a pending event or hook call belonging to
+// the old clock would fire out of order under the new one.
 func (e *Engine) SetClock(c EngineClock) {
 	if len(e.heap) != 0 {
 		panic("sim: SetClock on an engine with pending events")
+	}
+	if e.instantArmed {
+		panic("sim: SetClock with the end-of-instant hook armed")
 	}
 	e.now, e.seq, e.fired = c.Now, c.Seq, c.Fired
 }

@@ -30,10 +30,11 @@ import (
 // The controller never calls back into the device synchronously. Progress
 // notifications (transaction start/end, member-request completions) are
 // staged into a per-channel message list and drained by the device at the
-// end of the instant — through a flush event on the single-engine kernel,
-// or at the epoch barrier of the parallel per-channel kernel. Staging is
-// what makes the two kernels byte-identical: in both, every channel's
-// messages for one instant are applied in (channel, staging order).
+// end of the instant — by the engine's end-of-instant hook on the
+// single-engine kernel, or at the epoch barrier of the parallel per-channel
+// kernel. Staging is what makes the two kernels byte-identical: in both,
+// every channel's messages for one instant are applied in (channel,
+// staging order).
 type controller struct {
 	eng     *sim.Engine
 	geo     flash.Geometry
@@ -55,10 +56,10 @@ type controller struct {
 	staged     []stagedMsg
 	stagedHead int
 
-	// noteStaged, when set, tells the owner that a message was staged at
-	// now. The single-engine device arms its flush event from it; the
-	// parallel kernel leaves it nil and drains at epoch barriers.
-	noteStaged func(now sim.Time)
+	// armFlush makes staging arm the engine's end-of-instant hook, where
+	// the single-engine device drains the messages. The parallel kernel
+	// leaves it off and drains at epoch barriers.
+	armFlush bool
 
 	// parkOnHazard is set by the parallel kernel when GC is enabled:
 	// staging a completion whose host-side processing can commit GC flash
@@ -135,8 +136,8 @@ func newController(eng *sim.Engine, geo flash.Geometry, tim flash.Timing, faults
 // stage appends one channel→device message and pings the owner.
 func (ctl *controller) stage(msg stagedMsg) {
 	ctl.staged = append(ctl.staged, msg)
-	if ctl.noteStaged != nil {
-		ctl.noteStaged(msg.at)
+	if ctl.armFlush {
+		ctl.eng.ArmInstantEnd()
 	}
 	if ctl.parkOnHazard && msg.kind == stagedReqDone && hazardousToken(msg.r.Token) {
 		ctl.eng.CapRun(msg.at)

@@ -90,13 +90,6 @@ type Device struct {
 	// only causally correct view.
 	chipBusyM []bool
 
-	// flushT drains staged channel→device messages at the end of the
-	// current instant on the single-engine kernel. Its lane sorts after
-	// every channel lane, so it fires once all channel events of the
-	// instant have staged their messages.
-	flushT     *sim.Timer
-	flushArmed bool
-
 	// par drives the per-channel partitioned kernel; nil on the
 	// single-engine kernel.
 	par *parRunner
@@ -196,8 +189,7 @@ func NewWithFTLMeta(cfg Config, scheduler sched.Scheduler, meta *ftl.BlockMeta) 
 		chipBusyM:   make([]bool, cfg.Geo.NumChips()),
 		sampleBuf:   make([]metrics.ChipSample, 0, cfg.Geo.NumChips()),
 	}
-	d.flushT = sim.NewTimer(d.flush)
-	d.flushT.SetLane(int32(cfg.Geo.Channels) + 1)
+	d.eng.SetInstantEnd(d.flush) // armed by serial-kernel controllers
 	d.latency.SetCap(cfg.MetricsSampleCap)
 	d.composeBatch = true
 	d.composeTimer = sim.NewTimer(func(t sim.Time) {
@@ -238,9 +230,7 @@ func (d *Device) buildControllers(partitioned bool) {
 			eng = sim.NewEngine()
 		}
 		ctl := newController(eng, d.cfg.Geo, d.cfg.Tim, d.cfg.Faults.flashConfig(), ch)
-		if !partitioned {
-			ctl.noteStaged = d.noteStaged
-		}
+		ctl.armFlush = !partitioned
 		ctl.parkOnHazard = partitioned && !d.cfg.DisableGC
 		d.ctrls[ch] = ctl
 	}
@@ -251,20 +241,11 @@ func (d *Device) buildControllers(partitioned bool) {
 	}
 }
 
-// noteStaged arms the end-of-instant flush on the single-engine kernel.
-func (d *Device) noteStaged(now sim.Time) {
-	if d.flushArmed {
-		return
-	}
-	d.flushArmed = true
-	d.eng.AtTimer(now, d.flushT)
-}
-
-// flush applies every staged channel→device message of the current
-// instant, in (channel, staging order) — the same order the partitioned
-// kernel's epoch barrier applies them in.
+// flush is the single-engine kernel's end-of-instant hook: it applies
+// every staged channel→device message of the current instant, in
+// (channel, staging order) — the same order the partitioned kernel's
+// epoch barrier applies them in.
 func (d *Device) flush(now sim.Time) {
-	d.flushArmed = false
 	for _, ctl := range d.ctrls {
 		for {
 			at, ok := ctl.stagedNext()
@@ -357,8 +338,6 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 	for i := range d.chipBusyM {
 		d.chipBusyM[i] = false
 	}
-	d.flushT.Stop()
-	d.flushArmed = false
 	if r, ok := scheduler.(sched.StateResetter); ok {
 		r.ResetState()
 	}

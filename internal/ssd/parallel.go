@@ -11,9 +11,9 @@ import (
 //
 // The serial kernel runs every component on one engine whose same-instant
 // order is (lane, schedule order): host events (lane 0) first, then each
-// channel's events (lane = channel+1) in channel order, then the staged
-// message flush (last lane). Channels interact with the host only through
-// two narrow edges:
+// channel's events (lane = channel+1) in channel order; once no event is
+// left at the instant, the engine's end-of-instant hook flushes the staged
+// messages. Channels interact with the host only through two narrow edges:
 //
 //   - host → channel: commits. The committing host events are DMA
 //     compose-timer fires (at least ComposeLatency past the current epoch
