@@ -17,27 +17,6 @@ import (
 	"sprinkler"
 )
 
-// parityFaults draws a randomized fault spec for the parity trials. Erase
-// faults and spares are left zero: parity configs disable GC, so the erase
-// path never runs there (it is pinned by the arena and degraded-mode
-// tests instead).
-func parityFaults(rng *rand.Rand) sprinkler.FaultSpec {
-	probs := []float64{0.005, 0.02, 0.08, 0.25}
-	spec := sprinkler.FaultSpec{
-		ReadFailProb:    probs[rng.Intn(len(probs))],
-		ProgramFailProb: probs[rng.Intn(len(probs))],
-		ReadRetryMax:    1 + rng.Intn(4),
-		ReadRetryMult:   1 + rng.Intn(3),
-		RewriteMax:      1 + rng.Intn(4),
-		Seed:            rng.Uint64(),
-	}
-	if rng.Intn(2) == 0 {
-		spec.OutagePeriodNS = int64(200_000 * (1 + rng.Intn(5)))
-		spec.OutageDurNS = spec.OutagePeriodNS / int64(2+rng.Intn(6))
-	}
-	return spec
-}
-
 // TestParallelMatchesSerialFaults extends the kernel parity pin to the
 // fault model: randomized fault rates, retry ladders and outage windows
 // must produce byte-identical Results under the serial and partitioned
@@ -54,7 +33,7 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(len(kind))*104729 + 17))
 			for trial := 0; trial < trials; trial++ {
-				cfg := parityConfig(rng, kind)
+				cfg := parityConfig(rng, kind, rng.Intn(3))
 				cfg.Faults = parityFaults(rng)
 				precond := rng.Intn(2) == 0
 				pseed := rng.Uint64()
@@ -67,9 +46,9 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 				parallel.ParallelChannels = workers
 
 				srcRng := rand.New(rand.NewSource(wseed))
-				want := runOnce(t, serial, precond, pseed, paritySource(t, srcRng, serial, requests))
+				want := mustJSON(t, runOnce(t, serial, precond, pseed, paritySource(t, srcRng, serial, requests)))
 				srcRng = rand.New(rand.NewSource(wseed))
-				got := runOnce(t, parallel, precond, pseed, paritySource(t, srcRng, parallel, requests))
+				got := mustJSON(t, runOnce(t, parallel, precond, pseed, paritySource(t, srcRng, parallel, requests)))
 				if want != got {
 					t.Fatalf("trial %d (workers=%d faults=%+v): parallel result diverges\nserial:   %s\nparallel: %s",
 						trial, workers, cfg.Faults, want, got)

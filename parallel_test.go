@@ -18,92 +18,6 @@ import (
 	"sprinkler"
 )
 
-// parityConfig builds a randomized platform eligible for the partitioned
-// kernel (>= 2 channels). Each trial lands in one of three cells:
-// pristine (GC off), GC-active (clipped logical space keeps planes under
-// collection pressure), or fault-armed (GC on plus the full flash fault
-// model: retry ladders, program rewrites, block retirements, spares).
-func parityConfig(rng *rand.Rand, kind sprinkler.SchedulerKind) sprinkler.Config {
-	cfg := sprinkler.DefaultConfig()
-	cfg.Scheduler = kind
-	cfg.Channels = []int{2, 4, 8}[rng.Intn(3)]
-	cfg.ChipsPerChan = []int{1, 2, 4}[rng.Intn(3)]
-	cfg.BlocksPerPlane = 64
-	cfg.PagesPerBlock = 32
-	cfg.QueueDepth = []int{8, 32, 64}[rng.Intn(3)]
-	switch rng.Intn(3) {
-	case 0: // pristine
-		cfg.DisableGC = true
-	case 1: // GC-active
-		cfg.BlocksPerPlane = 24
-		cfg.LogicalPages = cfg.TotalPages() * 85 / 100
-		cfg.GCFreeTarget = 8
-	default: // fault-armed, GC on
-		cfg.BlocksPerPlane = 32
-		cfg.LogicalPages = cfg.TotalPages() * 85 / 100
-		cfg.Faults = sprinkler.FaultSpec{
-			ReadFailProb:    0.02,
-			ProgramFailProb: 0.02,
-			EraseFailProb:   0.05,
-			ReadRetryMax:    3,
-			ReadRetryMult:   2,
-			RewriteMax:      4,
-			SpareBlockFrac:  0.08,
-			Seed:            rng.Uint64(),
-		}
-	}
-	return cfg
-}
-
-// paritySource picks a randomized workload for the config.
-func paritySource(t *testing.T, rng *rand.Rand, cfg sprinkler.Config, n int) sprinkler.Source {
-	t.Helper()
-	switch rng.Intn(4) {
-	case 0:
-		src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{
-			Name: "msnfs1", Requests: n, Seed: rng.Uint64(),
-		})
-		if err != nil {
-			t.Fatalf("workload source: %v", err)
-		}
-		return src
-	case 1:
-		return sprinkler.SliceSource(sprinkler.SequentialReads(n, 1+rng.Intn(8)))
-	case 2:
-		return sprinkler.SliceSource(sprinkler.SequentialWrites(n, 1+rng.Intn(8)))
-	default:
-		src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{
-			Name: "proj0", Requests: n, Seed: rng.Uint64(),
-		})
-		if err != nil {
-			t.Fatalf("workload source: %v", err)
-		}
-		return src
-	}
-}
-
-// runOnce builds a device for cfg (optionally fragmented first) and runs
-// the source, returning the Result's JSON rendering.
-func runOnce(t *testing.T, cfg sprinkler.Config, precond bool, pseed uint64, src sprinkler.Source) string {
-	t.Helper()
-	dev, err := sprinkler.New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if precond {
-		dev.Precondition(0.6, 0.3, pseed)
-	}
-	res, err := dev.Run(context.Background(), src)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	return string(b)
-}
-
 // TestParallelMatchesSerial is the headline parity test: randomized trials
 // per scheduler, serial vs partitioned kernel, byte-identical Results.
 func TestParallelMatchesSerial(t *testing.T) {
@@ -118,7 +32,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(len(kind)) * 7919))
 			for trial := 0; trial < trials; trial++ {
-				cfg := parityConfig(rng, kind)
+				cfg := parityConfig(rng, kind, rng.Intn(3))
 				precond := rng.Intn(2) == 0
 				pseed := rng.Uint64()
 				srcSeed := rng.Int63()
@@ -130,8 +44,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 				sRNG := rand.New(rand.NewSource(srcSeed))
 				pRNG := rand.New(rand.NewSource(srcSeed))
-				got := runOnce(t, parallel, precond, pseed, paritySource(t, pRNG, parallel, requests))
-				want := runOnce(t, serial, precond, pseed, paritySource(t, sRNG, serial, requests))
+				got := mustJSON(t, runOnce(t, parallel, precond, pseed, paritySource(t, pRNG, parallel, requests)))
+				want := mustJSON(t, runOnce(t, serial, precond, pseed, paritySource(t, sRNG, serial, requests)))
 				if got != want {
 					t.Fatalf("trial %d (channels=%d chips/chan=%d qd=%d precond=%v gc=%v faults=%v workers=%d): parallel kernel diverged\n serial:   %s\n parallel: %s",
 						trial, cfg.Channels, cfg.ChipsPerChan, cfg.QueueDepth, precond,
