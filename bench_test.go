@@ -466,18 +466,9 @@ func BenchmarkDeviceSPK3(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDevice measures the partitioned per-channel kernel
-// against its own serial fallback on the same simulation: w1 keeps the
-// serial kernel (ParallelChannels < 2 never partitions), w2..w8 run the
-// lockstep-epoch kernel with that many pool workers. Results are
-// byte-identical across the axis — the benchmark exists to price the
-// coordination overhead and to expose the scaling curve on multi-core
-// hosts. On a single-core runner (GOMAXPROCS=1) the parallel rows can
-// only show overhead, never speedup; read them accordingly.
+// BenchmarkParallelDevice measures whole-device runs on three shapes:
 //
-// Three variants cover the kernel's eligibility surface:
-//
-//	ch8,ch16   — pristine drive, GC off (the original PR 7 rows)
+//	ch8,ch16   — pristine drive, GC off
 //	gc/ch8     — aged drive under collection pressure: the configuration
 //	             the paper actually evaluates, preconditioned per
 //	             iteration, with background GC competing during the run
@@ -485,81 +476,72 @@ func BenchmarkDeviceSPK3(b *testing.B) {
 //	             one snapshot hydrated per iteration instead of
 //	             re-simulating the aging pass
 //
-// CI guards the w1 (serial-path) rows of the gc and hydrated variants
-// against bench/BENCH_pr10_baseline.txt.
+// The name and the /w1 row suffix date from a per-channel parallel
+// kernel that has since been removed (w1 was its serial setting). They
+// are kept so that CI's allocs/op gates against
+// bench/BENCH_pr7_baseline.txt and bench/BENCH_pr10_baseline.txt apply
+// unchanged.
 func BenchmarkParallelDevice(b *testing.B) {
 	for _, channels := range []int{8, 16} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("ch%d/w%d", channels, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					cfg := sprinkler.DefaultConfig()
-					cfg.Channels = channels
-					cfg.ChipsPerChan = 2
-					cfg.BlocksPerPlane = 128
-					cfg.QueueDepth = 64
-					cfg.DisableGC = true
-					cfg.ParallelChannels = workers
-					dev, err := sprinkler.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					reqs, err := cfg.GenerateWorkload("msnfs1", 600, 16)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := dev.RunRequests(reqs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-
-	gcCfg := func(workers int) sprinkler.Config {
-		cfg := sprinkler.DefaultConfig()
-		cfg.Channels = 8
-		cfg.ChipsPerChan = 2
-		cfg.BlocksPerPlane = 24
-		cfg.LogicalPages = cfg.TotalPages() * 85 / 100
-		cfg.GCFreeTarget = 8
-		cfg.QueueDepth = 64
-		cfg.ParallelChannels = workers
-		return cfg
-	}
-	const fill, churn, pseed = 0.8, 0.5, 17
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("gc/ch8/w%d", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("ch%d/w1", channels), func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := gcCfg(workers)
 			for i := 0; i < b.N; i++ {
+				cfg := sprinkler.DefaultConfig()
+				cfg.Channels = channels
+				cfg.ChipsPerChan = 2
+				cfg.BlocksPerPlane = 128
+				cfg.QueueDepth = 64
+				cfg.DisableGC = true
 				dev, err := sprinkler.New(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				dev.Precondition(fill, churn, pseed)
 				reqs, err := cfg.GenerateWorkload("msnfs1", 600, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := dev.RunRequests(reqs)
-				if err != nil {
+				if _, err := dev.RunRequests(reqs); err != nil {
 					b.Fatal(err)
-				}
-				if res.GCRuns == 0 {
-					b.Fatal("aged run triggered no GC; the row prices nothing")
 				}
 			}
 		})
 	}
 
+	cfg := sprinkler.DefaultConfig()
+	cfg.Channels = 8
+	cfg.ChipsPerChan = 2
+	cfg.BlocksPerPlane = 24
+	cfg.LogicalPages = cfg.TotalPages() * 85 / 100
+	cfg.GCFreeTarget = 8
+	cfg.QueueDepth = 64
+	const fill, churn, pseed = 0.8, 0.5, 17
+
+	b.Run("gc/ch8/w1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dev, err := sprinkler.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dev.Precondition(fill, churn, pseed)
+			reqs, err := cfg.GenerateWorkload("msnfs1", 600, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := dev.RunRequests(reqs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.GCRuns == 0 {
+				b.Fatal("aged run triggered no GC; the row prices nothing")
+			}
+		}
+	})
+
 	// One warm snapshot, captured once, hydrates every iteration of the
-	// hydrated rows — the sweep-cell shape PR 9 built and this PR lets
-	// run on the partitioned kernel.
+	// hydrated row.
 	var warm bytes.Buffer
 	{
-		cfg := gcCfg(0)
 		dev, err := sprinkler.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -573,29 +555,26 @@ func BenchmarkParallelDevice(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("gc/ch8/hydrated/w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := gcCfg(workers)
-			for i := 0; i < b.N; i++ {
-				dev, err := snap.NewDevice(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reqs, err := cfg.GenerateWorkload("msnfs1", 600, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := dev.RunRequests(reqs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.GCRuns == 0 {
-					b.Fatal("hydrated run triggered no GC; the row prices nothing")
-				}
+	b.Run("gc/ch8/hydrated/w1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dev, err := snap.NewDevice(cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			reqs, err := cfg.GenerateWorkload("msnfs1", 600, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := dev.RunRequests(reqs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.GCRuns == 0 {
+				b.Fatal("hydrated run triggered no GC; the row prices nothing")
+			}
+		}
+	})
 }
 
 // BenchmarkSchedulers measures per-scheduler simulation cost on the same

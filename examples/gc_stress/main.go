@@ -6,7 +6,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,9 +14,6 @@ import (
 )
 
 func main() {
-	parallel := flag.Int("parallel-channels", 0, "per-device parallel-kernel worker threads (results stay byte-identical, the fragmented GC runs included; <2 keeps the serial kernel)")
-	flag.Parse()
-
 	// A small drive so preconditioning to 95% is quick and writes push
 	// planes to the GC threshold immediately.
 	base := sprinkler.DefaultConfig()
@@ -25,12 +21,6 @@ func main() {
 	base.ChipsPerChan = 4
 	base.BlocksPerPlane = 16
 	base.PagesPerBlock = 32
-	base.ParallelChannels = *parallel
-	if base.UsesParallelKernel() {
-		fmt.Printf("event kernel: partitioned per-channel, %d workers\n", *parallel)
-	} else {
-		fmt.Println("event kernel: serial")
-	}
 
 	workload := randomWrites(800, 4, 0.6)
 

@@ -1,105 +1,19 @@
 package sprinkler_test
 
-// Fault-injection pins: the three standing determinism contracts of the
-// fault model. (1) Serial and parallel kernels replay the identical fault
-// schedule — byte-identical JSON Results under randomized fault specs and
-// worker counts. (2) A zero-rate spec is byte-identical to a fault-free
-// build, even with retry-ladder knobs set: zero probabilities consume no
-// RNG draws. (3) Spare exhaustion degrades the drive to read-only mode
-// with a flagged Result instead of a panic or hang.
+// Fault-injection pins: two standing contracts of the fault model. (1) A
+// zero-rate spec is byte-identical to a fault-free build, even with
+// retry-ladder knobs set: zero probabilities consume no RNG draws. (2)
+// Spare exhaustion degrades the drive to read-only mode with a flagged
+// Result instead of a panic or hang. Randomized fault specs are pinned by
+// digest in TestDeterminismMatrix.
 
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"testing"
 
 	"sprinkler"
 )
-
-// TestParallelMatchesSerialFaults extends the kernel parity pin to the
-// fault model: randomized fault rates, retry ladders and outage windows
-// must produce byte-identical Results under the serial and partitioned
-// kernels for every scheduler and worker count. A divergence means a
-// fault draw depended on event drain order.
-func TestParallelMatchesSerialFaults(t *testing.T) {
-	trials, requests := 4, 500
-	if testing.Short() {
-		trials, requests = 2, 200
-	}
-	for _, kind := range sprinkler.Schedulers() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(len(kind))*104729 + 17))
-			for trial := 0; trial < trials; trial++ {
-				cfg := parityConfig(rng, kind, rng.Intn(3))
-				cfg.Faults = parityFaults(rng)
-				precond := rng.Intn(2) == 0
-				pseed := rng.Uint64()
-				wseed := rng.Int63()
-
-				serial := cfg
-				serial.ParallelChannels = 0
-				workers := 2 + rng.Intn(7)
-				parallel := cfg
-				parallel.ParallelChannels = workers
-
-				srcRng := rand.New(rand.NewSource(wseed))
-				want := mustJSON(t, runOnce(t, serial, precond, pseed, paritySource(t, srcRng, serial, requests)))
-				srcRng = rand.New(rand.NewSource(wseed))
-				got := mustJSON(t, runOnce(t, parallel, precond, pseed, paritySource(t, srcRng, parallel, requests)))
-				if want != got {
-					t.Fatalf("trial %d (workers=%d faults=%+v): parallel result diverges\nserial:   %s\nparallel: %s",
-						trial, workers, cfg.Faults, want, got)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelFaultCountersNonZero guards the parity suite against
-// vacuity: with aggressive rates the fault counters must actually fire
-// under both kernels, so the parity trials above compare live fault
-// machinery rather than two idle models.
-func TestParallelFaultCountersNonZero(t *testing.T) {
-	cfg := sprinkler.DefaultConfig()
-	cfg.Scheduler = sprinkler.SPK3
-	cfg.Channels = 4
-	cfg.ChipsPerChan = 2
-	cfg.BlocksPerPlane = 64
-	cfg.PagesPerBlock = 32
-	cfg.DisableGC = true
-	cfg.Faults = sprinkler.FaultSpec{
-		ReadFailProb:    0.3,
-		ProgramFailProb: 0.3,
-		ReadRetryMax:    3,
-		ReadRetryMult:   2,
-		RewriteMax:      3,
-		Seed:            7,
-	}
-	for _, workers := range []int{0, 4} {
-		cfg := cfg
-		cfg.ParallelChannels = workers
-		dev, err := sprinkler.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.Precondition(0.5, 0.2, 11)
-		src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "cfs0", Requests: 400, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := dev.Run(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ReadRetries == 0 || res.ProgramFails == 0 {
-			t.Fatalf("workers=%d: fault model idle under 30%% rates: retries=%d programFails=%d",
-				workers, res.ReadRetries, res.ProgramFails)
-		}
-	}
-}
 
 // TestFaultZeroRateParity pins the "zero rates draw nothing" contract: a
 // spec with every probability zero but the ladder knobs set must be

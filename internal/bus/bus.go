@@ -33,9 +33,10 @@ type pending struct {
 }
 
 // New returns an idle channel bus bound to eng. The release event runs on
-// the channel's lane (id+1): every event owned by one device channel shares
-// that lane, so the serial kernel's same-instant order matches the
-// per-channel partitioned kernel's.
+// the channel's lane (id+1), with every other event of that device channel,
+// so within one instant it fires after the device's host-side events (lane
+// 0) and in channel order. Pinned Results depend on that same-instant
+// order.
 func New(eng *sim.Engine, id int) *Channel {
 	c := &Channel{eng: eng, id: id}
 	c.releaseT = sim.NewTimer(c.release)

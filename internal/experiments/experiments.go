@@ -37,12 +37,6 @@ type Options struct {
 	// through the runner's DeviceArena (A/B profiling of construction
 	// cost; results are identical either way).
 	NoReuse bool
-	// Parallel sets Config.ParallelChannels on every cell: the partitioned
-	// per-channel kernel with this many worker threads. Results are
-	// byte-identical, GC-active and fault-armed cells included; cells whose
-	// configuration has no cross-channel lookahead to exploit (fewer than
-	// two channels) fall back to the serial kernel.
-	Parallel int
 	// Faults shapes the fault-injection study's base spec (retry ladder,
 	// rewrite bound, spare fraction, seed); zero fields take the study
 	// defaults. Only RunFaultStudy consults it — the paper's figures stay
@@ -52,7 +46,7 @@ type Options struct {
 	// 16-workload evaluation from this warm-state snapshot file (written
 	// by SaveWarmState) instead of running on a fresh drive, so an
 	// aged-drive evaluation pays fresh-drive cost. The snapshot's platform
-	// must match the evaluation's (Chips/Parallel flags included);
+	// must match the evaluation's (the Chips flag included);
 	// scheduler and workload axes sweep freely over the one warm state.
 	LoadState string
 }
@@ -101,14 +95,6 @@ func Platform(chips int) sprinkler.Config {
 	return sprinkler.Platform(chips)
 }
 
-// platform builds the evaluation platform carrying the options' kernel
-// knob.
-func (o Options) platform() sprinkler.Config {
-	cfg := Platform(o.Chips)
-	cfg.ParallelChannels = o.Parallel
-	return cfg
-}
-
 // Evaluation holds the 5-scheduler × 16-workload sweep behind Figures 6,
 // 10, 11, 13 and 14.
 type Evaluation struct {
@@ -125,7 +111,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 	opts = opts.Defaults()
 	workloads := sprinkler.Workloads()
 	grid := sprinkler.Grid{
-		Base:       opts.platform(),
+		Base:       Platform(opts.Chips),
 		Schedulers: schedulerKinds(SchedulerNames),
 		Workloads:  workloads,
 		Requests:   opts.scaled(3000, 120),
@@ -139,7 +125,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 			return nil, err
 		}
 		if !snap.CompatibleConfig(grid.Base) {
-			return nil, fmt.Errorf("experiments: warm state %s was captured on a different platform than the evaluation's (re-save it with the same -chips/-parallel-channels)", opts.LoadState)
+			return nil, fmt.Errorf("experiments: warm state %s was captured on a different platform than the evaluation's (re-save it with the same -chips)", opts.LoadState)
 		}
 		arena := sprinkler.NewDeviceArena()
 		arena.RegisterSnapshot("warm", snap)
@@ -167,7 +153,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 // it instead of replaying the warm-up per cell.
 func SaveWarmState(opts Options, path string) error {
 	opts = opts.Defaults()
-	dev, err := sprinkler.New(opts.platform())
+	dev, err := sprinkler.New(Platform(opts.Chips))
 	if err != nil {
 		return err
 	}

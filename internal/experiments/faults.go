@@ -32,7 +32,7 @@ type FaultPoint struct {
 // faultPlatform is the GC-stressed §5.9 platform with the retry ladder and
 // a thin spare pool configured: erase failures retire blocks into the
 // spares, so the highest rates push the drive toward degraded mode within
-// the run. The options' kernel knob rides along via fig17Platform.
+// the run.
 func faultPlatform(o Options) sprinkler.Config {
 	spec := o.Faults
 	cfg := fig17Platform(o.Chips, o)

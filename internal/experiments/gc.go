@@ -23,12 +23,9 @@ type Fig17Point struct {
 // fig17Platform keeps planes small so preconditioning to 95% is fast and
 // the measured writes quickly push planes to the GC threshold. Scaled-down
 // runs shrink the per-plane capacity further: preconditioning cost is
-// linear in physical pages and dominates the figure's runtime. The
-// options' kernel knob rides along: GC-active cells run the partitioned
-// kernel too.
+// linear in physical pages and dominates the figure's runtime.
 func fig17Platform(chips int, o Options) sprinkler.Config {
 	cfg := Platform(chips)
-	cfg.ParallelChannels = o.Parallel
 	cfg.BlocksPerPlane = 24
 	cfg.PagesPerBlock = 64
 	if o.Scale < 0.5 {

@@ -55,7 +55,7 @@ func RunBurstiness(opts Options) ([]BurstPoint, error) {
 		sources = append(sources, spec.Relabel(dutyLabel(duty)))
 	}
 
-	cfg := opts.platform()
+	cfg := Platform(opts.Chips)
 	cfg.MaxBacklog = 4096 // bursts back thousands of arrivals up; keep memory flat
 	cells := sprinkler.Grid{
 		Name:       "burst",

@@ -101,10 +101,10 @@ type Chip struct {
 }
 
 // NewChip returns an idle chip bound to eng and bus. The chip's cell-phase
-// events run on its channel's lane (channel index + 1), matching the bus it
-// hangs off: a channel's whole event population shares one lane, which is
-// what lets the parallel device kernel give each channel its own engine
-// while reproducing the serial timeline exactly.
+// events run on its channel's lane (channel index + 1), like the bus it
+// hangs off, so within one instant they fire after the device's host-side
+// events (lane 0) and in channel order. Pinned Results depend on that
+// same-instant order.
 func NewChip(eng *sim.Engine, bus Bus, id ChipID, g Geometry, t Timing) *Chip {
 	c := &Chip{ID: id, Geo: g, Tim: t, eng: eng, bus: bus}
 	c.granted = func(start sim.Time) {

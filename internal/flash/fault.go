@@ -6,8 +6,8 @@ import "sprinkler/internal/sim"
 // its own operations. All outcomes are drawn from a per-chip RNG stream in
 // chip-local transaction order, or (for outages) computed as a pure function
 // of simulated time — never from shared state — so a run's fault pattern is
-// identical whichever kernel (serial or per-channel parallel) drains the
-// event population, and identical again after a Reset/arena reuse.
+// a pure function of the configuration, and identical again after a
+// Reset/arena reuse.
 //
 // The zero value disables the model entirely: no RNG stream is created and
 // no draws are made, so a zero-config run is byte-identical to a build

@@ -160,3 +160,26 @@ func TestOpenWarmStateRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenIgnoresParallelChannels pins that clients written for the
+// removed parallel kernel still open sessions: the parallelChannels key
+// is ignored, with or without a warm-state snapshot.
+func TestOpenIgnoresParallelChannels(t *testing.T) {
+	dir := t.TempDir()
+	writeWarmState(t, dir, "aged.snap")
+	opts := testOptions()
+	opts.SnapshotDir = dir
+	_, ts := newTestServer(t, opts)
+	for _, body := range []string{
+		`{"parallelChannels":4}`,
+		`{"parallelChannels":4,"warmState":"aged.snap"}`,
+	} {
+		var resp OpenResponse
+		if r := postJSON(t, ts.URL+"/v1/sessions", json.RawMessage(body), &resp); r.StatusCode != http.StatusCreated {
+			t.Fatalf("open %s: status %d, want 201", body, r.StatusCode)
+		}
+		if resp.ID == "" {
+			t.Fatalf("open %s: no session id in %+v", body, resp)
+		}
+	}
+}

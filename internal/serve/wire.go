@@ -27,16 +27,6 @@ type OpenRequest struct {
 	Scheduler string `json:"scheduler,omitempty"`
 	GCStress  bool   `json:"gcStress,omitempty"`
 
-	// ParallelChannels overrides the daemon's parallel-kernel worker count
-	// for this session (zero keeps the daemon's base; negative is
-	// rejected). Results are byte-identical either way — the knob only
-	// buys wall-clock speed. GC-enabled sessions run the partitioned
-	// kernel too; the device falls back to the serial kernel only when
-	// the configuration has no cross-channel lookahead to exploit (fewer
-	// than two channels). OpenResponse.ParallelChannels echoes the
-	// resolution: zero means the serial kernel engaged.
-	ParallelChannels int `json:"parallelChannels,omitempty"`
-
 	// Seed feeds preconditioning and server-built workload sources.
 	Seed uint64 `json:"seed,omitempty"`
 
@@ -75,10 +65,6 @@ type OpenResponse struct {
 	Scheduler    string `json:"scheduler"`
 	MaxBacklog   int    `json:"maxBacklog"`
 	SeriesWindow int    `json:"seriesWindow,omitempty"`
-
-	// ParallelChannels is the session's resolved parallel-kernel worker
-	// count (zero when the serial kernel was selected).
-	ParallelChannels int `json:"parallelChannels,omitempty"`
 
 	// WarmState echoes the snapshot the session hydrated from, if any.
 	WarmState string `json:"warmState,omitempty"`

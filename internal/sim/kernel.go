@@ -10,18 +10,12 @@
 // fire in ascending order within an instant, and within a lane events fire
 // in the order they were scheduled (FIFO tie-breaking by sequence number).
 //
-// Lanes exist for the parallel per-channel device kernel: when a device is
-// partitioned into per-channel sub-engines, each sub-engine owns exactly
-// one lane, so the serial engine's (time, lane, seq) order restricted to a
-// lane equals that sub-engine's local (time, seq) order. That makes the
-// partitioned execution's timeline provably identical to the serial one —
-// the serial kernel stays the reference, the parallel kernel replays it.
-//
-// Work that must follow every event of an instant, on every lane, is not an
-// event but the engine's end-of-instant hook (SetInstantEnd): once armed
-// (ArmInstantEnd), Run and RunUntil call it as soon as no event is left at
-// the current instant — the single-engine device flushes its staged
-// channel→device messages there.
+// Lanes carry a model-level ordering: the SSD device runs its host-side
+// events (arrivals, DMA composition, commits) on lane 0 and each channel's
+// bus and chip events on lane channel+1, so within one instant the host
+// acts before any channel, and channels act in channel order. Pinned
+// Results depend on this order; scheduling everything on one lane changes
+// them.
 //
 // The event queue is a slab-backed 4-ary heap of event values: scheduling
 // reuses slab slots through a free list, so steady-state operation performs
@@ -30,10 +24,7 @@
 // once at construction, eliminating per-event closure allocations too.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Time is a point in simulated time, in nanoseconds since simulation start.
 type Time int64
@@ -142,15 +133,6 @@ func (t *Timer) SetLane(lane int32) {
 // Pending reports whether the timer is currently scheduled.
 func (t *Timer) Pending() bool { return t.h.active() }
 
-// When returns the fire time of the timer's pending schedule; ok is false
-// when the timer is not pending.
-func (t *Timer) When() (at Time, ok bool) {
-	if !t.h.active() {
-		return 0, false
-	}
-	return t.h.e.slab[t.h.idx].at, true
-}
-
 // Stop cancels the pending schedule, if any.
 func (t *Timer) Stop() {
 	t.h.Cancel()
@@ -163,23 +145,9 @@ type Engine struct {
 	seq     uint64
 	slab    []event
 	free    int32   // free-list head, -1 when empty
-	heap    []int32 // 4-ary heap of slab indices, ordered by (at, seq)
+	heap    []int32 // 4-ary heap of slab indices, ordered by (at, lane, seq)
 	fired   uint64
 	stopped bool
-
-	// capT/capActive bound RunUntil below its deadline: with a cap set,
-	// RunUntil executes no event later than capT and leaves the clock
-	// where the last event ran instead of advancing it to the deadline.
-	// The parallel device kernel caps a channel's sub-engine at the
-	// instant of a staged completion whose host-side processing can
-	// commit garbage-collection traffic back onto that channel, so the
-	// channel parks there until the coordinator has applied the commit.
-	capT      Time
-	capActive bool
-
-	// instantEnd is the end-of-instant hook, armed by ArmInstantEnd.
-	instantEnd   Event
-	instantArmed bool
 }
 
 // NewEngine returns an Engine at time zero with an empty event queue.
@@ -343,38 +311,11 @@ func (e *Engine) AfterTimer(delay Time, t *Timer) {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// CapRun bounds subsequent RunUntil calls to events at or before t. When a
-// cap is already set the earlier bound wins. Callable from within an
-// executing event: the current RunUntil honours the cap for the events it
-// has not yet popped, finishes any remaining events at instants <= t, and
-// stops without advancing the clock past the last executed event.
-func (e *Engine) CapRun(t Time) {
-	if !e.capActive || t < e.capT {
-		e.capT = t
-	}
-	e.capActive = true
-}
-
-// Uncap clears the RunUntil bound set by CapRun.
-func (e *Engine) Uncap() { e.capActive = false }
-
-// CappedAt returns the active RunUntil bound, if any.
-func (e *Engine) CappedAt() (Time, bool) { return e.capT, e.capActive }
-
-// SetInstantEnd installs the end-of-instant hook. Set it once, at
-// construction, before anything arms it.
-func (e *Engine) SetInstantEnd(fn Event) { e.instantEnd = fn }
-
-// ArmInstantEnd requests one call of the end-of-instant hook after the
-// last event of the current instant. Arming an armed hook is a no-op.
-func (e *Engine) ArmInstantEnd() { e.instantArmed = true }
-
 // Reset returns the engine to time zero with an empty event queue, as if
 // freshly constructed — but with the slab and heap storage retained, so a
 // reused engine schedules its next run without growing allocations. Every
 // pending event is cancelled: outstanding Handles go stale and owning
-// Timers become non-pending; the end-of-instant hook is disarmed. The
-// sequence counter restarts at zero, so a reset engine breaks same-instant
+// Timers become non-pending. The sequence counter restarts at zero, so a reset engine breaks same-instant
 // ties exactly like a new one — the property device reuse needs for
 // run-for-run identical timelines.
 func (e *Engine) Reset() {
@@ -387,16 +328,11 @@ func (e *Engine) Reset() {
 	}
 	e.heap = e.heap[:0]
 	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
-	e.capT, e.capActive = 0, false
-	e.instantArmed = false
 }
 
 // step executes the earliest event, releasing its slot before the callback
 // runs (so the callback can schedule new events into the freed slot, and
-// handles to the fired event go stale). Once no event is left at the
-// instant, it then runs the armed end-of-instant hook — again while the
-// hook re-arms itself — ahead of the caller's budget, stop and deadline
-// checks.
+// handles to the fired event go stale).
 func (e *Engine) step() {
 	idx := e.heap[0]
 	ev := &e.slab[idx]
@@ -412,15 +348,10 @@ func (e *Engine) step() {
 	e.now = at
 	e.fired++
 	fn(at)
-	for e.instantArmed && (len(e.heap) == 0 || e.slab[e.heap[0]].at > at) {
-		e.instantArmed = false
-		e.instantEnd(at)
-	}
 }
 
 // Run executes events until the queue drains, the event budget is exhausted,
-// or Stop is called. A budget of 0 means unlimited (the end-of-instant hook
-// is not an event). It returns the time of the last executed event.
+// or Stop is called. A budget of 0 means unlimited. It returns the time of the last executed event.
 func (e *Engine) Run(budget uint64) Time {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
@@ -434,31 +365,12 @@ func (e *Engine) Run(budget uint64) Time {
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
-// With a CapRun bound below the deadline, execution stops at the bound
-// instead and the clock stays at the last executed event.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		at := e.slab[e.heap[0]].at
-		if at > deadline || (e.capActive && at > e.capT) {
-			break
-		}
+	for len(e.heap) > 0 && !e.stopped && e.slab[e.heap[0]].at <= deadline {
 		e.step()
 	}
-	if e.now < deadline && !e.capActive {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
-
-// NextAt peeks at the earliest pending event's timestamp without executing
-// anything. ok is false when the queue is empty. The epoch loop of the
-// parallel device kernel uses it to size conservative lookahead windows.
-func (e *Engine) NextAt() (at Time, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.slab[e.heap[0]].at, true
-}
-
-// MaxTime is the largest representable simulation time.
-const MaxTime = Time(math.MaxInt64)

@@ -224,167 +224,38 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
-// hookRig is an engine whose end-of-instant hook logs "end@now" into log.
-type hookRig struct {
-	e   *Engine
-	log []string
-}
-
-func newHookRig() *hookRig {
-	r := &hookRig{e: NewEngine()}
-	r.e.SetInstantEnd(func(now Time) { r.note("end", now) })
-	return r
-}
-
-func (r *hookRig) note(name string, now Time) {
-	r.log = append(r.log, fmt.Sprintf("%s@%d", name, now))
-}
-
-// arming returns an event that logs name and arms the hook.
-func (r *hookRig) arming(name string) Event {
-	return func(now Time) {
-		r.note(name, now)
-		r.e.ArmInstantEnd()
+// Same-instant events fire in (lane, seq) order, whatever order their lanes
+// were scheduled in: the device relies on this to run host events (lane 0)
+// before channel events (lane channel+1) within an instant. An event
+// scheduled mid-instant on a lower lane still fires before the higher
+// lanes' pending events.
+func TestEngineSameInstantLaneOrder(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	note := func(name string) Event {
+		return func(now Time) { log = append(log, fmt.Sprintf("%s@%d", name, now)) }
 	}
-}
-
-func (r *hookRig) want(t *testing.T, want ...string) {
-	t.Helper()
-	if !reflect.DeepEqual(r.log, want) {
-		t.Fatalf("log = %v, want %v", r.log, want)
+	for i, lane := range []int32{2, 0, 1, 2, 0, 1} {
+		tm := NewTimer(note(fmt.Sprintf("L%d.%d", lane, i)))
+		tm.SetLane(lane)
+		e.AtTimer(10, tm)
 	}
-}
-
-func TestInstantEndAfterLastEventOfEveryLane(t *testing.T) {
-	r := newHookRig()
-	for lane, name := range []string{"a", "b", "c"} {
-		tm := NewTimer(r.arming(name))
-		tm.SetLane(int32(2 - lane)) // a on the top lane, c on lane 0
-		r.e.AtTimer(10, tm)
+	late := NewTimer(note("L1.late"))
+	late.SetLane(1)
+	e.At(10, func(now Time) {
+		log = append(log, fmt.Sprintf("L0.at@%d", now))
+		e.AtTimer(now, late)
+		e.At(now, note("L0.late"))
+	})
+	e.At(5, note("L0.early"))
+	e.Run(0)
+	want := []string{
+		"L0.early@5",
+		"L0.1@10", "L0.4@10", "L0.at@10", "L0.late@10",
+		"L1.2@10", "L1.5@10", "L1.late@10",
+		"L2.0@10", "L2.3@10",
 	}
-	// The lane-0 event schedules another same-instant event; the hook
-	// still waits for it.
-	r.e.At(10, func(now Time) {
-		r.note("d", now)
-		r.e.At(now, func(now Time) { r.note("e", now) })
-	})
-	r.e.At(20, func(now Time) { r.note("f", now) })
-	r.e.Run(0)
-	r.want(t, "c@10", "d@10", "e@10", "b@10", "a@10", "end@10", "f@20")
-	if r.e.Fired() != 6 {
-		t.Fatalf("fired = %d, want 6 (the hook is not an event)", r.e.Fired())
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("fire order = %v, want %v", log, want)
 	}
-}
-
-func TestInstantEndRearmRunsAgainInInstant(t *testing.T) {
-	r := newHookRig()
-	calls := 0
-	r.e.SetInstantEnd(func(now Time) {
-		calls++
-		r.note("end", now)
-		switch calls {
-		case 1: // re-arm with nothing else queued at now
-			r.e.ArmInstantEnd()
-		case 2: // re-arm behind a new same-instant event
-			r.e.At(now, func(now Time) { r.note("x", now) })
-			r.e.ArmInstantEnd()
-		}
-	})
-	r.e.At(10, r.arming("a"))
-	r.e.At(30, func(now Time) { r.note("b", now) })
-	r.e.Run(0)
-	r.want(t, "a@10", "end@10", "end@10", "x@10", "end@10", "b@30")
-}
-
-func TestInstantEndWhenQueueEmpties(t *testing.T) {
-	r := newHookRig()
-	r.e.At(10, r.arming("a"))
-	if end := r.e.Run(0); end != 10 {
-		t.Fatalf("Run returned %v, want 10", end)
-	}
-	r.want(t, "a@10", "end@10")
-	if r.e.Pending() != 0 {
-		t.Fatal("queue not drained")
-	}
-}
-
-func TestInstantEndRunUntil(t *testing.T) {
-	t.Run("deadline", func(t *testing.T) {
-		r := newHookRig()
-		r.e.At(10, r.arming("a"))
-		r.e.At(20, r.arming("b"))
-		r.e.At(30, r.arming("c"))
-		r.e.RunUntil(20)
-		r.want(t, "a@10", "end@10", "b@20", "end@20")
-		if r.e.Now() != 20 || r.e.Pending() != 1 {
-			t.Fatalf("now=%v pending=%d, want 20/1", r.e.Now(), r.e.Pending())
-		}
-	})
-	t.Run("cap", func(t *testing.T) {
-		r := newHookRig()
-		r.e.At(10, func(now Time) {
-			r.arming("a")(now)
-			r.e.CapRun(now)
-		})
-		r.e.At(20, r.arming("b"))
-		r.e.RunUntil(50)
-		r.want(t, "a@10", "end@10")
-		if r.e.Now() != 10 || r.e.Pending() != 1 {
-			t.Fatalf("now=%v pending=%d, want 10/1", r.e.Now(), r.e.Pending())
-		}
-	})
-}
-
-func TestInstantEndRunBudgetAndStop(t *testing.T) {
-	t.Run("budget mid-instant", func(t *testing.T) {
-		r := newHookRig()
-		r.e.At(10, r.arming("a"))
-		r.e.At(10, r.arming("b"))
-		r.e.Run(1)
-		r.want(t, "a@10") // b is still due at 10
-		r.e.Run(0)
-		r.want(t, "a@10", "b@10", "end@10")
-	})
-	t.Run("budget at instant end", func(t *testing.T) {
-		r := newHookRig()
-		r.e.At(10, r.arming("a"))
-		r.e.At(20, r.arming("b"))
-		r.e.Run(1)
-		r.want(t, "a@10", "end@10")
-	})
-	t.Run("stop", func(t *testing.T) {
-		r := newHookRig()
-		r.e.At(10, func(now Time) {
-			r.arming("a")(now)
-			r.e.Stop()
-		})
-		r.e.At(20, r.arming("b"))
-		r.e.Run(0)
-		r.want(t, "a@10", "end@10")
-		if r.e.Pending() != 1 {
-			t.Fatalf("pending = %d, want 1 after Stop", r.e.Pending())
-		}
-	})
-}
-
-func TestInstantEndResetDisarms(t *testing.T) {
-	r := newHookRig()
-	r.e.At(10, r.arming("a"))
-	r.e.At(10, r.arming("b"))
-	r.e.Run(1) // a armed the hook; b keeps the instant open
-	r.e.Reset()
-	r.e.At(5, func(now Time) { r.note("c", now) })
-	r.e.Run(0)
-	r.want(t, "a@10", "c@5")
-}
-
-func TestSetClockPanicsWhileInstantEndArmed(t *testing.T) {
-	r := newHookRig()
-	r.e.ArmInstantEnd()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetClock with the hook armed did not panic")
-		}
-	}()
-	r.e.SetClock(EngineClock{Now: 100})
 }

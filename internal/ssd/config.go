@@ -71,21 +71,6 @@ type Config struct {
 	// experiments).
 	DisableGC bool
 
-	// ParallelChannels partitions the event kernel by channel: each
-	// per-channel controller (bus + chips) runs on its own sub-engine, and
-	// up to ParallelChannels worker threads advance the sub-engines in
-	// conservative lockstep epochs bounded by the DMA compose latency —
-	// the only statically-known cross-channel delay. Values below 2
-	// (default) keep the single-engine serial kernel. The partitioned
-	// kernel produces timelines byte-identical to the serial one — with
-	// background GC enabled too: GC traffic is chip-local, so a channel
-	// whose completion can trigger collection parks at that instant until
-	// the epoch coordinator delivers the resulting commits. It engages
-	// only when the configuration's cross-channel lookahead is
-	// non-degenerate (at least two channels and ComposeLatency > 0), and
-	// falls back to the serial kernel otherwise.
-	ParallelChannels int
-
 	// Faults parameterizes deterministic fault injection (read retries,
 	// program/erase failures, transient die outages, spare-block
 	// provisioning). The zero value disables the model entirely and is
@@ -142,9 +127,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SeriesWindow < 0 {
 		return fmt.Errorf("ssd: negative SeriesWindow")
-	}
-	if c.ParallelChannels < 0 {
-		return fmt.Errorf("ssd: negative ParallelChannels")
 	}
 	if err := c.Faults.validate(); err != nil {
 		return err
@@ -247,22 +229,6 @@ func (fs *FaultSpec) validate() error {
 	}
 	return nil
 }
-
-// partitioned reports whether this configuration runs the per-channel
-// partitioned kernel: the knob asks for it and the cross-channel lookahead
-// is non-degenerate (at least two channels, ComposeLatency > 0). GC no
-// longer forces the serial fallback: its flash traffic is chip-local, so
-// the kernel parks a channel at a completion that can trigger collection
-// and delivers the resulting commits at the epoch barrier (see
-// parallel.go).
-func (c *Config) partitioned() bool {
-	return c.ParallelChannels >= 2 && c.Geo.Channels >= 2 &&
-		c.ComposeLatency > 0
-}
-
-// Partitioned exposes the kernel resolution to the public API layer
-// (Config.UsesParallelKernel) and the serving daemon's session echo.
-func (c *Config) Partitioned() bool { return c.partitioned() }
 
 // logicalPages resolves the default logical space.
 func (c *Config) logicalPages() int64 {

@@ -5,7 +5,6 @@ import (
 
 	"sprinkler/internal/bus"
 	"sprinkler/internal/flash"
-	"sprinkler/internal/req"
 	"sprinkler/internal/sim"
 )
 
@@ -27,16 +26,12 @@ import (
 // construction, so the commit→build→execute cycle allocates nothing in
 // steady state.
 //
-// The controller never calls back into the device synchronously. Progress
-// notifications (transaction start/end, member-request completions) are
-// staged into a per-channel message list and drained by the device at the
-// end of the instant — by the engine's end-of-instant hook on the
-// single-engine kernel, or at the epoch barrier of the parallel per-channel
-// kernel. Staging is what makes the two kernels byte-identical: in both,
-// every channel's messages for one instant are applied in (channel,
-// staging order).
+// Progress (transaction start and end, member-request completions) is
+// reported to the owning device synchronously, from the channel event that
+// produced it.
 type controller struct {
 	eng     *sim.Engine
+	dev     ctlHost
 	geo     flash.Geometry
 	tim     flash.Timing
 	channel int
@@ -49,52 +44,21 @@ type controller struct {
 	txns       []*flash.Transaction // reused: one in flight per chip
 	cbs        []flash.Callbacks
 	taken      []int // BuildTransactionInto scratch (build is synchronous)
-
-	// staged is the channel→device message queue, in staging order (which
-	// is simulation-time order: channel events run time-monotonically).
-	// head indexes the first undrained message.
-	staged     []stagedMsg
-	stagedHead int
-
-	// armFlush makes staging arm the engine's end-of-instant hook, where
-	// the single-engine device drains the messages. The parallel kernel
-	// leaves it off and drains at epoch barriers.
-	armFlush bool
-
-	// parkOnHazard is set by the parallel kernel when GC is enabled:
-	// staging a completion whose host-side processing can commit GC flash
-	// traffic back onto this channel caps the sub-engine at the staging
-	// instant, so the channel waits there for the epoch coordinator to
-	// deliver the commit before simulating past it. GC migrations are
-	// chip-local (ftl.PlanGC allocates destinations on the victim's chip),
-	// so the commit always targets the channel that parked.
-	parkOnHazard bool
 }
 
-// stagedKind discriminates channel→device messages.
-type stagedKind uint8
-
-const (
-	// stagedTxnStart: a transaction began executing on msg.chip.
-	stagedTxnStart stagedKind = iota
-	// stagedTxnDone: the in-flight transaction on msg.chip retired.
-	stagedTxnDone
-	// stagedReqDone: member request msg.r completed.
-	stagedReqDone
-)
-
-// stagedMsg is one channel→device progress notification.
-type stagedMsg struct {
-	at   sim.Time
-	kind stagedKind
-	chip flash.ChipID
-	r    flash.Request // stagedReqDone payload
+// ctlHost receives a controller's progress notifications. The Device
+// implements it.
+type ctlHost interface {
+	txnStarted(now sim.Time)
+	txnDone(now sim.Time)
+	onFlashReqDone(now sim.Time, r flash.Request)
 }
 
-func newController(eng *sim.Engine, geo flash.Geometry, tim flash.Timing, faults flash.FaultConfig, channel int) *controller {
+func newController(eng *sim.Engine, dev ctlHost, geo flash.Geometry, tim flash.Timing, faults flash.FaultConfig, channel int) *controller {
 	n := geo.ChipsPerChan
 	ctl := &controller{
 		eng:        eng,
+		dev:        dev,
 		geo:        geo,
 		tim:        tim,
 		channel:    channel,
@@ -118,70 +82,14 @@ func newController(eng *sim.Engine, geo flash.Geometry, tim flash.Timing, faults
 		})
 		ctl.buildT[off].SetLane(int32(channel) + 1)
 		ctl.cbs[off] = flash.Callbacks{
-			RequestDone: func(t sim.Time, r flash.Request) {
-				ctl.stage(stagedMsg{at: t, kind: stagedReqDone, chip: id, r: r})
-			},
+			RequestDone: dev.onFlashReqDone,
 			TxnDone: func(t sim.Time, _ *flash.Transaction) {
-				ctl.stage(stagedMsg{at: t, kind: stagedTxnDone, chip: id})
-				// The chip just dropped R/B: re-arm with busy=false rather
-				// than reading device-owned mirror state from channel
-				// context.
-				ctl.armBuild(t, id, false)
+				dev.txnDone(t)
+				ctl.armBuild(t, off)
 			},
 		}
 	}
 	return ctl
-}
-
-// stage appends one channel→device message and pings the owner.
-func (ctl *controller) stage(msg stagedMsg) {
-	ctl.staged = append(ctl.staged, msg)
-	if ctl.armFlush {
-		ctl.eng.ArmInstantEnd()
-	}
-	if ctl.parkOnHazard && msg.kind == stagedReqDone && hazardousToken(msg.r.Token) {
-		ctl.eng.CapRun(msg.at)
-	}
-}
-
-// hazardousToken reports whether the host-side processing of a completed
-// request can commit new flash traffic at the completion instant: GC step
-// completions chain the job's next phase (reads → programs → erase → next
-// victim), and host write completions can arm a new collection
-// (maybeStartGC). Both commit onto the completing request's own chip, so
-// the staging channel parks and no other channel is affected. Reading the
-// token from channel context is race-free: the fields inspected are set
-// before the request is committed to the channel and never change while it
-// is in flight.
-func hazardousToken(tok interface{}) bool {
-	switch t := tok.(type) {
-	case *gcStep:
-		return true
-	case *req.Mem:
-		return t.IO.Kind == req.Write
-	}
-	return false
-}
-
-// stagedNext peeks the first undrained message's timestamp.
-func (ctl *controller) stagedNext() (sim.Time, bool) {
-	if ctl.stagedHead >= len(ctl.staged) {
-		return 0, false
-	}
-	return ctl.staged[ctl.stagedHead].at, true
-}
-
-// popStaged removes and returns the first undrained message, reclaiming
-// the slice once it fully drains (constantly, at steady state).
-func (ctl *controller) popStaged() stagedMsg {
-	msg := ctl.staged[ctl.stagedHead]
-	ctl.staged[ctl.stagedHead] = stagedMsg{}
-	ctl.stagedHead++
-	if ctl.stagedHead == len(ctl.staged) {
-		ctl.staged = ctl.staged[:0]
-		ctl.stagedHead = 0
-	}
-	return msg
 }
 
 // reset returns the controller, its bus and its chips to the just-built
@@ -212,11 +120,6 @@ func (ctl *controller) reset(tim flash.Timing, faults flash.FaultConfig) {
 		ctl.taken[i] = 0
 	}
 	ctl.taken = ctl.taken[:0]
-	for i := range ctl.staged {
-		ctl.staged[i] = stagedMsg{}
-	}
-	ctl.staged = ctl.staged[:0]
-	ctl.stagedHead = 0
 }
 
 // offset maps a chip ID to its offset on this channel, panicking on
@@ -234,17 +137,11 @@ func (ctl *controller) chip(id flash.ChipID) *flash.Chip {
 }
 
 // commit appends a memory request to the chip's committed queue and arms
-// the transaction builder if the chip is ready. Callers run in device
-// (host) context and pass the current instant plus their view of the
-// chip's busy state — the device's staged mirror, which reflects exactly
-// the transaction starts/ends the host has processed so far. (On the
-// parallel kernel the chip object itself may already have advanced past
-// now; the mirror is the causally correct view in both kernels.)
-func (ctl *controller) commit(now sim.Time, r flash.Request, chipBusy bool) {
-	id := r.Addr.Chip
-	off := ctl.offset(id)
+// the transaction builder if the chip is ready.
+func (ctl *controller) commit(now sim.Time, r flash.Request) {
+	off := ctl.offset(r.Addr.Chip)
 	ctl.pending[off] = append(ctl.pending[off], r)
-	ctl.armBuild(now, id, chipBusy)
+	ctl.armBuild(now, off)
 }
 
 // pendingLen reports the committed-but-unissued depth for a chip.
@@ -254,11 +151,9 @@ func (ctl *controller) pendingLen(id flash.ChipID) int {
 
 // armBuild schedules a transaction build for an idle chip after the
 // decision window. Requests committed within the window still make the
-// cut; later ones join the next transaction. busy is the caller's
-// causally-consistent view of the chip's R/B state at now (see commit).
-func (ctl *controller) armBuild(now sim.Time, id flash.ChipID, busy bool) {
-	off := ctl.offset(id)
-	if ctl.buildArmed[off] || busy || len(ctl.pending[off]) == 0 {
+// cut; later ones join the next transaction.
+func (ctl *controller) armBuild(now sim.Time, off int) {
+	if ctl.buildArmed[off] || ctl.chips[off].Busy() || len(ctl.pending[off]) == 0 {
 		return
 	}
 	ctl.buildArmed[off] = true
@@ -287,6 +182,6 @@ func (ctl *controller) build(now sim.Time, off int) {
 	}
 	ctl.pending[off] = rest
 
-	ctl.stage(stagedMsg{at: now, kind: stagedTxnStart, chip: chip.ID})
+	ctl.dev.txnStarted(now)
 	chip.Execute(txn, ctl.cbs[off])
 }

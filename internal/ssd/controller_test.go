@@ -13,8 +13,15 @@ func newTestController() (*sim.Engine, *controller) {
 		Channels: 1, ChipsPerChan: 2, DiesPerChip: 2, PlanesPerDie: 2,
 		BlocksPerPlane: 16, PagesPerBlock: 8, PageSize: 2048,
 	}
-	return eng, newController(eng, geo, flash.DefaultTiming(), flash.FaultConfig{}, 0)
+	return eng, newController(eng, nopHost{}, geo, flash.DefaultTiming(), flash.FaultConfig{}, 0)
 }
+
+// nopHost ignores a controller's progress notifications.
+type nopHost struct{}
+
+func (nopHost) txnStarted(sim.Time)                    {}
+func (nopHost) txnDone(sim.Time)                       {}
+func (nopHost) onFlashReqDone(sim.Time, flash.Request) {}
 
 func freq(chip flash.ChipID, die, plane, block, page int, op flash.Op) flash.Request {
 	return flash.Request{Op: op, Addr: flash.Addr{Chip: chip, Die: die, Plane: plane, Block: block, Page: page}}
@@ -25,8 +32,8 @@ func TestControllerCoalescesWithinDecisionWindow(t *testing.T) {
 
 	// Two compatible requests committed back-to-back: the build fires
 	// after the decision window and must fuse them.
-	ctl.commit(0, freq(0, 0, 0, 3, 5, flash.OpRead), false)
-	ctl.commit(0, freq(0, 1, 0, 4, 2, flash.OpRead), false)
+	ctl.commit(0, freq(0, 0, 0, 3, 5, flash.OpRead))
+	ctl.commit(0, freq(0, 1, 0, 4, 2, flash.OpRead))
 
 	// Observe via chip stats after the run.
 	eng.Run(0)
@@ -41,11 +48,11 @@ func TestControllerCoalescesWithinDecisionWindow(t *testing.T) {
 
 func TestControllerLateCommitMissesWindow(t *testing.T) {
 	eng, ctl := newTestController()
-	ctl.commit(0, freq(0, 0, 0, 3, 5, flash.OpRead), false)
+	ctl.commit(0, freq(0, 0, 0, 3, 5, flash.OpRead))
 	// Second request arrives after the window (and after the chip went
 	// busy): it must be a separate transaction.
 	eng.At(ctl.tim.DecisionWindow+1, func(now sim.Time) {
-		ctl.commit(now, freq(0, 1, 0, 4, 2, flash.OpRead), ctl.chip(0).Busy())
+		ctl.commit(now, freq(0, 1, 0, 4, 2, flash.OpRead))
 	})
 	eng.Run(0)
 	st := ctl.chip(0).Stats()
@@ -58,13 +65,12 @@ func TestControllerAccumulatesWhileBusy(t *testing.T) {
 	eng, ctl := newTestController()
 	// First request occupies the chip; four compatible requests commit
 	// while it is busy and must fuse into ONE follow-up transaction.
-	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead), false)
+	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead))
 	eng.At(50*sim.Microsecond, func(now sim.Time) { // mid-execution of txn 1
-		busy := ctl.chip(0).Busy()
-		ctl.commit(now, freq(0, 0, 0, 2, 2, flash.OpRead), busy)
-		ctl.commit(now, freq(0, 0, 1, 2, 2, flash.OpRead), busy)
-		ctl.commit(now, freq(0, 1, 0, 3, 4, flash.OpRead), busy)
-		ctl.commit(now, freq(0, 1, 1, 3, 4, flash.OpRead), busy)
+		ctl.commit(now, freq(0, 0, 0, 2, 2, flash.OpRead))
+		ctl.commit(now, freq(0, 0, 1, 2, 2, flash.OpRead))
+		ctl.commit(now, freq(0, 1, 0, 3, 4, flash.OpRead))
+		ctl.commit(now, freq(0, 1, 1, 3, 4, flash.OpRead))
 	})
 	eng.Run(0)
 	st := ctl.chip(0).Stats()
@@ -78,8 +84,8 @@ func TestControllerAccumulatesWhileBusy(t *testing.T) {
 
 func TestControllerSeparatesOpKinds(t *testing.T) {
 	eng, ctl := newTestController()
-	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead), false)
-	ctl.commit(0, freq(0, 1, 0, 2, 1, flash.OpProgram), false)
+	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead))
+	ctl.commit(0, freq(0, 1, 0, 2, 1, flash.OpProgram))
 	eng.Run(0)
 	st := ctl.chip(0).Stats()
 	if st.Txns != 2 {
@@ -89,8 +95,8 @@ func TestControllerSeparatesOpKinds(t *testing.T) {
 
 func TestControllerIndependentChips(t *testing.T) {
 	eng, ctl := newTestController()
-	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead), false)
-	ctl.commit(0, freq(1, 0, 0, 1, 1, flash.OpRead), false)
+	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead))
+	ctl.commit(0, freq(1, 0, 0, 1, 1, flash.OpRead))
 	// Both chips busy concurrently (they share only the bus).
 	eng.RunUntil(30 * sim.Microsecond)
 	if !ctl.chip(0).Busy() || !ctl.chip(1).Busy() {
@@ -104,8 +110,8 @@ func TestControllerIndependentChips(t *testing.T) {
 
 func TestControllerPendingLen(t *testing.T) {
 	eng, ctl := newTestController()
-	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead), false)
-	ctl.commit(0, freq(0, 0, 0, 2, 1, flash.OpRead), false) // conflicts: same die/plane
+	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead))
+	ctl.commit(0, freq(0, 0, 0, 2, 1, flash.OpRead)) // conflicts: same die/plane
 	if got := ctl.pendingLen(0); got != 2 {
 		t.Fatalf("pendingLen = %d, want 2 before build", got)
 	}

@@ -43,7 +43,7 @@ func eventBudgetRun(tb testing.TB) (*Device, []*req.IO) {
 // completed I/O. The count is deterministic, so the bound holds on any
 // host: it fails when a change adds events that carry no model state
 // (a same-instant timer that could ride an existing event, a
-// bookkeeping event per staged message).
+// bookkeeping event per notification).
 func TestEventBudgetPerIO(t *testing.T) {
 	d, ios := eventBudgetRun(t)
 	res, err := d.Run(&SliceSource{IOs: ios})

@@ -100,8 +100,7 @@ func (r *gcRun) startReads(now sim.Time) {
 	r.phase = flash.OpRead
 	r.remaining = len(r.job.Migrations)
 	for _, mg := range r.job.Migrations {
-		r.ctl().commit(now, flash.Request{Op: flash.OpRead, Addr: mg.Src, Token: &gcStep{run: r, kind: flash.OpRead}},
-			r.dev.chipBusyM[mg.Src.Chip])
+		r.ctl().commit(now, flash.Request{Op: flash.OpRead, Addr: mg.Src, Token: &gcStep{run: r, kind: flash.OpRead}})
 	}
 }
 
@@ -110,15 +109,7 @@ func (r *gcRun) startPrograms(now sim.Time) {
 	r.remaining = len(r.job.Migrations)
 	for _, mg := range r.job.Migrations {
 		ch := r.dev.cfg.Geo.Channel(mg.Dst.Chip)
-		// The parallel kernel's hazard parking relies on GC traffic staying
-		// on the victim's channel (ftl.PlanGC allocates destinations on the
-		// victim's chip). Fail loudly if the FTL ever breaks that contract
-		// rather than silently diverging from the serial timeline.
-		if r.dev.par != nil && ch != r.dev.cfg.Geo.Channel(r.chip) {
-			panic("ssd: GC migration program left the victim chip's channel")
-		}
-		r.dev.ctrls[ch].commit(now, flash.Request{Op: flash.OpProgram, Addr: mg.Dst, Token: &gcStep{run: r, kind: flash.OpProgram}},
-			r.dev.chipBusyM[mg.Dst.Chip])
+		r.dev.ctrls[ch].commit(now, flash.Request{Op: flash.OpProgram, Addr: mg.Dst, Token: &gcStep{run: r, kind: flash.OpProgram}})
 	}
 }
 
@@ -127,8 +118,7 @@ func (r *gcRun) startErase(now sim.Time) {
 	r.remaining = 1
 	victim := r.job.Victim
 	victim.Page = 0
-	r.ctl().commit(now, flash.Request{Op: flash.OpErase, Addr: victim, Token: &gcStep{run: r, kind: flash.OpErase}},
-		r.dev.chipBusyM[victim.Chip])
+	r.ctl().commit(now, flash.Request{Op: flash.OpErase, Addr: victim, Token: &gcStep{run: r, kind: flash.OpErase}})
 }
 
 // stepDone advances the job when a member flash request completes.

@@ -95,10 +95,7 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 }
 
 // TestLoadStateRejectsShapeMismatch pins the structural validation: a
-// state captured on one geometry cannot hydrate another. Kernel shape is
-// NOT part of the structural contract — a serial capture hydrates a
-// partitioned device (the sub-engine clocks adopt the host clock) and
-// vice versa, since a quiescent snapshot carries no pending events.
+// state captured on one geometry cannot hydrate another.
 func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 	d, err := New(gcConfig(), core.NewSPK3())
 	if err != nil {
@@ -120,36 +117,6 @@ func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 		t.Error("geometry mismatch did not error")
 	}
 
-	par := gcConfig()
-	par.ParallelChannels = 2
-	dp, err := New(par, core.NewSPK3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.par == nil {
-		t.Fatal("test premise broken: device is not partitioned")
-	}
-	if err := dp.LoadState(st); err != nil {
-		t.Errorf("serial capture did not hydrate a partitioned device: %v", err)
-	}
-	for ch, ctl := range dp.ctrls {
-		if ctl.eng.Now() != dp.eng.Now() {
-			t.Errorf("channel %d clock %v, want host clock %v", ch, ctl.eng.Now(), dp.eng.Now())
-		}
-	}
-
-	// And the reverse: a partitioned capture hydrates a serial device.
-	stp, err := dp.CaptureState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := New(gcConfig(), core.NewSPK3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.LoadState(stp); err != nil {
-		t.Errorf("partitioned capture did not hydrate a serial device: %v", err)
-	}
 }
 
 // TestEngineClockRestore pins that hydration restores the simulation

@@ -37,9 +37,6 @@ func (c Config) Validate() error {
 	if c.SeriesWindow < 0 {
 		return fmt.Errorf("sprinkler: Config.SeriesWindow must be non-negative, got %d", c.SeriesWindow)
 	}
-	if c.ParallelChannels < 0 {
-		return fmt.Errorf("sprinkler: Config.ParallelChannels must be non-negative, got %d", c.ParallelChannels)
-	}
 	switch c.Scheduler {
 	case VAS, PAS, SPK1, SPK2, SPK3, "":
 	default:

@@ -105,15 +105,12 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 
 // CompatibleConfig reports whether cfg may run on a device hydrated from
 // this snapshot: it must equal the captured configuration in every field
-// except Scheduler, MaxBacklog, ParallelChannels, CollectSeries and
-// SeriesWindow. Warm state is scheduler-independent (preconditioning
-// never touches the scheduler, and per-run scheduler state is never part
-// of a snapshot), MaxBacklog only bounds host-side buffering (arrival
-// timestamps — and therefore the simulation — are unaffected),
-// ParallelChannels only selects the event kernel (serial and partitioned
-// kernels produce byte-identical timelines, and a quiescent snapshot
-// carries no pending events, so hydration adapts the clock shape), and
-// the series knobs only select what a run records. Any other difference
+// except Scheduler, MaxBacklog, CollectSeries and SeriesWindow. Warm
+// state is scheduler-independent (preconditioning never touches the
+// scheduler, and per-run scheduler state is never part of a snapshot),
+// MaxBacklog only bounds host-side buffering (arrival timestamps — and
+// therefore the simulation — are unaffected), and the series knobs only
+// select what a run records. Any other difference
 // would change what the warm-up itself produced, so it is refused. One
 // caveat enforced at hydration time: a snapshot that itself carries
 // latency-series points (captured mid-experiment rather than after
@@ -123,7 +120,6 @@ func (s *DeviceSnapshot) CompatibleConfig(cfg Config) bool {
 	c := s.cfg
 	c.Scheduler = cfg.Scheduler
 	c.MaxBacklog = cfg.MaxBacklog
-	c.ParallelChannels = cfg.ParallelChannels
 	c.CollectSeries = cfg.CollectSeries
 	c.SeriesWindow = cfg.SeriesWindow
 	return c == cfg
@@ -186,12 +182,13 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("sprinkler: snapshot has %d trailing bytes after the payload", len(rest))
 	}
-	var cfg Config
+	var stored storedConfig
 	dec := json.NewDecoder(bytes.NewReader(cfgJSON))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := dec.Decode(&stored); err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot config: %w", err)
 	}
+	cfg := stored.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot config invalid: %w", err)
 	}
@@ -200,6 +197,15 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 		return nil, fmt.Errorf("sprinkler: %w", err)
 	}
 	return &DeviceSnapshot{cfg: cfg, state: st}, nil
+}
+
+// storedConfig is a snapshot's config section as files may hold it. Files
+// written by earlier builds carry a ParallelChannels key, the worker count
+// of a since-removed event kernel that never affected Results; it is read
+// and ignored.
+type storedConfig struct {
+	Config
+	ParallelChannels int
 }
 
 // NewDevice builds a fresh device from the snapshot. The optional cfg

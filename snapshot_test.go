@@ -73,9 +73,12 @@ func runWorkload(t *testing.T, dev *sprinkler.Device, workload string, n int, se
 }
 
 // TestSnapshotRestoreReplayParity is the tentpole contract, randomized
-// over schedulers, kernels (serial and partitioned per-channel) and fault
-// specs: a device restored from a checkpoint must produce a byte-identical
-// Result to a device that replayed the same preconditioning.
+// over schedulers and fault specs: a device restored from a checkpoint
+// must produce a byte-identical Result to a device that replayed the same
+// preconditioning. The par=N axis is the legacy ParallelChannels value the
+// restored file records: par=0 restores the file as written, par=2 a copy
+// re-framed the way earlier builds wrote it (the retired key plus two
+// channel clocks), with GC off so pristine drives are covered too.
 func TestSnapshotRestoreReplayParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	workloads := []string{"msnfs1", "cfs0", "proj2"}
@@ -97,12 +100,8 @@ func TestSnapshotRestoreReplayParity(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					cfg := agedConfig(kind)
-					cfg.ParallelChannels = parallel
 					cfg.Faults = faults
 					if parallel > 0 {
-						// Background GC forces the serial kernel; turn it off
-						// so this variant truly exercises the partitioned
-						// per-channel kernel's channel clocks.
 						cfg.DisableGC = true
 						cfg.LogicalPages = 0
 					}
@@ -117,6 +116,9 @@ func TestSnapshotRestoreReplayParity(t *testing.T) {
 
 					// Restored: the same warm-up through a checkpoint file.
 					raw := checkpointOf(t, cfg, fill, churn, preSeed)
+					if parallel > 0 {
+						raw = legacyFrame(t, raw, fmt.Sprintf(`"ParallelChannels":%d`, parallel), 2)
+					}
 					dev, err := sprinkler.RestoreDevice(bytes.NewReader(raw))
 					if err != nil {
 						t.Fatal(err)
@@ -161,8 +163,8 @@ func TestSnapshotSchedulerOverride(t *testing.T) {
 }
 
 // TestSnapshotConfigCompatibility pins which knobs may differ between
-// capture and hydration (scheduler, host-side observation budgets, the
-// event-kernel selector) and that everything else is refused.
+// capture and hydration (scheduler, host-side observation budgets) and
+// that everything else is refused.
 func TestSnapshotConfigCompatibility(t *testing.T) {
 	base := agedConfig(sprinkler.SPK3)
 	raw := checkpointOf(t, base, 0.7, 0.2, 3)
@@ -175,7 +177,6 @@ func TestSnapshotConfigCompatibility(t *testing.T) {
 		func(c *sprinkler.Config) { c.Scheduler = sprinkler.VAS },
 		func(c *sprinkler.Config) { c.MaxBacklog = 4096 },
 		func(c *sprinkler.Config) { c.CollectSeries = true; c.SeriesWindow = 64 },
-		func(c *sprinkler.Config) { c.ParallelChannels = 2 },
 	}
 	for i, mutate := range allowed {
 		cfg := base
@@ -215,6 +216,78 @@ func mutateSnapshot(raw []byte, f func([]byte) []byte) []byte {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
 	return append(body, crc[:]...)
+}
+
+// legacyFrame re-frames a snapshot file with extra keys appended to its
+// config JSON and clocks channel clocks in its payload, each a copy of the
+// engine clock — the shape earlier builds wrote when they recorded a
+// per-channel kernel's worker count and clocks.
+func legacyFrame(t *testing.T, raw []byte, extraKeys string, clocks int) []byte {
+	t.Helper()
+	const header = 12 // magic + version
+	section := func(b []byte) (sec, rest []byte) {
+		n, w := binary.Uvarint(b)
+		if w <= 0 || n > uint64(len(b)-w) {
+			t.Fatal("legacyFrame: malformed section length")
+		}
+		return b[w : w+int(n)], b[w+int(n):]
+	}
+	cfgJSON, rest := section(raw[header : len(raw)-4])
+	payload, _ := section(rest)
+
+	cfg := append([]byte(nil), cfgJSON[:len(cfgJSON)-1]...)
+	cfg = append(append(append(cfg, ','), extraKeys...), '}')
+
+	// The payload opens with the engine clock (varint, uvarint, uvarint)
+	// followed by a zero channel-clock count.
+	off := 0
+	for i := 0; i < 3; i++ {
+		_, w := binary.Uvarint(payload[off:])
+		off += w
+	}
+	if payload[off] != 0 {
+		t.Fatalf("legacyFrame: channel-clock count %d, want 0", payload[off])
+	}
+	engine := payload[:off]
+	body := append([]byte(nil), payload[:off]...)
+	body = binary.AppendUvarint(body, uint64(clocks))
+	for i := 0; i < clocks; i++ {
+		body = append(body, engine...)
+	}
+	body = append(body, payload[off+1:]...)
+
+	out := append([]byte(nil), raw[:header]...)
+	out = binary.AppendUvarint(out, uint64(len(cfg)))
+	out = append(out, cfg...)
+	out = binary.AppendUvarint(out, uint64(len(body)))
+	out = append(out, body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestSnapshotLegacyParallelChannels pins that snapshot files from builds
+// that still had the ParallelChannels knob keep loading: the key and the
+// channel clocks those builds recorded are read and ignored, and the
+// hydrated device runs exactly like one from the plain file. Unknown
+// config keys are still refused.
+func TestSnapshotLegacyParallelChannels(t *testing.T) {
+	raw := checkpointOf(t, agedConfig(sprinkler.SPK3), 0.7, 0.3, 29)
+	run := func(file []byte) string {
+		t.Helper()
+		dev, err := sprinkler.RestoreDevice(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runWorkload(t, dev, "msnfs1", 250, 31)
+	}
+	legacy := legacyFrame(t, raw, `"ParallelChannels":4`, 2)
+	if got, want := run(legacy), run(raw); got != want {
+		t.Errorf("legacy file diverged from the plain one:\n plain:  %s\n legacy: %s", want, got)
+	}
+
+	_, err := sprinkler.ReadSnapshot(bytes.NewReader(legacyFrame(t, raw, `"NoSuchKnob":1`, 0)))
+	if err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("unknown config key: err = %v, want an unknown-field error", err)
+	}
 }
 
 // TestSnapshotRejectsDamage feeds every flavour of damaged file through

@@ -147,21 +147,6 @@ type Config struct {
 	// DisableGC turns background garbage collection off.
 	DisableGC bool
 
-	// ParallelChannels runs the device's event kernel partitioned by
-	// channel: each per-channel controller (bus + chips) gets its own
-	// sub-engine, and up to ParallelChannels OS threads advance the
-	// sub-engines in conservative lockstep epochs bounded by the DMA
-	// compose latency. Results are byte-identical to the serial kernel —
-	// this is a speed knob, not a model change — and background GC is
-	// fully supported: GC flash traffic is chip-local, so a channel whose
-	// completion can trigger collection parks at that instant until the
-	// epoch coordinator hands it the resulting commits. Values below 2
-	// (the default) keep the single-engine serial kernel; the parallel
-	// kernel also requires at least two channels and a nonzero compose
-	// latency, falling back to the serial kernel otherwise
-	// (UsesParallelKernel reports the resolution).
-	ParallelChannels int
-
 	// Faults configures deterministic flash fault injection (read-retry
 	// ladders, program/erase failures, transient die outages, spare-block
 	// provisioning with degraded-mode fallback). The zero value disables
@@ -180,9 +165,9 @@ type Config struct {
 
 // FaultSpec configures deterministic flash fault injection. Faults are
 // drawn from per-chip deterministic streams derived from Seed in chip-local
-// order, so a fault schedule is a pure function of the configuration: the
-// serial and parallel kernels, and fresh versus arena-recycled devices, all
-// replay it byte-for-byte. The JSON tags make the spec part of the daemon's
+// order, so a fault schedule is a pure function of the configuration:
+// fresh, arena-recycled and snapshot-hydrated devices all replay it
+// byte-for-byte. The JSON tags make the spec part of the daemon's
 // wire format (session open requests).
 type FaultSpec struct {
 	// ReadFailProb, ProgramFailProb and EraseFailProb are per-member
@@ -292,20 +277,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// UsesParallelKernel reports whether this configuration resolves to the
-// partitioned per-channel kernel: ParallelChannels >= 2, at least two
-// channels, and a nonzero compose latency. When it returns false a device
-// built from the config silently runs the single-engine serial kernel
-// (the results are byte-identical either way). Invalid configurations
-// report false.
-func (c Config) UsesParallelKernel() bool {
-	cfg, err := c.internalConfig()
-	if err != nil || cfg.Validate() != nil {
-		return false
-	}
-	return cfg.Partitioned()
-}
-
 // toInternal converts the public config and builds its scheduler.
 func (c Config) toInternal() (ssd.Config, sched.Scheduler, error) {
 	cfg, err := c.internalConfig()
@@ -335,7 +306,6 @@ func (c Config) internalConfig() (ssd.Config, error) {
 	cfg.GCFreeTarget = c.GCFreeTarget
 	cfg.MetricsSampleCap = c.MetricsSampleCap
 	cfg.DisableGC = c.DisableGC
-	cfg.ParallelChannels = c.ParallelChannels
 	cfg.Faults = c.Faults.internal()
 	cfg.CollectSeries = c.CollectSeries
 	cfg.SeriesWindow = c.SeriesWindow
