@@ -163,3 +163,66 @@ func TestDeviceResetRejectsGeometryChange(t *testing.T) {
 		t.Fatalf("Config not updated after Reset: %+v", dev.Config())
 	}
 }
+
+// TestArenaMaxDevicesLRU pins the bounded-arena contract: Put past the cap
+// evicts the least-recently-used pooled device, and the survivors are the
+// ones handed back out.
+func TestArenaMaxDevicesLRU(t *testing.T) {
+	mk := func(channels int) (sprinkler.Config, *sprinkler.Device) {
+		cfg := smallConfig(sprinkler.SPK3)
+		cfg.Channels = channels
+		d, err := sprinkler.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg, d
+	}
+	cfgA, devA := mk(1)
+	cfgB, devB := mk(2)
+	cfgC, devC := mk(4)
+
+	arena := &sprinkler.DeviceArena{MaxDevices: 2}
+	arena.Put(devA)
+	arena.Put(devB)
+	arena.Put(devC) // exceeds the cap: devA (oldest) must go
+	if n := arena.Size(); n != 2 {
+		t.Fatalf("bounded arena holds %d devices, want 2", n)
+	}
+
+	gotB, err := arena.Get(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotB != devB {
+		t.Fatal("bounded arena evicted a recently used device")
+	}
+	gotC, err := arena.Get(cfgC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotC != devC {
+		t.Fatal("most recently pooled device was not retained")
+	}
+	gotA, err := arena.Get(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotA == devA {
+		t.Fatal("evicted device resurfaced")
+	}
+	if n := arena.Size(); n != 0 {
+		t.Fatalf("arena should be empty after checkouts, has %d", n)
+	}
+
+	// Recency updates on reuse: B used last (put later) survives over C.
+	arena.Put(gotC)
+	arena.Put(gotB)
+	_, devD := mk(8)
+	arena.Put(devD) // evicts gotC, the least recently put
+	if got, err := arena.Get(cfgB); err != nil || got != gotB {
+		t.Fatalf("recently used device evicted (err=%v)", err)
+	}
+	if got, err := arena.Get(cfgC); err != nil || got == gotC {
+		t.Fatalf("LRU device not evicted (err=%v)", err)
+	}
+}

@@ -26,80 +26,84 @@ func drainSource(t *testing.T, src sprinkler.Source, max int) []sprinkler.Reques
 	return out
 }
 
-// resetCases enumerates every built-in source and combinator as a seeded
-// builder, so the replay-parity test can treat them uniformly. Bounded
-// shapes keep the drains fast; the deep case stacks combinators five
-// levels to exercise seed propagation through a whole tree.
-func resetCases(cfg sprinkler.Config, csv []byte) []struct {
-	name  string
-	build func(seed uint64) (sprinkler.Source, error)
-} {
+// sourceCase is one built-in source or combinator as a seeded builder.
+// seeded reports whether the seed shapes the stream: a CSV trace, a slice
+// and a sequential fixed-size stream replay the same requests whatever
+// seed they are built with.
+type sourceCase struct {
+	name   string
+	seeded bool
+	build  func(seed uint64) (sprinkler.Source, error)
+}
+
+// sourceCases enumerates every built-in source and combinator, so the
+// build-determinism test can treat them uniformly. Bounded shapes keep
+// the drains fast; the deep case stacks combinators five levels to
+// exercise seed propagation through a whole tree.
+func sourceCases(cfg sprinkler.Config, csv []byte) []sourceCase {
 	span := cfg.TotalPages() * 9 / 10
 	table := func(name string, n int, seed uint64) (sprinkler.Source, error) {
 		return cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: name, Requests: n, Seed: seed})
 	}
-	return []struct {
-		name  string
-		build func(seed uint64) (sprinkler.Source, error)
-	}{
-		{"workload-stream", func(seed uint64) (sprinkler.Source, error) {
+	return []sourceCase{
+		{"workload-stream", true, func(seed uint64) (sprinkler.Source, error) {
 			return table("msnfs1", 150, seed)
 		}},
-		{"fixed-random", func(seed uint64) (sprinkler.Source, error) {
+		{"fixed-random", true, func(seed uint64) (sprinkler.Source, error) {
 			return cfg.NewFixedSource(sprinkler.FixedSpec{Requests: 150, Pages: 4, Write: true, Seed: seed})
 		}},
-		{"fixed-sequential", func(seed uint64) (sprinkler.Source, error) {
+		{"fixed-sequential", false, func(seed uint64) (sprinkler.Source, error) {
 			return cfg.NewFixedSource(sprinkler.FixedSpec{Requests: 150, Pages: 8, Sequential: true, Seed: seed})
 		}},
-		{"csv", func(seed uint64) (sprinkler.Source, error) {
+		{"csv", false, func(seed uint64) (sprinkler.Source, error) {
 			return sprinkler.NewCSVSource(bytes.NewReader(csv)), nil
 		}},
-		{"slice", func(seed uint64) (sprinkler.Source, error) {
+		{"slice", false, func(seed uint64) (sprinkler.Source, error) {
 			return sprinkler.SliceSource(sprinkler.SequentialReads(100, 4)), nil
 		}},
-		{"limit", func(seed uint64) (sprinkler.Source, error) {
+		{"limit", true, func(seed uint64) (sprinkler.Source, error) {
 			src, err := table("hm0", 0, seed)
 			if err != nil {
 				return nil, err
 			}
 			return sprinkler.Limit(src, 120), nil
 		}},
-		{"poisson", func(seed uint64) (sprinkler.Source, error) {
+		{"poisson", true, func(seed uint64) (sprinkler.Source, error) {
 			src, err := table("cfs0", 150, seed)
 			if err != nil {
 				return nil, err
 			}
 			return sprinkler.Poisson(src, 250_000, seed), nil
 		}},
-		{"burst", func(seed uint64) (sprinkler.Source, error) {
+		{"burst", true, func(seed uint64) (sprinkler.Source, error) {
 			src, err := table("cfs3", 150, seed)
 			if err != nil {
 				return nil, err
 			}
 			return sprinkler.Burst(src, 1_000_000, 3_000_000)
 		}},
-		{"zipf", func(seed uint64) (sprinkler.Source, error) {
+		{"zipf", true, func(seed uint64) (sprinkler.Source, error) {
 			src, err := table("hm1", 150, seed)
 			if err != nil {
 				return nil, err
 			}
 			return sprinkler.Zipf(src, 0.99, span, seed)
 		}},
-		{"read-ratio", func(seed uint64) (sprinkler.Source, error) {
+		{"read-ratio", true, func(seed uint64) (sprinkler.Source, error) {
 			src, err := table("proj4", 150, seed)
 			if err != nil {
 				return nil, err
 			}
 			return sprinkler.ReadRatio(src, 0.7, seed)
 		}},
-		{"resize", func(seed uint64) (sprinkler.Source, error) {
+		{"resize", true, func(seed uint64) (sprinkler.Source, error) {
 			src, err := table("msnfs1", 150, seed)
 			if err != nil {
 				return nil, err
 			}
 			return sprinkler.Resize(src, 2, 16, span, seed)
 		}},
-		{"mix", func(seed uint64) (sprinkler.Source, error) {
+		{"mix", true, func(seed uint64) (sprinkler.Source, error) {
 			a, err := table("msnfs1", 0, sprinkler.SubSeed(seed, 0))
 			if err != nil {
 				return nil, err
@@ -116,7 +120,7 @@ func resetCases(cfg sprinkler.Config, csv []byte) []struct {
 			}
 			return sprinkler.Limit(m, 150), nil
 		}},
-		{"phases", func(seed uint64) (sprinkler.Source, error) {
+		{"phases", true, func(seed uint64) (sprinkler.Source, error) {
 			a, err := table("hm0", 0, sprinkler.SubSeed(seed, 0))
 			if err != nil {
 				return nil, err
@@ -130,7 +134,7 @@ func resetCases(cfg sprinkler.Config, csv []byte) []struct {
 				sprinkler.Phase{Source: b, DurationNS: 2_000_000},
 			)
 		}},
-		{"deep-composition", func(seed uint64) (sprinkler.Source, error) {
+		{"deep-composition", true, func(seed uint64) (sprinkler.Source, error) {
 			base, err := table("msnfs2", 0, seed)
 			if err != nil {
 				return nil, err
@@ -168,7 +172,7 @@ func TestResetReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	for _, tc := range resetCases(cfg, buf.Bytes()) {
+	for _, tc := range sourceCases(cfg, buf.Bytes()) {
 		t.Run(tc.name, func(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				seedA, seedB := rng.Uint64(), rng.Uint64()
@@ -214,6 +218,75 @@ func TestResetReplayParity(t *testing.T) {
 						t.Fatalf("round %d: request %d diverged on replay:\n replay:   %+v\n original: %+v",
 							round, i, replay[i], original[i])
 					}
+				}
+			}
+		})
+	}
+}
+
+// csvFixture renders a short generated trace in the CSV format, the
+// content behind the "csv" source case.
+func csvFixture(t *testing.T, cfg sprinkler.Config) []byte {
+	t.Helper()
+	reqs, err := cfg.GenerateWorkload("cfs0", 120, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sprinkler.WriteCSV(&buf, reqs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameStream reports the first index where two request streams differ,
+// or -1 when they are identical.
+func sameStream(a, b []sprinkler.Request) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
+}
+
+// TestSourceBuildDeterminism is the seed contract of every built-in
+// source and combinator, randomized: two fresh builds with the same seed
+// emit the identical stream, and a build with a different seed changes
+// the stream of every seeded source (and leaves the unseeded ones alone).
+// This is what lets every scheduler of a grid replay one trace per cell
+// seed.
+func TestSourceBuildDeterminism(t *testing.T) {
+	cfg := smallConfig(sprinkler.SPK3)
+	csv := csvFixture(t, cfg)
+	rng := rand.New(rand.NewSource(99))
+	for _, tc := range sourceCases(cfg, csv) {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 4; round++ {
+				seedA, seedB := rng.Uint64(), rng.Uint64()
+				drain := func(seed uint64) []sprinkler.Request {
+					src, err := tc.build(seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return drainSource(t, src, 200)
+				}
+				first := drain(seedA)
+				if len(first) == 0 {
+					t.Fatal("source emitted nothing")
+				}
+				if i := sameStream(first, drain(seedA)); i >= 0 {
+					t.Fatalf("round %d: two builds with seed %d diverge at request %d", round, seedA, i)
+				}
+				other := sameStream(first, drain(seedB))
+				if tc.seeded && other < 0 {
+					t.Fatalf("round %d: seeds %d and %d built the identical stream", round, seedA, seedB)
+				}
+				if !tc.seeded && other >= 0 {
+					t.Fatalf("round %d: unseeded source changed with the seed at request %d", round, other)
 				}
 			}
 		})
@@ -408,6 +481,90 @@ func TestPinnedSeedSpecPooledParity(t *testing.T) {
 	}
 }
 
+// TestRecycledDevicesDoNotLeakAcrossCells: results rendered from earlier
+// cells must stay bit-stable while later cells run on the recycled
+// devices and their recycled request objects — nothing a device or its
+// I/O free list hands to a later cell may alias an earlier cell's Result.
+func TestRecycledDevicesDoNotLeakAcrossCells(t *testing.T) {
+	grid := structuredGrid(5)
+	arena := sprinkler.NewDeviceArena()
+	runner := sprinkler.Runner{Workers: 1, Arena: arena}
+
+	first := runner.Run(context.Background(), grid.Cells())
+	snapshots := make(map[string]string, len(first))
+	for _, cr := range first {
+		if cr.Err != nil {
+			t.Fatalf("cell %q failed: %v", cr.Name, cr.Err)
+		}
+		b, _ := json.Marshal(cr.Result)
+		snapshots[cr.Name] = string(b)
+	}
+
+	// Re-run the whole grid on the same arena: every device and I/O free
+	// list from the first pass is recycled under the first pass's
+	// still-live Results.
+	for _, cr := range runner.Run(context.Background(), grid.Cells()) {
+		if cr.Err != nil {
+			t.Fatalf("second pass cell %q failed: %v", cr.Name, cr.Err)
+		}
+	}
+	for _, cr := range first {
+		b, _ := json.Marshal(cr.Result)
+		if string(b) != snapshots[cr.Name] {
+			t.Fatalf("cell %q's Result mutated after device reuse:\nbefore: %s\nafter:  %s",
+				cr.Name, snapshots[cr.Name], b)
+		}
+	}
+	// One device per topology: the pool holds a recycled device, not one
+	// per cell.
+	if n := arena.Size(); n != 1 {
+		t.Fatalf("arena pooled %d devices, want 1", n)
+	}
+}
+
+// TestPinnedSeedSpecIgnoresCellSeed: a spec with an explicit Seed freezes
+// its trace — built under two different cell seeds, it replays one
+// stream.
+func TestPinnedSeedSpecIgnoresCellSeed(t *testing.T) {
+	cfg := smallConfig(sprinkler.SPK3)
+	spec := sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 60, Seed: 7}.Spec()
+	drain := func(cellSeed uint64) []sprinkler.Request {
+		src, err := spec.New(cfg, cellSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drainSource(t, src, 100)
+	}
+	want := drain(12345)
+	if len(want) == 0 {
+		t.Fatal("pinned spec emitted nothing")
+	}
+	if i := sameStream(want, drain(999)); i >= 0 {
+		t.Fatalf("pinned-seed spec diverged across cell seeds at request %d", i)
+	}
+}
+
+// TestGridCellSeedSharedAcrossSchedulers: a grid's cell seed is a stable
+// function of the grid, and every scheduler on one workload point shares
+// it, so the scheduler rows replay one trace.
+func TestGridCellSeedSharedAcrossSchedulers(t *testing.T) {
+	g := sprinkler.Grid{Name: "same", Base: smallConfig(sprinkler.SPK3), Workloads: []string{"cfs0"}, Requests: 40}
+	a := g.Cells()
+	if again := g.Cells(); again[0].Seed != a[0].Seed {
+		t.Fatal("cell seed not deterministic")
+	}
+	g.Schedulers = sprinkler.Schedulers()
+	cells := g.Cells()
+	if len(cells) != len(sprinkler.Schedulers()) {
+		t.Fatalf("expanded %d cells, want one per scheduler", len(cells))
+	}
+	for _, c := range cells {
+		if c.Seed != a[0].Seed {
+			t.Fatalf("cell %q has seed %d, want the shared %d", c.Name, c.Seed, a[0].Seed)
+		}
+	}
+}
+
 // TestGridSourceKeyIncludesConfig: two grids with identical names and
 // labels but different platforms must not share pooled sources — a source
 // bakes the platform's logical span in at build time.
@@ -470,68 +627,5 @@ func TestArenaMaxSourcesLRU(t *testing.T) {
 		if err != nil || got != srcs[i+1] {
 			t.Fatalf("key %q: pooled source not returned (err=%v)", key, err)
 		}
-	}
-}
-
-// TestArenaMaxDevicesLRU pins the bounded-arena contract: Put past the cap
-// evicts the least-recently-used pooled device, and the survivors are the
-// ones handed back out.
-func TestArenaMaxDevicesLRU(t *testing.T) {
-	mk := func(channels int) (sprinkler.Config, *sprinkler.Device) {
-		cfg := smallConfig(sprinkler.SPK3)
-		cfg.Channels = channels
-		d, err := sprinkler.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cfg, d
-	}
-	cfgA, devA := mk(1)
-	cfgB, devB := mk(2)
-	cfgC, devC := mk(4)
-
-	arena := &sprinkler.DeviceArena{MaxDevices: 2}
-	arena.Put(devA)
-	arena.Put(devB)
-	arena.Put(devC) // exceeds the cap: devA (oldest) must go
-	if n := arena.Size(); n != 2 {
-		t.Fatalf("bounded arena holds %d devices, want 2", n)
-	}
-
-	gotB, err := arena.Get(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotB != devB {
-		t.Fatal("bounded arena evicted a recently used device")
-	}
-	gotC, err := arena.Get(cfgC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotC != devC {
-		t.Fatal("most recently pooled device was not retained")
-	}
-	gotA, err := arena.Get(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotA == devA {
-		t.Fatal("evicted device resurfaced")
-	}
-	if n := arena.Size(); n != 0 {
-		t.Fatalf("arena should be empty after checkouts, has %d", n)
-	}
-
-	// Recency updates on reuse: B used last (put later) survives over C.
-	arena.Put(gotC)
-	arena.Put(gotB)
-	_, devD := mk(8)
-	arena.Put(devD) // evicts gotC, the least recently put
-	if got, err := arena.Get(cfgB); err != nil || got != gotB {
-		t.Fatalf("recently used device evicted (err=%v)", err)
-	}
-	if got, err := arena.Get(cfgC); err != nil || got == gotC {
-		t.Fatalf("LRU device not evicted (err=%v)", err)
 	}
 }
