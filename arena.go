@@ -8,22 +8,19 @@ import (
 )
 
 // DeviceArena is a pool of reusable Devices keyed by platform topology,
-// plus a pool of reusable workload Sources keyed by spec identity.
-// Building a device is the dominant per-cell cost of a mass sweep —
-// controller, chip, FTL and kernel state all scale with the geometry — so
-// the arena hands a drained device back out for the next cell on the same
-// topology, Reset in place, instead of constructing a fresh one. Per-run
-// knobs (scheduler, queue depth, GC policy, metrics options) may differ
-// freely between the checkout's config and the device's previous run;
-// only the seven geometry fields key the pool. Sources pool the same way
-// through GetSource/PutSource: a Resettable source built for one cell is
-// rewound with the next cell's seed instead of being rebuilt, and the
-// retired-I/O free lists ride along inside the pooled devices, so a sweep
-// cell warms from hot pools rather than empty ones.
+// plus a registry of decoded warm-state snapshots. Building a device is
+// the dominant per-cell cost of a mass sweep — controller, chip, FTL and
+// kernel state all scale with the geometry — so the arena hands a drained
+// device back out for the next cell on the same topology, Reset in place,
+// instead of constructing a fresh one. Per-run knobs (scheduler, queue
+// depth, GC policy, metrics options) may differ freely between the
+// checkout's config and the device's previous run; only the seven
+// geometry fields key the pool. The retired-I/O free lists ride along
+// inside the pooled devices, so a sweep cell warms from hot pools rather
+// than empty ones.
 //
 // Reuse is behaviour-preserving: a recycled device produces byte-identical
-// Results to a fresh one, and a Reset source replays the byte-identical
-// stream a fresh build would (the reuse-parity tests pin both across every
+// Results to a fresh one (the reuse-parity tests pin this across every
 // scheduler), so callers can treat the arena purely as an allocation
 // optimization. The zero value is ready to use; a nil *DeviceArena is
 // also valid and degrades to fresh construction, which is how Runner
@@ -32,28 +29,20 @@ import (
 // MaxDevices, when positive, bounds how many devices stay pooled: a Put
 // that would exceed it evicts the least-recently-used pooled device, so a
 // cross-topology sweep cannot accumulate one large retained device per
-// topology it ever visited. MaxSources bounds the source pool the same
-// way. Set both before the arena is shared. Zero means unbounded.
+// topology it ever visited. Set it before the arena is shared. Zero means
+// unbounded.
 //
-// A DeviceArena is safe for concurrent use. The devices and sources
-// themselves are not: a checked-out object belongs to one goroutine until
-// Put.
+// A DeviceArena is safe for concurrent use. The devices themselves are
+// not: a checked-out device belongs to one goroutine until Put.
 type DeviceArena struct {
 	// MaxDevices caps pooled (checked-in) devices across all topologies;
 	// 0 means unbounded.
 	MaxDevices int
 
-	// MaxSources caps pooled sources across all keys the same way (a
-	// pooled CSV source pins a megabyte scan buffer; a combinator tree
-	// pins its whole graph). 0 means unbounded.
-	MaxSources int
-
-	mu       sync.Mutex
-	free     map[topology][]pooledDevice
-	devices  int    // pooled device count across topologies
-	seq      uint64 // LRU stamp source
-	sources  map[string][]pooledSource
-	nsources int // pooled source count across keys
+	mu      sync.Mutex
+	free    map[topology][]pooledDevice
+	devices int    // pooled device count across topologies
+	seq     uint64 // LRU stamp source
 
 	// meta retains the FTL block-metadata arena of the most recently
 	// evicted device per topology (at most MaxDevices topologies, LRU),
@@ -79,17 +68,20 @@ type retainedMeta struct {
 }
 
 // ArenaStats counts arena traffic since construction. Hits are checkouts
-// served by a pooled object, misses fell through to a fresh build (of
+// served by a pooled device, misses fell through to a fresh build (of
 // which MetaReuses rebuilt on a retained eviction arena), and evictions
-// count pooled objects dropped at the MaxDevices/MaxSources bounds.
+// count pooled devices dropped at the MaxDevices bound.
 type ArenaStats struct {
 	DeviceHits      uint64
 	DeviceMisses    uint64
 	DeviceEvictions uint64
 	MetaReuses      uint64
-	SourceHits      uint64
-	SourceMisses    uint64
-	SourceEvictions uint64
+
+	// SourceHits and SourceMisses are always zero: the arena pools no
+	// workload sources, since every cell builds its own. The fields stay
+	// for readers that still report them.
+	SourceHits   uint64
+	SourceMisses uint64
 }
 
 // Stats snapshots the arena's traffic counters. Nil-safe (zero stats).
@@ -100,13 +92,6 @@ func (a *DeviceArena) Stats() ArenaStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.stats
-}
-
-// pooledSource stamps a checked-in source for LRU eviction, like
-// pooledDevice.
-type pooledSource struct {
-	src   Source
-	stamp uint64
 }
 
 // pooledDevice stamps a checked-in device for LRU eviction. Put appends
@@ -334,104 +319,4 @@ func (a *DeviceArena) Size() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.devices
-}
-
-// GetSource checks a pooled source out for the given spec key, rewound to
-// replay under seed, building a fresh one (via build) when nothing
-// reusable is pooled. Two callers may share a key only when their build
-// functions construct equivalent sources — same workload spec, same
-// combinator tree — differing at most by seed; Grid derives its keys from
-// the cell's full workload coordinates to guarantee that. A pooled source
-// whose Reset fails (e.g. a CSV stream over a non-seekable reader) is
-// dropped and replaced by a fresh build. An empty key, or a nil arena,
-// always builds fresh.
-func (a *DeviceArena) GetSource(key string, seed uint64, build func(seed uint64) (Source, error)) (Source, error) {
-	if a == nil || key == "" {
-		return build(seed)
-	}
-	a.mu.Lock()
-	var src Source
-	if l := a.sources[key]; len(l) > 0 {
-		src = l[len(l)-1].src
-		l[len(l)-1] = pooledSource{}
-		a.sources[key] = l[:len(l)-1]
-		a.nsources--
-		a.stats.SourceHits++
-	} else {
-		a.stats.SourceMisses++
-	}
-	a.mu.Unlock()
-	if src != nil {
-		if err := ResetSource(src, seed); err == nil {
-			return src, nil
-		}
-	}
-	return build(seed)
-}
-
-// PutSource returns a source to the pool for its key, evicting the
-// least-recently-used pooled source when MaxSources would be exceeded.
-// Only Resettable sources are retained — anything else is discarded,
-// since it could never be checked out again. Hand back only sources whose
-// run completed; a source abandoned mid-pull is safely poolable too
-// (Reset rewinds it), but must not still be feeding a device.
-func (a *DeviceArena) PutSource(key string, src Source) {
-	if a == nil || key == "" || src == nil {
-		return
-	}
-	if _, ok := src.(Resettable); !ok {
-		return
-	}
-	a.mu.Lock()
-	if a.sources == nil {
-		a.sources = make(map[string][]pooledSource)
-	}
-	a.seq++
-	a.sources[key] = append(a.sources[key], pooledSource{src: src, stamp: a.seq})
-	a.nsources++
-	for a.MaxSources > 0 && a.nsources > a.MaxSources {
-		a.evictSourceLocked()
-	}
-	a.mu.Unlock()
-}
-
-// evictSourceLocked drops the globally least-recently-used pooled source
-// (lists are stamp-sorted for the same reason the device lists are).
-func (a *DeviceArena) evictSourceLocked() {
-	var oldestKey string
-	var oldest uint64
-	found := false
-	for key, l := range a.sources {
-		if len(l) == 0 {
-			continue
-		}
-		if !found || l[0].stamp < oldest {
-			found = true
-			oldest = l[0].stamp
-			oldestKey = key
-		}
-	}
-	if !found {
-		return
-	}
-	l := a.sources[oldestKey]
-	copy(l, l[1:])
-	l[len(l)-1] = pooledSource{}
-	if len(l) == 1 {
-		delete(a.sources, oldestKey)
-	} else {
-		a.sources[oldestKey] = l[:len(l)-1]
-	}
-	a.nsources--
-	a.stats.SourceEvictions++
-}
-
-// PooledSources reports how many sources are pooled across all keys.
-func (a *DeviceArena) PooledSources() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.nsources
 }

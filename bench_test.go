@@ -290,17 +290,6 @@ func sweepBenchCells() []sprinkler.Cell {
 	}.Cells()
 }
 
-// withoutSourceKeys strips the grid's source-pool keys so a bench can
-// isolate device reuse from source reuse (the PR 4 measurement).
-func withoutSourceKeys(cells []sprinkler.Cell) []sprinkler.Cell {
-	out := make([]sprinkler.Cell, len(cells))
-	copy(out, cells)
-	for i := range out {
-		out[i].SourceKey = ""
-	}
-	return out
-}
-
 // runSweepBench executes the grid serially (one worker keeps allocs/op a
 // deterministic property of the code, not goroutine interleaving) and
 // sanity-checks the results.
@@ -320,67 +309,23 @@ func runSweepBench(b *testing.B, r sprinkler.Runner, cells []sprinkler.Cell) {
 // device (Runner.NoReuse), paying full construction per cell.
 func BenchmarkSweepFresh(b *testing.B) {
 	b.ReportAllocs()
-	cells := withoutSourceKeys(sweepBenchCells())
+	cells := sweepBenchCells()
 	for i := 0; i < b.N; i++ {
 		runSweepBench(b, sprinkler.Runner{Workers: 1, NoReuse: true}, cells)
 	}
 }
 
 // BenchmarkSweepArena runs the identical 25-cell grid through a shared
-// DeviceArena with source pooling disabled (keys stripped): one device is
-// built on the first cell and Reset-recycled for the other 24 (and for
-// every subsequent iteration), but every cell still constructs its own
-// source. CI guards this bench's allocs/op — a regression here means
-// device reuse started re-allocating per-cell state.
+// DeviceArena: one device is built on the first cell and Reset-recycled
+// for the other 24 (and for every subsequent iteration), while every cell
+// builds its own source. CI guards this bench's allocs/op — a regression
+// here means device reuse started re-allocating per-cell state.
 func BenchmarkSweepArena(b *testing.B) {
 	b.ReportAllocs()
-	cells := withoutSourceKeys(sweepBenchCells())
-	arena := sprinkler.NewDeviceArena()
-	for i := 0; i < b.N; i++ {
-		runSweepBench(b, sprinkler.Runner{Workers: 1, Arena: arena}, cells)
-	}
-}
-
-// BenchmarkSweepPooledSources is the full per-arena pooling path — the
-// grid exactly as Grid.Cells emits it: devices recycle through the arena
-// AND each workload coordinate's source is built once then Reset-replayed
-// for every scheduler and iteration, with the retired-I/O free list riding
-// along inside the pooled device. The delta against BenchmarkSweepArena is
-// the per-cell source/trace construction and adapter-pool warmup this PR
-// eliminates; CI guards it against bench/BENCH_pr5_baseline.txt.
-func BenchmarkSweepPooledSources(b *testing.B) {
-	b.ReportAllocs()
 	cells := sweepBenchCells()
 	arena := sprinkler.NewDeviceArena()
 	for i := 0; i < b.N; i++ {
 		runSweepBench(b, sprinkler.Runner{Workers: 1, Arena: arena}, cells)
-	}
-}
-
-// BenchmarkSweepReusedResults layers the caller-owned result arena on the
-// fully pooled sweep: devices, sources, retired-I/O free lists, and now
-// the Result objects and the CellResult slice all recycle between
-// iterations (Runner.Results + ResultArena.Recycle). The delta against
-// BenchmarkSweepPooledSources is the per-sweep result rendering and
-// Runner bookkeeping this PR eliminates; CI guards allocs/op against
-// bench/BENCH_pr10_baseline.txt.
-func BenchmarkSweepReusedResults(b *testing.B) {
-	b.ReportAllocs()
-	cells := sweepBenchCells()
-	arena := sprinkler.NewDeviceArena()
-	results := sprinkler.NewResultArena()
-	r := sprinkler.Runner{Workers: 1, Arena: arena, Results: results}
-	for i := 0; i < b.N; i++ {
-		crs := r.Run(context.Background(), cells)
-		for _, cr := range crs {
-			if cr.Err != nil {
-				b.Fatal(cr.Err)
-			}
-			if cr.Result.IOsCompleted == 0 {
-				b.Fatalf("cell %s completed nothing", cr.Name)
-			}
-		}
-		results.Recycle(crs)
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 	"sprinkler/internal/sim"
 )
 
-// This file is the workload combinator layer: deterministic, resettable
+// This file is the workload combinator layer: deterministic
 // transformations over any Source, composable into structured workloads —
 // weighted mixes, phased regimes, bursty arrivals, skewed address
-// distributions, and read-ratio / transfer-size modulation. Every
-// combinator implements Resettable under the seed discipline documented on
-// that interface, so combined workloads pool across sweep cells exactly
-// like the primitive sources do. The SourceSpec constructors in spec.go
-// lift each combinator to a grid axis.
+// distributions, and read-ratio / transfer-size modulation. A combinator's
+// own random draws come from the seed it is built with, so a combined
+// workload is a pure function of its seeds like the primitive sources.
+// The SourceSpec constructors in spec.go lift each combinator to a grid
+// axis.
 
 // Weighted pairs a source with its interleave weight for Mix.
 type Weighted struct {
@@ -29,15 +29,13 @@ type Weighted struct {
 // component's pacing shapes the merged timeline and arrivals stay
 // monotone. A source that runs dry drops out of the draw; Mix is exhausted
 // when every component is.
-//
-// Mix resets child i with SubSeed(seed, i); builders that construct the
-// children with the same derivation (as MixSpec does) get exact
-// reset/rebuild parity.
 func Mix(seed uint64, items ...Weighted) (Source, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("sprinkler: Mix needs at least one source")
 	}
-	m := &mixSource{rng: sim.NewRand(mixSeed(seed))}
+	// The XOR decorrelates the choice stream from a child generator
+	// built with the same seed.
+	m := &mixSource{rng: sim.NewRand(seed ^ 0x6D69785F73656564)}
 	for _, it := range items {
 		if it.Source == nil {
 			return nil, fmt.Errorf("sprinkler: Mix with nil source")
@@ -49,9 +47,6 @@ func Mix(seed uint64, items ...Weighted) (Source, error) {
 	}
 	return m, nil
 }
-
-// mixSeed decorrelates the choice stream from the children's generators.
-func mixSeed(seed uint64) uint64 { return seed ^ 0x6D69785F73656564 }
 
 type mixItem struct {
 	src    Source
@@ -114,23 +109,6 @@ func (m *mixSource) Next() (Request, bool) {
 
 func (m *mixSource) Err() error { return m.err }
 
-// Reset implements Resettable.
-func (m *mixSource) Reset(seed uint64) error {
-	for i := range m.items {
-		if err := ResetSource(m.items[i].src, SubSeed(seed, i)); err != nil {
-			return err
-		}
-	}
-	for i := range m.items {
-		m.items[i].last = 0
-		m.items[i].done = false
-	}
-	m.rng.Reseed(mixSeed(seed))
-	m.clock = 0
-	m.err = nil
-	return nil
-}
-
 // Phase is one regime of a phased workload: a source plus the bounds that
 // end the phase. Requests ends it after that many emissions; DurationNS
 // ends it once the phase's own stream clock passes that time. Zero means
@@ -146,8 +124,7 @@ type Phase struct {
 // Phases chains regimes back to back: phase i+1 starts where phase i's
 // emitted timeline ended, with each phase's arrivals offset onto the
 // running clock, so a workload can shift shape mid-run (e.g. a sequential
-// warm fill followed by a random read storm). Phases resets child i with
-// SubSeed(seed, i), like Mix.
+// warm fill followed by a random read storm).
 func Phases(phases ...Phase) (Source, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("sprinkler: Phases needs at least one phase")
@@ -214,19 +191,6 @@ func (s *phaseSource) advance() {
 
 func (s *phaseSource) Err() error { return s.err }
 
-// Reset implements Resettable.
-func (s *phaseSource) Reset(seed uint64) error {
-	for i := range s.phases {
-		if err := ResetSource(s.phases[i].Source, SubSeed(seed, i)); err != nil {
-			return err
-		}
-	}
-	s.cur = 0
-	s.base, s.clock, s.n = 0, 0, 0
-	s.err = nil
-	return nil
-}
-
 // Burst modulates an open-loop arrival timeline into on/off bursts: the
 // inner stream's arrivals are compressed into on-windows of onNS
 // nanoseconds separated by silent gaps of offNS — a square-wave arrival
@@ -257,9 +221,6 @@ func (s *burstSource) Next() (Request, bool) {
 
 func (s *burstSource) Err() error { return sourceErr(s.src) }
 
-// Reset implements Resettable.
-func (s *burstSource) Reset(seed uint64) error { return ResetSource(s.src, seed) }
-
 // Zipf imposes a power-law spatial skew: each passing request keeps its
 // timing, direction and size, but its address is redrawn from a bounded
 // Zipf-like distribution with exponent theta over [0, span) logical pages
@@ -275,10 +236,8 @@ func Zipf(src Source, theta float64, span int64, seed uint64) (Source, error) {
 	if span <= 0 {
 		return nil, fmt.Errorf("sprinkler: Zipf span %d must be positive", span)
 	}
-	return &zipfSource{src: src, theta: theta, span: span, rng: sim.NewRand(zipfSeed(seed))}, nil
+	return &zipfSource{src: src, theta: theta, span: span, rng: sim.NewRand(seed ^ 0x7A6970665F736B65)}, nil
 }
-
-func zipfSeed(seed uint64) uint64 { return seed ^ 0x7A6970665F736B65 }
 
 type zipfSource struct {
 	src   Source
@@ -329,15 +288,6 @@ func zipfRank(rng *sim.Rand, theta float64, n int64) int64 {
 
 func (s *zipfSource) Err() error { return sourceErr(s.src) }
 
-// Reset implements Resettable.
-func (s *zipfSource) Reset(seed uint64) error {
-	if err := ResetSource(s.src, seed); err != nil {
-		return err
-	}
-	s.rng.Reseed(zipfSeed(seed))
-	return nil
-}
-
 // ReadRatio redraws each passing request's direction: read with
 // probability frac, write otherwise. Timing, addresses and sizes pass
 // through, so a single base workload can sweep the read/write mix as an
@@ -346,10 +296,8 @@ func ReadRatio(src Source, frac float64, seed uint64) (Source, error) {
 	if frac < 0 || frac > 1 || math.IsNaN(frac) {
 		return nil, fmt.Errorf("sprinkler: ReadRatio fraction %v must be in [0, 1]", frac)
 	}
-	return &readRatioSource{src: src, frac: frac, rng: sim.NewRand(readRatioSeed(seed))}, nil
+	return &readRatioSource{src: src, frac: frac, rng: sim.NewRand(seed ^ 0x72775F7261746975)}, nil
 }
-
-func readRatioSeed(seed uint64) uint64 { return seed ^ 0x72775F7261746975 }
 
 type readRatioSource struct {
 	src  Source
@@ -368,15 +316,6 @@ func (s *readRatioSource) Next() (Request, bool) {
 
 func (s *readRatioSource) Err() error { return sourceErr(s.src) }
 
-// Reset implements Resettable.
-func (s *readRatioSource) Reset(seed uint64) error {
-	if err := ResetSource(s.src, seed); err != nil {
-		return err
-	}
-	s.rng.Reseed(readRatioSeed(seed))
-	return nil
-}
-
 // Resize redraws each passing request's transfer size uniformly in
 // [minPages, maxPages], clamping the start address so the request stays
 // inside [0, span) logical pages. minPages == maxPages pins every request
@@ -389,10 +328,8 @@ func Resize(src Source, minPages, maxPages int, span int64, seed uint64) (Source
 	if span < int64(maxPages) {
 		return nil, fmt.Errorf("sprinkler: Resize span %d < maxPages %d", span, maxPages)
 	}
-	return &resizeSource{src: src, min: minPages, max: maxPages, span: span, rng: sim.NewRand(resizeSeed(seed))}, nil
+	return &resizeSource{src: src, min: minPages, max: maxPages, span: span, rng: sim.NewRand(seed ^ 0x7265736970616773)}, nil
 }
-
-func resizeSeed(seed uint64) uint64 { return seed ^ 0x7265736970616773 }
 
 type resizeSource struct {
 	src      Source
@@ -421,12 +358,3 @@ func (s *resizeSource) Next() (Request, bool) {
 }
 
 func (s *resizeSource) Err() error { return sourceErr(s.src) }
-
-// Reset implements Resettable.
-func (s *resizeSource) Reset(seed uint64) error {
-	if err := ResetSource(s.src, seed); err != nil {
-		return err
-	}
-	s.rng.Reseed(resizeSeed(seed))
-	return nil
-}

@@ -258,7 +258,6 @@ func (g Grid) Cells() []Cell {
 					Labels:       labels,
 					Precondition: pre,
 					Snapshot:     g.Snapshot,
-					SourceKey:    key + "|" + sourceConfigKey(cfg),
 					Source: func(seed uint64) (Source, error) {
 						return src.New(cfg, seed)
 					},
@@ -291,11 +290,7 @@ func gridLabel(name, suffix string) string {
 
 // sourceKey names the cell's workload coordinates — every axis except the
 // scheduler — and is the seed-derivation input, so all schedulers replay
-// one trace per point. The arena's source-pool key is this string plus a
-// config fingerprint (sourceConfigKey): axis labels alone cannot be
-// trusted across grids sharing one arena, since two grids may emit the
-// same labels over different Base platforms, and a source bakes the
-// platform's logical span in at build time.
+// one trace per point.
 func (g Grid) sourceKey(axisParts []string, srcLabel string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "grid:%s", g.Name)
@@ -304,15 +299,6 @@ func (g Grid) sourceKey(axisParts []string, srcLabel string) string {
 	}
 	fmt.Fprintf(&b, "|src:%s", srcLabel)
 	return b.String()
-}
-
-// sourceConfigKey fingerprints everything about a cell's configuration a
-// source build could depend on. The scheduler is excluded — it is the one
-// axis sources must be shareable across — by zeroing it before rendering
-// the flat struct.
-func sourceConfigKey(cfg Config) string {
-	cfg.Scheduler = ""
-	return fmt.Sprintf("%+v", cfg)
 }
 
 // cellSeed derives the deterministic per-cell seed from the source key,

@@ -151,11 +151,6 @@ func TestGridWorkloadStructureAxis(t *testing.T) {
 	if len(cells) != 2*2 {
 		t.Fatalf("expanded %d cells, want 4", len(cells))
 	}
-	for _, c := range cells {
-		if c.SourceKey == "" {
-			t.Fatalf("cell %q has no source-pool key", c.Name)
-		}
-	}
 	duration := map[string]map[string]int64{} // workload -> scheduler -> duration
 	for _, cr := range (sprinkler.Runner{Workers: 2}).Run(context.Background(), cells) {
 		if cr.Err != nil {

@@ -40,9 +40,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"sprinklerd_arena_device_misses_total", "Device checkouts that built a device.", a.DeviceMisses},
 		{"sprinklerd_arena_device_evictions_total", "Pooled devices dropped at the arena bound.", a.DeviceEvictions},
 		{"sprinklerd_arena_meta_reuses_total", "Evicted-topology re-admissions served from retained block metadata.", a.MetaReuses},
-		{"sprinklerd_arena_source_hits_total", "Workload sources served from the pool.", a.SourceHits},
-		{"sprinklerd_arena_source_misses_total", "Workload sources built fresh.", a.SourceMisses},
-		{"sprinklerd_arena_source_evictions_total", "Pooled sources dropped at the arena bound.", a.SourceEvictions},
 	}
 	for _, m := range counters {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.v)

@@ -250,7 +250,6 @@ func (s *session) idleFor(now time.Time) time.Duration {
 func NewServer(opts Options) *Server {
 	arena := sprinkler.NewDeviceArena()
 	arena.MaxDevices = opts.MaxDevices
-	arena.MaxSources = opts.MaxSessions
 	s := &Server{
 		opts:     opts,
 		arena:    arena,

@@ -64,25 +64,14 @@ func Write(w io.Writer, recs []Record) error {
 // lines with the line number in the error.
 type Reader struct {
 	sc     *bufio.Scanner
-	buf    []byte
 	lineNo int
 }
 
 // NewReader wraps r for incremental parsing.
 func NewReader(r io.Reader) *Reader {
-	rd := &Reader{buf: make([]byte, 1<<20)}
-	rd.Reset(r)
-	return rd
-}
-
-// Reset rebinds the reader to a new input stream, reusing the scan buffer,
-// so a replayable trace (e.g. a re-seeked file) can be parsed again without
-// reallocating the reader's megabyte line buffer.
-func (r *Reader) Reset(src io.Reader) {
-	sc := bufio.NewScanner(src)
-	sc.Buffer(r.buf, len(r.buf))
-	r.sc = sc
-	r.lineNo = 0
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	return &Reader{sc: sc}
 }
 
 // Next returns the next record. It returns io.EOF at the end of input and

@@ -134,26 +134,6 @@ func NewStream(w Workload, cfg GenConfig) (*Stream, error) {
 // Emitted reports how many requests the stream has produced.
 func (g *Stream) Emitted() int64 { return g.emitted }
 
-// Reset rewinds the stream to replay from the beginning, exactly as if it
-// had been built with NewStream and the given seed (a zero seed derives
-// the stable per-workload seed, like NewStream). The workload, bounds and
-// shape parameters are retained; only the generator state rewinds.
-func (g *Stream) Reset(seed uint64) {
-	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(g.w.Name))
-		seed = h.Sum64()
-	}
-	g.rng.Reseed(seed)
-	g.emitted = 0
-	g.now = 0
-	g.seqRead, g.seqWrite = 0, 0
-	g.started = false
-	g.isRead = false
-	g.base = 0
-	g.b = g.burst // force a fresh burst on the first Next
-}
-
 // Next produces the next request as a host I/O object, or false when a
 // bounded stream is done. Streaming consumers that only need the request
 // parameters should use NextRecord, which allocates nothing.
@@ -312,7 +292,7 @@ type FixedConfig struct {
 // time in O(1) memory: Count same-size requests, all arriving at t=0
 // (closed loop: the device-level queue's backpressure paces them). The
 // sequence is identical to what GenerateFixed materializes for the same
-// config, and Reset rewinds it for reuse across sweep cells.
+// config.
 type FixedStream struct {
 	cfg FixedConfig
 	rng *sim.Rand
@@ -347,13 +327,6 @@ func (g *FixedStream) NextRecord() (Record, bool) {
 	}
 	g.i++
 	return Record{Kind: g.cfg.Kind, LPN: start, Pages: g.cfg.Pages}, true
-}
-
-// Reset rewinds the stream to replay as if built with the given seed.
-func (g *FixedStream) Reset(seed uint64) {
-	g.cfg.Seed = seed
-	g.rng.Reseed(seed + 1)
-	g.i = 0
 }
 
 // GenerateFixed produces Count same-size requests, all arriving at t=0

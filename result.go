@@ -123,15 +123,8 @@ type Result struct {
 }
 
 // publicResult flattens the internal result.
-func publicResult(r *metrics.Result) *Result { return publicResultInto(new(Result), r) }
-
-// publicResultInto flattens the internal result into out — a fresh
-// object, or one recycled through a ResultArena. Every field is
-// overwritten; the only state that survives from out's previous life is
-// the capacity of its Series storage.
-func publicResultInto(out *Result, r *metrics.Result) *Result {
-	series := out.Series[:0]
-	*out = Result{
+func publicResult(r *metrics.Result) *Result {
+	out := &Result{
 		Scheduler:           r.Scheduler,
 		DurationNS:          int64(r.Duration),
 		IOsCompleted:        r.IOsCompleted,
@@ -178,13 +171,10 @@ func publicResultInto(out *Result, r *metrics.Result) *Result {
 	} else {
 		out.WriteAmplification = 1
 	}
-	if len(r.Series) > 0 {
-		for _, p := range r.Series {
-			series = append(series, SeriesPoint{
-				Index: p.Index, ArrivalNS: int64(p.Arrival), LatencyNS: int64(p.Latency),
-			})
-		}
-		out.Series = series
+	for _, p := range r.Series {
+		out.Series = append(out.Series, SeriesPoint{
+			Index: p.Index, ArrivalNS: int64(p.Arrival), LatencyNS: int64(p.Latency),
+		})
 	}
 	return out
 }

@@ -48,16 +48,6 @@ type Cell struct {
 	// CellResult so sweep consumers can index results without parsing
 	// names.
 	Labels map[string]string
-
-	// SourceKey, when non-empty, lets the Runner pool the built source in
-	// its DeviceArena: the first cell on the key builds it, later cells
-	// check it out Reset to their seed instead of rebuilding (sources that
-	// are not Resettable degrade to per-cell builds). Cells sharing a key
-	// must build equivalent sources — same spec, differing only by seed.
-	// Grid.Cells derives the key from the cell's full workload coordinates
-	// (grid name, axis point labels, source label), which is exactly that
-	// guarantee; hand-built cells may leave it empty to opt out.
-	SourceKey string
 }
 
 // CellResult pairs a cell with its outcome.
@@ -71,10 +61,11 @@ type CellResult struct {
 
 // Runner fans sweep cells across worker goroutines. The zero value uses
 // all CPU cores, base seed 0, and a private DeviceArena so consecutive
-// cells on one topology recycle a device instead of rebuilding it.
-// Per-cell seeds are deterministic functions of (base seed, cell name,
-// cell index), and device reuse is behaviour-preserving, so results do
-// not depend on scheduling order, worker count, or reuse.
+// cells on one topology recycle a device instead of rebuilding it. Every
+// cell builds its own workload source from its seed; only devices are
+// recycled. Per-cell seeds are deterministic functions of (base seed,
+// cell name, cell index), and device reuse is behaviour-preserving, so
+// results do not depend on scheduling order, worker count, or reuse.
 type Runner struct {
 	// Workers caps concurrency; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -92,69 +83,6 @@ type Runner struct {
 	// through the arena — the reference path reuse-parity tests and
 	// benchmarks compare against.
 	NoReuse bool
-
-	// Results, when non-nil, is the caller-owned result arena: Run draws
-	// its CellResult slice and each cell's Result object from it instead
-	// of allocating, and the caller hands a consumed sweep's results back
-	// with Recycle. Rendering into a recycled Result is byte-identical to
-	// a fresh one. Nil (the default) allocates per sweep as always.
-	Results *ResultArena
-}
-
-// ResultArena recycles the result buffers a Runner produces: the
-// []CellResult slice and the Result objects (with their latency-series
-// storage) inside it. A sweep loop that consumes each sweep's results
-// and then Recycles them makes result rendering allocation-free at
-// steady state. Opt in via Runner.Results; safe for concurrent use by
-// the Runner's workers. The zero value is ready to use.
-type ResultArena struct {
-	mu     sync.Mutex
-	free   []*Result
-	slices [][]CellResult
-}
-
-// NewResultArena returns an empty result arena.
-func NewResultArena() *ResultArena { return &ResultArena{} }
-
-// Recycle returns a finished sweep's results — the slice and every
-// Result in it — to the arena. The caller must be completely done with
-// them: a later Run on a Runner sharing this arena overwrites both.
-func (a *ResultArena) Recycle(results []CellResult) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := range results {
-		if results[i].Result != nil {
-			a.free = append(a.free, results[i].Result)
-		}
-		results[i] = CellResult{}
-	}
-	a.slices = append(a.slices, results[:0])
-}
-
-// getResult pops a recycled Result, or allocates the arena's first few.
-func (a *ResultArena) getResult() *Result {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 {
-		r := a.free[n-1]
-		a.free = a.free[:n-1]
-		return r
-	}
-	return new(Result)
-}
-
-// getSlice finds a recycled CellResult slice with enough capacity.
-func (a *ResultArena) getSlice(n int) []CellResult {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, s := range a.slices {
-		if cap(s) >= n {
-			a.slices[i] = a.slices[len(a.slices)-1]
-			a.slices = a.slices[:len(a.slices)-1]
-			return s[:n]
-		}
-	}
-	return make([]CellResult, n)
 }
 
 // cellSeed derives a cell's seed: the explicit per-cell seed when set,
@@ -199,12 +127,7 @@ func (r Runner) Run(ctx context.Context, cells []Cell) []CellResult {
 	if r.NoReuse {
 		arena = nil
 	}
-	var results []CellResult
-	if r.Results != nil {
-		results = r.Results.getSlice(len(cells))
-	} else {
-		results = make([]CellResult, len(cells))
-	}
+	results := make([]CellResult, len(cells))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -273,26 +196,19 @@ func (r Runner) runCell(ctx context.Context, c Cell, i int, arena *DeviceArena) 
 			dev.Precondition(p.FillFrac, p.ChurnFrac, p.Seed)
 		}
 	}
-	src, err := arena.GetSource(c.SourceKey, out.Seed, c.Source)
+	src, err := c.Source(out.Seed)
 	if err != nil {
 		out.Err = fmt.Errorf("sprinkler: cell %q: %w", c.Name, err)
 		return out
 	}
-	var res *Result
-	if r.Results != nil {
-		res, err = dev.runInto(ctx, src, r.Results.getResult())
-	} else {
-		res, err = dev.Run(ctx, src)
-	}
+	res, err := dev.Run(ctx, src)
 	if err != nil {
-		// The device (and the source feeding it) may hold mid-run state —
-		// cancellation, stalls: drop both rather than recycling a
-		// non-pristine simulation.
+		// The device may hold mid-run state — cancellation, stalls: drop
+		// it rather than recycling a non-pristine simulation.
 		out.Err = fmt.Errorf("sprinkler: cell %q: %w", c.Name, err)
 		return out
 	}
 	arena.Put(dev)
-	arena.PutSource(c.SourceKey, src)
 	out.Result = res
 	return out
 }

@@ -2,7 +2,6 @@ package sprinkler_test
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -118,60 +117,5 @@ func TestRunnerCancelled(t *testing.T) {
 		if cr.Err == nil {
 			t.Fatalf("cell %q ran under a cancelled context", cr.Name)
 		}
-	}
-}
-
-// TestResultArenaReuseParity pins the caller-owned result arena: sweeps
-// rendering into recycled Result objects are byte-identical to freshly
-// allocated ones, across repeated Recycle/Run cycles, and a recycled
-// Result carries nothing over from its previous life — in particular a
-// series-collecting sweep followed by a plain one must leave no stale
-// series on any result.
-func TestResultArenaReuseParity(t *testing.T) {
-	fingerprint := func(results []sprinkler.CellResult) []string {
-		out := make([]string, len(results))
-		for i, cr := range results {
-			if cr.Err != nil {
-				t.Fatalf("cell %q failed: %v", cr.Name, cr.Err)
-			}
-			b, err := json.Marshal(cr.Result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = cr.Name + " " + string(b)
-		}
-		return out
-	}
-
-	want := fingerprint(sprinkler.Runner{Workers: 2, Seed: 9}.Run(context.Background(), sweepCells()))
-
-	arena := sprinkler.NewResultArena()
-	reuser := sprinkler.Runner{Workers: 2, Seed: 9, Results: arena}
-	for round := 0; round < 3; round++ {
-		// Alternate a series-collecting sweep in: its recycled Results
-		// carry Series storage the plain sweep must fully reset.
-		seriesCells := sweepCells()
-		for i := range seriesCells {
-			seriesCells[i].Config.CollectSeries = true
-		}
-		withSeries := reuser.Run(context.Background(), seriesCells)
-		for _, cr := range withSeries {
-			if cr.Err != nil {
-				t.Fatalf("series cell %q failed: %v", cr.Name, cr.Err)
-			}
-			if len(cr.Result.Series) == 0 {
-				t.Fatalf("round %d: series cell %q collected no series", round, cr.Name)
-			}
-		}
-		arena.Recycle(withSeries)
-
-		results := reuser.Run(context.Background(), sweepCells())
-		for i, got := range fingerprint(results) {
-			if got != want[i] {
-				t.Fatalf("round %d cell %d: recycled result diverged:\n fresh:    %s\n recycled: %s",
-					round, i, want[i], got)
-			}
-		}
-		arena.Recycle(results)
 	}
 }

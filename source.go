@@ -37,41 +37,10 @@ func sourceErr(s Source) error {
 	return nil
 }
 
-// Resettable is the optional rewind side of a Source. Reset rewinds the
-// source to replay from the beginning, emitting exactly the stream a fresh
-// construction with the given seed would produce — which is what lets a
-// sweep pool one source across cells (DeviceArena.GetSource) instead of
-// rebuilding it per cell.
-//
-// Every built-in source and combinator implements it. The seed discipline
-// for composites: a wrapper resets its own generator state from seed and
-// propagates seed unchanged to a single inner source; multi-child
-// combinators (Mix, Phases) reset child i with SubSeed(seed, i), and their
-// builders must construct child i with the same derivation for reset
-// parity to hold (the spec-level constructors do). Sources with baked-in
-// content (SliceSource; a CSV stream) replay the same requests regardless
-// of seed.
-type Resettable interface {
-	// Reset rewinds the source for reuse. It fails when the source cannot
-	// replay (e.g. a CSV source over a non-seekable reader).
-	Reset(seed uint64) error
-}
-
-// ResetSource rewinds a source for reuse, failing descriptively when the
-// source does not support replay.
-func ResetSource(src Source, seed uint64) error {
-	r, ok := src.(Resettable)
-	if !ok {
-		return fmt.Errorf("sprinkler: source %T is not resettable", src)
-	}
-	return r.Reset(seed)
-}
-
 // SubSeed derives the seed of the i-th child of a composite source from
-// the composite's seed. Mix and Phases reset child i with SubSeed(seed, i);
-// hand-built composites must construct child i from the same derivation if
-// they are to be pooled across seeds (the SourceSpec combinator
-// constructors follow it automatically).
+// the composite's seed: MixSpec and PhasesSpec build child i with
+// SubSeed(seed, i), so sibling children draw decorrelated streams from one
+// cell seed.
 func SubSeed(seed uint64, i int) uint64 {
 	s := (seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)) * 0x2545F4914F6CDD1D
 	if s == 0 {
@@ -99,22 +68,14 @@ func (s *sliceSource) Next() (Request, bool) {
 	return r, true
 }
 
-// Reset implements Resettable: the slice replays from the start. The
-// content is baked in, so the seed is ignored.
-func (s *sliceSource) Reset(uint64) error {
-	s.i = 0
-	return nil
-}
-
 // Limit caps a source at n requests. A non-positive n yields an empty
 // source. Use it to take a measurable slice of an infinite generator.
 func Limit(src Source, n int64) Source {
-	return &limitSource{src: src, n: n, left: n}
+	return &limitSource{src: src, left: n}
 }
 
 type limitSource struct {
 	src  Source
-	n    int64
 	left int64
 }
 
@@ -128,47 +89,19 @@ func (s *limitSource) Next() (Request, bool) {
 
 func (s *limitSource) Err() error { return sourceErr(s.src) }
 
-// Reset implements Resettable, restoring the full budget and rewinding the
-// inner source.
-func (s *limitSource) Reset(seed uint64) error {
-	if err := ResetSource(s.src, seed); err != nil {
-		return err
-	}
-	s.left = s.n
-	return nil
-}
-
 // CSVSource streams requests from a CSV trace (arrival_ns,op,lpn,pages;
 // '#' comments), parsing one line per Next call — a multi-gigabyte trace
 // file replays in constant memory. Check Err after the run; Device.Run
 // does so automatically.
 type CSVSource struct {
-	src io.Reader
 	rd  *trace.Reader
 	err error
 }
 
 // NewCSVSource wraps an io.Reader producing the repository's CSV trace
-// format. When the reader is also an io.Seeker (a file, a bytes.Reader),
-// the source is resettable: Reset seeks back to the start and replays.
+// format.
 func NewCSVSource(r io.Reader) *CSVSource {
-	return &CSVSource{src: r, rd: trace.NewReader(r)}
-}
-
-// Reset implements Resettable by seeking the underlying reader back to the
-// beginning (the trace's content is fixed, so the seed is ignored). It
-// fails when the reader does not support seeking.
-func (s *CSVSource) Reset(uint64) error {
-	sk, ok := s.src.(io.Seeker)
-	if !ok {
-		return fmt.Errorf("sprinkler: CSV source over non-seekable %T cannot replay", s.src)
-	}
-	if _, err := sk.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("sprinkler: CSV source rewind: %w", err)
-	}
-	s.rd.Reset(s.src)
-	s.err = nil
-	return nil
+	return &CSVSource{rd: trace.NewReader(r)}
 }
 
 // Next implements Source.
@@ -272,13 +205,6 @@ func (s *streamSource) Next() (Request, bool) {
 	}, true
 }
 
-// Reset implements Resettable: the generator rewinds and replays as if
-// built with the given seed (zero derives the stable per-workload seed).
-func (s *streamSource) Reset(seed uint64) error {
-	s.g.Reset(seed)
-	return nil
-}
-
 // FixedSpec describes a fixed-transfer-size workload for sensitivity
 // sweeps: Requests same-size requests, sequential or uniformly random
 // over the logical space, all arriving at t=0 (closed loop — the
@@ -293,7 +219,7 @@ type FixedSpec struct {
 
 // NewFixedSource builds a closed-loop fixed-size source sized for this
 // configuration's logical space. The source generates incrementally (O(1)
-// memory however many requests) and is resettable for pooled reuse.
+// memory however many requests).
 func (c Config) NewFixedSource(spec FixedSpec) (Source, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -337,12 +263,6 @@ func (s *fixedSource) Next() (Request, bool) {
 	}, true
 }
 
-// Reset implements Resettable.
-func (s *fixedSource) Reset(seed uint64) error {
-	s.g.Reset(seed)
-	return nil
-}
-
 // logicalSpan resolves the logical address space (default 90% of
 // physical, leaving over-provisioning headroom).
 func logicalSpan(configured, physical int64) int64 {
@@ -366,18 +286,6 @@ type poissonSource struct {
 	rate float64
 	rng  *sim.Rand
 	now  float64 // next arrival, in ns
-}
-
-// Reset implements Resettable: the arrival process restarts at t=0 with
-// the given seed (applying the constructor's seed derivation) and the
-// inner source rewinds with the same seed.
-func (s *poissonSource) Reset(seed uint64) error {
-	if err := ResetSource(s.src, seed); err != nil {
-		return err
-	}
-	s.rng.Reseed(seed + 0x9E37)
-	s.now = 0
-	return nil
 }
 
 func (s *poissonSource) Next() (Request, bool) {

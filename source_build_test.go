@@ -1,12 +1,10 @@
 package sprinkler_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"sprinkler"
@@ -156,74 +154,6 @@ func sourceCases(cfg sprinkler.Config, csv []byte) []sourceCase {
 	}
 }
 
-// TestResetReplayParity is the Resettable contract pin, randomized: for
-// every built-in source and combinator, Reset(seed') must replay the
-// byte-identical stream a fresh construction with seed' produces, and a
-// second Reset back to the original seed must reproduce the original
-// stream — across random seed pairs.
-func TestResetReplayParity(t *testing.T) {
-	cfg := smallConfig(sprinkler.SPK3)
-	reqs, err := cfg.GenerateWorkload("cfs0", 120, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sprinkler.WriteCSV(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	for _, tc := range sourceCases(cfg, buf.Bytes()) {
-		t.Run(tc.name, func(t *testing.T) {
-			for round := 0; round < 4; round++ {
-				seedA, seedB := rng.Uint64(), rng.Uint64()
-				src, err := tc.build(seedA)
-				if err != nil {
-					t.Fatal(err)
-				}
-				original := drainSource(t, src, 200)
-				if len(original) == 0 {
-					t.Fatal("source emitted nothing")
-				}
-
-				// Reset to a different seed == fresh build with that seed.
-				if err := sprinkler.ResetSource(src, seedB); err != nil {
-					t.Fatalf("Reset: %v", err)
-				}
-				fresh, err := tc.build(seedB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := drainSource(t, fresh, 200)
-				got := drainSource(t, src, 200)
-				if len(got) != len(want) {
-					t.Fatalf("round %d: reset stream length %d != fresh %d", round, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("round %d: request %d diverged after Reset(%d):\n reset: %+v\n fresh: %+v",
-							round, i, seedB, got[i], want[i])
-					}
-				}
-
-				// Reset back to the original seed == the original stream.
-				if err := sprinkler.ResetSource(src, seedA); err != nil {
-					t.Fatalf("second Reset: %v", err)
-				}
-				replay := drainSource(t, src, 200)
-				if len(replay) != len(original) {
-					t.Fatalf("round %d: replay length %d != original %d", round, len(replay), len(original))
-				}
-				for i := range original {
-					if replay[i] != original[i] {
-						t.Fatalf("round %d: request %d diverged on replay:\n replay:   %+v\n original: %+v",
-							round, i, replay[i], original[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // csvFixture renders a short generated trace in the CSV format, the
 // content behind the "csv" source case.
 func csvFixture(t *testing.T, cfg sprinkler.Config) []byte {
@@ -293,35 +223,13 @@ func TestSourceBuildDeterminism(t *testing.T) {
 	}
 }
 
-// TestCSVSourceResetNonSeekable: a CSV stream over a non-seekable reader
-// must refuse to Reset (and the pool must then fall back to fresh builds).
-func TestCSVSourceResetNonSeekable(t *testing.T) {
-	src := sprinkler.NewCSVSource(bufio.NewReader(strings.NewReader("0,R,0,4\n")))
-	if _, ok := src.Next(); !ok {
-		t.Fatal("CSV source empty")
-	}
-	if err := sprinkler.ResetSource(src, 1); err == nil || !strings.Contains(err.Error(), "non-seekable") {
-		t.Fatalf("want non-seekable error, got %v", err)
-	}
-	// Seekable readers replay fine.
-	s2 := sprinkler.NewCSVSource(strings.NewReader("0,R,0,4\n100,W,8,2\n"))
-	first := drainSource(t, s2, 10)
-	if err := sprinkler.ResetSource(s2, 7); err != nil {
-		t.Fatal(err)
-	}
-	second := drainSource(t, s2, 10)
-	if len(first) != 2 || len(second) != 2 || first[0] != second[0] || first[1] != second[1] {
-		t.Fatalf("CSV replay diverged: %+v vs %+v", first, second)
-	}
-}
-
 // structuredGrid builds a grid whose workload axis is pure structure:
 // combinator-wrapped specs over one base workload, swept alongside plain
 // Table 1 workloads, across every scheduler.
 func structuredGrid(seed uint64) sprinkler.Grid {
 	base := sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 90, MaxPages: 32}.Spec()
 	return sprinkler.Grid{
-		Name:       "pooled",
+		Name:       "structured",
 		Base:       smallConfig(sprinkler.SPK3),
 		Schedulers: sprinkler.Schedulers(),
 		Workloads:  []string{"cfs0"},
@@ -336,148 +244,6 @@ func structuredGrid(seed uint64) sprinkler.Grid {
 			).WithLimit(90),
 		},
 		Seed: seed,
-	}
-}
-
-// TestPooledSourceSweepParity is the pooled-source correctness pin,
-// randomized: the same structured grid (five schedulers × plain +
-// combinator workloads) runs fresh-per-cell (NoReuse), through a shared
-// arena once, and through the same arena again (so the second pass checks
-// every source out of the warm pool). All three must produce JSON-level
-// byte-identical Results cell for cell.
-func TestPooledSourceSweepParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for round := 0; round < 3; round++ {
-		grid := structuredGrid(rng.Uint64())
-		runnerSeed := rng.Uint64()
-		fingerprints := func(results []sprinkler.CellResult) map[string]string {
-			out := map[string]string{}
-			for _, cr := range results {
-				if cr.Err != nil {
-					t.Fatalf("round %d: cell %q failed: %v", round, cr.Name, cr.Err)
-				}
-				b, err := json.Marshal(cr.Result)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[cr.Name] = string(b)
-			}
-			return out
-		}
-
-		fresh := fingerprints(sprinkler.Runner{Workers: 2, Seed: runnerSeed, NoReuse: true}.
-			Run(context.Background(), grid.Cells()))
-
-		arena := sprinkler.NewDeviceArena()
-		cold := fingerprints(sprinkler.Runner{Workers: 2, Seed: runnerSeed, Arena: arena}.
-			Run(context.Background(), grid.Cells()))
-		if arena.PooledSources() == 0 {
-			t.Fatal("no sources were pooled")
-		}
-		warm := fingerprints(sprinkler.Runner{Workers: 2, Seed: runnerSeed, Arena: arena}.
-			Run(context.Background(), grid.Cells()))
-
-		if len(fresh) != len(cold) || len(fresh) != len(warm) {
-			t.Fatalf("round %d: result counts differ: %d/%d/%d", round, len(fresh), len(cold), len(warm))
-		}
-		for name, want := range fresh {
-			if cold[name] != want {
-				t.Fatalf("round %d: cell %q diverged on the cold arena pass:\nfresh:  %s\npooled: %s",
-					round, name, want, cold[name])
-			}
-			if warm[name] != want {
-				t.Fatalf("round %d: cell %q diverged on the warm (recycled-source) pass:\nfresh:  %s\npooled: %s",
-					round, name, want, warm[name])
-			}
-		}
-	}
-}
-
-// TestPooledSourcesDoNotLeakAcrossCells: results rendered from earlier
-// cells must stay bit-stable while later cells reuse the pooled sources
-// and the device's recycled request objects — nothing a pooled source or
-// I/O free list hands to a later cell may alias an earlier cell's Result.
-func TestPooledSourcesDoNotLeakAcrossCells(t *testing.T) {
-	grid := structuredGrid(5)
-	arena := sprinkler.NewDeviceArena()
-	runner := sprinkler.Runner{Workers: 1, Arena: arena}
-
-	first := runner.Run(context.Background(), grid.Cells())
-	snapshots := make(map[string]string, len(first))
-	for _, cr := range first {
-		if cr.Err != nil {
-			t.Fatalf("cell %q failed: %v", cr.Name, cr.Err)
-		}
-		b, _ := json.Marshal(cr.Result)
-		snapshots[cr.Name] = string(b)
-	}
-
-	// Re-run the whole grid on the same arena: every device, source and
-	// I/O free list from the first pass is recycled under the first
-	// pass's still-live Results.
-	for _, cr := range runner.Run(context.Background(), grid.Cells()) {
-		if cr.Err != nil {
-			t.Fatalf("second pass cell %q failed: %v", cr.Name, cr.Err)
-		}
-	}
-	for _, cr := range first {
-		b, _ := json.Marshal(cr.Result)
-		if string(b) != snapshots[cr.Name] {
-			t.Fatalf("cell %q's Result mutated after pooled reuse:\nbefore: %s\nafter:  %s",
-				cr.Name, snapshots[cr.Name], b)
-		}
-	}
-
-	// One source pooled per distinct workload coordinate (5 specs), one
-	// device per topology: the pools hold recycled objects, not one per
-	// cell.
-	if n := arena.PooledSources(); n != 5 {
-		t.Fatalf("arena pooled %d sources, want 5 (one per workload axis point)", n)
-	}
-	if n := arena.Size(); n != 1 {
-		t.Fatalf("arena pooled %d devices, want 1", n)
-	}
-}
-
-// TestPinnedSeedSpecPooledParity: a spec with an explicit Seed freezes its
-// trace — a pooled checkout Reset to a different cell seed must still
-// replay the pinned stream, exactly like a fresh build would.
-func TestPinnedSeedSpecPooledParity(t *testing.T) {
-	cfg := smallConfig(sprinkler.SPK3)
-	spec := sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 60, Seed: 7}.Spec()
-
-	fresh, err := spec.New(cfg, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainSource(t, fresh, 100)
-
-	arena := sprinkler.NewDeviceArena()
-	first, err := arena.GetSource("k", 12345, func(seed uint64) (sprinkler.Source, error) {
-		return spec.New(cfg, seed)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainSource(t, first, 100)
-	arena.PutSource("k", first)
-
-	// Checked out under a completely different cell seed: the pin wins.
-	pooled, err := arena.GetSource("k", 999, func(seed uint64) (sprinkler.Source, error) {
-		return spec.New(cfg, seed)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainSource(t, pooled, 100)
-	if len(got) != len(want) {
-		t.Fatalf("pinned replay length %d != fresh %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("request %d: pooled pinned-seed spec diverged from fresh:\n pooled: %+v\n fresh:  %+v",
-				i, got[i], want[i])
-		}
 	}
 }
 
@@ -561,71 +327,6 @@ func TestGridCellSeedSharedAcrossSchedulers(t *testing.T) {
 	for _, c := range cells {
 		if c.Seed != a[0].Seed {
 			t.Fatalf("cell %q has seed %d, want the shared %d", c.Name, c.Seed, a[0].Seed)
-		}
-	}
-}
-
-// TestGridSourceKeyIncludesConfig: two grids with identical names and
-// labels but different platforms must not share pooled sources — a source
-// bakes the platform's logical span in at build time.
-func TestGridSourceKeyIncludesConfig(t *testing.T) {
-	mk := func(channels int) sprinkler.Grid {
-		cfg := smallConfig(sprinkler.SPK3)
-		cfg.Channels = channels
-		return sprinkler.Grid{Name: "same", Base: cfg, Workloads: []string{"cfs0"}, Requests: 40}
-	}
-	a := mk(2).Cells()
-	b := mk(4).Cells()
-	if a[0].SourceKey == "" || b[0].SourceKey == "" {
-		t.Fatal("grid cells missing source keys")
-	}
-	if a[0].SourceKey == b[0].SourceKey {
-		t.Fatalf("different platforms share a source-pool key: %q", a[0].SourceKey)
-	}
-	// Same grid, same platform: the key (and the seed) must be stable.
-	if again := mk(2).Cells(); again[0].SourceKey != a[0].SourceKey || again[0].Seed != a[0].Seed {
-		t.Fatal("source key or seed not deterministic")
-	}
-	// The scheduler axis must still share one key per point.
-	g := mk(2)
-	g.Schedulers = sprinkler.Schedulers()
-	cells := g.Cells()
-	for _, c := range cells[1:] {
-		if c.SourceKey != cells[0].SourceKey {
-			t.Fatalf("schedulers do not share the source key: %q vs %q", c.SourceKey, cells[0].SourceKey)
-		}
-	}
-}
-
-// TestArenaMaxSourcesLRU pins the bounded source pool: Put past the cap
-// evicts the least-recently-pooled source.
-func TestArenaMaxSourcesLRU(t *testing.T) {
-	arena := &sprinkler.DeviceArena{MaxSources: 2}
-	srcs := make([]sprinkler.Source, 3)
-	for i := range srcs {
-		srcs[i] = sprinkler.SliceSource(sprinkler.SequentialReads(4, 2))
-		arena.PutSource(string(rune('a'+i)), srcs[i])
-	}
-	if n := arena.PooledSources(); n != 2 {
-		t.Fatalf("bounded pool holds %d sources, want 2", n)
-	}
-	// "a" was evicted: its checkout falls back to the builder.
-	built := false
-	got, err := arena.GetSource("a", 1, func(uint64) (sprinkler.Source, error) {
-		built = true
-		return sprinkler.SliceSource(nil), nil
-	})
-	if err != nil || got == nil || !built {
-		t.Fatalf("evicted key did not rebuild (err=%v, built=%v)", err, built)
-	}
-	// "b" and "c" survived and come back as the same objects.
-	for i, key := range []string{"b", "c"} {
-		got, err := arena.GetSource(key, 1, func(uint64) (sprinkler.Source, error) {
-			t.Fatalf("key %q rebuilt despite being pooled", key)
-			return nil, nil
-		})
-		if err != nil || got != srcs[i+1] {
-			t.Fatalf("key %q: pooled source not returned (err=%v)", key, err)
 		}
 	}
 }

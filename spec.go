@@ -6,16 +6,13 @@ import "fmt"
 // Grid can sweep workload *structure* — burst duty cycle, mix ratio, skew
 // exponent, read ratio, transfer size — as an axis, the same way it sweeps
 // schedulers and topology. Each constructor composes the spec's label (the
-// label is the axis point's name, feeds the per-cell seed and the arena's
-// source-pool key) and threads the cell seed under the Resettable
-// discipline, so spec-built workloads pool across cells like primitive
-// sources do.
+// label is the axis point's name and feeds the per-cell seed) and threads
+// the cell seed into every seeded layer it builds.
 
 // Spec lifts a Table 1 workload description to a grid axis point labelled
 // with the workload name. A zero Seed follows the cell seed (the usual
 // grid discipline); a non-zero Seed pins the trace — the source ignores
-// the cell seed on build *and* on pooled Reset, so every cell replays the
-// one frozen stream.
+// the cell seed, so every cell replays the one frozen stream.
 func (s WorkloadSpec) Spec() SourceSpec {
 	return SourceSpec{
 		Label: s.Name,
@@ -24,18 +21,14 @@ func (s WorkloadSpec) Spec() SourceSpec {
 			if spec.Seed == 0 {
 				spec.Seed = seed
 			}
-			src, err := cfg.NewWorkloadSource(spec)
-			if err != nil {
-				return nil, err
-			}
-			return pinSeed(src, s.Seed), nil
+			return cfg.NewWorkloadSource(spec)
 		},
 	}
 }
 
 // Spec lifts a fixed-transfer-size workload description to a grid axis
 // point. Seed semantics are as on WorkloadSpec.Spec: zero follows the
-// cell seed, non-zero freezes the stream across cells and pooled resets.
+// cell seed, non-zero freezes the stream across cells.
 func (s FixedSpec) Spec(label string) SourceSpec {
 	return SourceSpec{
 		Label: label,
@@ -44,37 +37,10 @@ func (s FixedSpec) Spec(label string) SourceSpec {
 			if spec.Seed == 0 {
 				spec.Seed = seed
 			}
-			src, err := cfg.NewFixedSource(spec)
-			if err != nil {
-				return nil, err
-			}
-			return pinSeed(src, s.Seed), nil
+			return cfg.NewFixedSource(spec)
 		},
 	}
 }
-
-// pinSeed freezes a spec-pinned seed across Reset: when the spec carried
-// an explicit Seed, a fresh build ignores the cell seed, so a pooled
-// Reset must too — otherwise pooled cells would replay a different trace
-// than fresh ones. A zero pin passes the caller's seed through.
-func pinSeed(src Source, pinned uint64) Source {
-	if pinned == 0 {
-		return src
-	}
-	return &pinnedSeedSource{src: src, seed: pinned}
-}
-
-type pinnedSeedSource struct {
-	src  Source
-	seed uint64
-}
-
-func (p *pinnedSeedSource) Next() (Request, bool) { return p.src.Next() }
-func (p *pinnedSeedSource) Err() error            { return sourceErr(p.src) }
-
-// Reset implements Resettable, replaying under the pinned seed regardless
-// of the seed the pool hands in.
-func (p *pinnedSeedSource) Reset(uint64) error { return ResetSource(p.src, p.seed) }
 
 // wrap derives a new spec from s: the label gains a "+suffix" tag and the
 // built source is transformed by fn (with the cell's config and seed in
@@ -153,8 +119,8 @@ type WeightedSpec struct {
 }
 
 // MixSpec declares a weighted interleave of specs as one axis point. Child
-// i is built with SubSeed(cellSeed, i) — the derivation Mix's Reset
-// applies — so mixed workloads pool across cells with exact parity.
+// i is built with SubSeed(cellSeed, i), so the children draw decorrelated
+// streams from one cell seed.
 func MixSpec(label string, items ...WeightedSpec) SourceSpec {
 	return SourceSpec{
 		Label: label,

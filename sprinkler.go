@@ -18,10 +18,10 @@
 // Poisson arrivals), and the device pulls it one request ahead of the
 // simulation clock — the workload itself is never materialized, however
 // long it runs. Sources compose through deterministic combinators — Mix,
-// Phases, Burst, Zipf, ReadRatio, Resize — and every source is Resettable:
-// Reset(seed) rewinds it to replay exactly what a fresh construction with
-// that seed would emit, which is what lets sweeps pool sources across
-// cells (see DeviceArena and the SourceSpec constructors). Metrics memory
+// Phases, Burst, Zipf, ReadRatio, Resize — and a source is a pure function
+// of its seed: two builds with one seed emit the identical stream, which
+// is what lets every scheduler of a sweep replay one trace (see Grid and
+// the SourceSpec constructors). Metrics memory
 // is O(1): latency percentiles are exact up to Config's MetricsSampleCap
 // and then stream into a fixed-size log-bucketed estimator, and completed
 // request objects are recycled.
@@ -496,13 +496,6 @@ func (d *Device) Precondition(fillFrac, churnFrac float64, seed uint64) {
 // On context cancellation Run returns the measurements accumulated so
 // far together with ctx's error, so a cancelled run is still observable.
 func (d *Device) Run(ctx context.Context, src Source) (*Result, error) {
-	return d.runInto(ctx, src, new(Result))
-}
-
-// runInto is Run rendering the measurements into a caller-supplied
-// Result object — the ResultArena path. Every field of out is
-// overwritten before it is returned.
-func (d *Device) runInto(ctx context.Context, src Source, out *Result) (*Result, error) {
 	// The adapter is the device's own, reused across runs: completed
 	// request objects recycle into its free list during the run, and the
 	// warmed list carries over to the device's next run (through a
@@ -519,14 +512,14 @@ func (d *Device) runInto(ctx context.Context, src Source, out *Result) (*Result,
 	res, err := d.inner.RunContext(ctx, a)
 	if err != nil {
 		if res != nil {
-			return publicResultInto(out, res), err
+			return publicResult(res), err
 		}
 		return nil, err
 	}
 	if a.err != nil {
 		return nil, a.err
 	}
-	return publicResultInto(out, res), nil
+	return publicResult(res), nil
 }
 
 // RunRequests replays a fully materialized request list — the original
