@@ -38,6 +38,12 @@ type Config struct {
 	// drain. Arrival timestamps are preserved (a late-executed arrival
 	// still carries its original time, so latency accounting includes
 	// the host-side wait); memory stays flat under sustained overload.
+	//
+	// The bound can change a run's result: every arrival calls
+	// drainBacklog, which retries preprocess on a head write stalled at
+	// the allocator, and each failed retry runs emergency mapping-GC
+	// passes. GC work therefore depends on how many arrivals land during
+	// a stall, which the bound changes.
 	MaxBacklog int
 
 	// LogicalPages bounds the logical address space. Zero defaults to

@@ -108,14 +108,15 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 // except Scheduler, MaxBacklog, CollectSeries and SeriesWindow. Warm
 // state is scheduler-independent (preconditioning never touches the
 // scheduler, and per-run scheduler state is never part of a snapshot),
-// MaxBacklog only bounds host-side buffering (arrival timestamps — and
-// therefore the simulation — are unaffected), and the series knobs only
-// select what a run records. Any other difference
-// would change what the warm-up itself produced, so it is refused. One
-// caveat enforced at hydration time: a snapshot that itself carries
-// latency-series points (captured mid-experiment rather than after
-// preconditioning) requires the series knobs to match exactly, since a
-// different window would have retained a different history.
+// preconditioning never reads MaxBacklog (it bounds a source-driven run's
+// host-side buffer, which can change that run's Result but not the warm
+// state it starts from), and the series knobs only select what a run
+// records. Any other difference would change what the warm-up itself
+// produced, so it is refused. One caveat enforced at hydration time: a
+// snapshot that itself carries latency-series points (captured
+// mid-experiment rather than after preconditioning) requires the series
+// knobs to match exactly, since a different window would have retained a
+// different history.
 func (s *DeviceSnapshot) CompatibleConfig(cfg Config) bool {
 	c := s.cfg
 	c.Scheduler = cfg.Scheduler

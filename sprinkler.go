@@ -123,8 +123,14 @@ type Config struct {
 	// in source-driven runs; zero means unbounded. Set it for open-loop
 	// overload scenarios (arrival rate above service rate) so the
 	// host-side buffer stays flat: the source is paused at the bound and
-	// resumed as admissions drain. Arrival timestamps — and therefore
-	// measured latencies — are unaffected.
+	// resumed as admissions drain. Arrival timestamps are kept, so a
+	// request's latency still counts its wait in the paused source.
+	//
+	// A bound can change the Result. When the allocator cannot place the
+	// write at the backlog head, admission stalls, every arrival retries
+	// it, and each failed retry runs emergency garbage collection. GC
+	// work then depends on how many arrivals land during the stall, and
+	// the bound changes that number.
 	MaxBacklog int
 
 	// LogicalPages bounds the logical address space. Zero defaults to
