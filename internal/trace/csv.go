@@ -86,7 +86,9 @@ func (r *Reader) Next() (Record, error) {
 		return r.parseLine(line)
 	}
 	if err := r.sc.Err(); err != nil {
-		return Record{}, err
+		// The scanner fails on the line after the last one it returned,
+		// e.g. a line longer than the 1 MB buffer.
+		return Record{}, fmt.Errorf("trace: line %d: %w", r.lineNo+1, err)
 	}
 	return Record{}, io.EOF
 }

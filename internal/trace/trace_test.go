@@ -220,10 +220,18 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"0,R,0,0",  // pages
 		"0,R,0,x",  // pages parse
 		"-5,W,0,1", // negative arrival
+
+		// A second line longer than the scanner's 1 MB buffer.
+		"0,R,0,1\n" + strings.Repeat("9", 1<<20),
 	}
 	for _, line := range bad {
-		if _, err := Parse(strings.NewReader(line)); err == nil {
-			t.Errorf("accepted malformed line %q", line)
+		_, err := Parse(strings.NewReader(line))
+		if err == nil {
+			t.Errorf("accepted malformed line %.40q", line)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "trace: line ") {
+			t.Errorf("error for %.40q does not name the line: %v", line, err)
 		}
 	}
 }

@@ -86,6 +86,84 @@ func TestCSVSourceError(t *testing.T) {
 	}
 }
 
+// FuzzCSVSource feeds arbitrary bytes to the CSV trace parser, the one
+// workload input that arrives from outside the program as a file. No
+// input may panic. A parse failure must stop the stream for good and leave
+// an error naming the line, and every request that did parse must survive
+// a WriteCSV → NewCSVSource round trip unchanged.
+func FuzzCSVSource(f *testing.F) {
+	reqs, err := smallConfig(sprinkler.SPK3).GenerateWorkload("cfs0", 20, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sprinkler.WriteCSV(&buf, reqs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, seed := range []string{
+		"",
+		"# arrival_ns,op,lpn,pages\n\n  \n",
+		"0,R,0,4\n100,w,8,2\r\n",
+		"0,R,0\n",
+		"0,R,0,4,5\n",
+		"x,W,1,1\n",
+		"-1,W,1,1\n",
+		"1,Q,2,3\n",
+		"5,R,-1,2\n",
+		"5,R,1,0\n",
+		"5,R,1,99999999999999999999\n",
+		"0,R,0,4\n1,R,1,1\nbad\n2,W,2,2\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := sprinkler.NewCSVSource(bytes.NewReader(data))
+		var parsed []sprinkler.Request
+		for {
+			r, ok := src.Next()
+			if !ok {
+				break
+			}
+			if r.ArrivalNS < 0 || r.LPN < 0 || r.Pages <= 0 || r.FUA {
+				t.Fatalf("parser emitted an out-of-range request %+v", r)
+			}
+			parsed = append(parsed, r)
+		}
+		perr := src.Err()
+		if perr != nil && !strings.HasPrefix(perr.Error(), "trace: line ") {
+			t.Fatalf("parse error does not name the line: %v", perr)
+		}
+		if _, ok := src.Next(); ok {
+			t.Fatal("stream resumed after it ended")
+		}
+		if src.Err() != perr {
+			t.Fatalf("error changed after the stream ended: %v then %v", perr, src.Err())
+		}
+
+		var out bytes.Buffer
+		if err := sprinkler.WriteCSV(&out, parsed); err != nil {
+			t.Fatal(err)
+		}
+		again := sprinkler.NewCSVSource(bytes.NewReader(out.Bytes()))
+		for i, want := range parsed {
+			got, ok := again.Next()
+			if !ok {
+				t.Fatalf("round trip lost request %d of %d: %v", i, len(parsed), again.Err())
+			}
+			if got != want {
+				t.Fatalf("request %d changed in round trip: %+v != %+v", i, got, want)
+			}
+		}
+		if extra, ok := again.Next(); ok {
+			t.Fatalf("round trip added request %+v", extra)
+		}
+		if err := again.Err(); err != nil {
+			t.Fatalf("round trip of parsed requests failed: %v", err)
+		}
+	})
+}
+
 // TestWorkloadSourceMatchesGenerate checks the incremental generator and
 // the materializing wrapper emit the identical sequence.
 func TestWorkloadSourceMatchesGenerate(t *testing.T) {
