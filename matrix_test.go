@@ -91,18 +91,24 @@ func parityFaults(rng *rand.Rand) sprinkler.FaultSpec {
 	return spec
 }
 
-// paritySource picks a randomized workload for the config.
-func paritySource(t *testing.T, rng *rand.Rand, cfg sprinkler.Config, n int) sprinkler.Source {
+// paritySource picks a randomized workload for the config. It draws every
+// random choice up front and returns a constructor, so a cell can replay
+// the same workload through more than one path.
+func paritySource(t *testing.T, rng *rand.Rand, cfg sprinkler.Config, n int) func() sprinkler.Source {
 	t.Helper()
 	switch rng.Intn(4) {
 	case 0:
-		return workloadSource(t, cfg, "msnfs1", n, rng.Uint64())
+		seed := rng.Uint64()
+		return func() sprinkler.Source { return workloadSource(t, cfg, "msnfs1", n, seed) }
 	case 1:
-		return sprinkler.SliceSource(sprinkler.SequentialReads(n, 1+rng.Intn(8)))
+		run := 1 + rng.Intn(8)
+		return func() sprinkler.Source { return sprinkler.SliceSource(sprinkler.SequentialReads(n, run)) }
 	case 2:
-		return sprinkler.SliceSource(sprinkler.SequentialWrites(n, 1+rng.Intn(8)))
+		run := 1 + rng.Intn(8)
+		return func() sprinkler.Source { return sprinkler.SliceSource(sprinkler.SequentialWrites(n, run)) }
 	default:
-		return workloadSource(t, cfg, "proj0", n, rng.Uint64())
+		seed := rng.Uint64()
+		return func() sprinkler.Source { return workloadSource(t, cfg, "proj0", n, seed) }
 	}
 }
 
@@ -145,28 +151,53 @@ func mustJSON(t *testing.T, v interface{}) string {
 // matrixRequests is the per-cell workload length.
 const matrixRequests = 500
 
-// matrixDeviceCells runs every scheduler × class × precondition cell and
-// records each Result's JSON under its cell name. It reports whether some
-// GC-active cell collected and whether some fault-armed cell saw both read
-// retries and program failures.
-func matrixDeviceCells(t *testing.T, fps map[string]string) (gcLive, faultsLive bool) {
+// matrixCell is one device cell of the matrix: a platform, an optional
+// fragmentation pass, and a replayable workload.
+type matrixCell struct {
+	name    string
+	class   int
+	cfg     sprinkler.Config
+	precond bool
+	pseed   uint64
+	source  func() sprinkler.Source
+}
+
+// matrixCells draws every scheduler × class × precondition cell.
+func matrixCells(t *testing.T) []matrixCell {
+	var cells []matrixCell
 	for si, kind := range sprinkler.Schedulers() {
 		rng := rand.New(rand.NewSource(int64(si+1) * 7919))
 		for class := 0; class < numClasses; class++ {
 			for _, precond := range []bool{false, true} {
 				cfg := parityConfig(rng, kind, class)
 				pseed := rng.Uint64()
-				src := paritySource(t, rng, cfg, matrixRequests)
-				res := runOnce(t, cfg, precond, pseed, src)
-				name := fmt.Sprintf("%s/%s/precond=%v", kind, classNames[class], precond)
-				fps[name] = mustJSON(t, res)
-				if class == classGC && res.GCRuns > 0 {
-					gcLive = true
-				}
-				if cfg.Faults != (sprinkler.FaultSpec{}) && res.ReadRetries > 0 && res.ProgramFails > 0 {
-					faultsLive = true
-				}
+				cells = append(cells, matrixCell{
+					name:    fmt.Sprintf("%s/%s/precond=%v", kind, classNames[class], precond),
+					class:   class,
+					cfg:     cfg,
+					precond: precond,
+					pseed:   pseed,
+					source:  paritySource(t, rng, cfg, matrixRequests),
+				})
 			}
+		}
+	}
+	return cells
+}
+
+// matrixDeviceCells runs every matrix device cell and records each
+// Result's JSON under its cell name. It reports whether some GC-active
+// cell collected and whether some fault-armed cell saw both read retries
+// and program failures.
+func matrixDeviceCells(t *testing.T, fps map[string]string) (gcLive, faultsLive bool) {
+	for _, c := range matrixCells(t) {
+		res := runOnce(t, c.cfg, c.precond, c.pseed, c.source())
+		fps[c.name] = mustJSON(t, res)
+		if c.class == classGC && res.GCRuns > 0 {
+			gcLive = true
+		}
+		if c.cfg.Faults != (sprinkler.FaultSpec{}) && res.ReadRetries > 0 && res.ProgramFails > 0 {
+			faultsLive = true
 		}
 	}
 	return gcLive, faultsLive
