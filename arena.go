@@ -215,7 +215,7 @@ func (a *DeviceArena) GetFromSnapshot(name string, cfg ...Config) (*Device, erro
 	}
 	if len(cfg) == 1 {
 		if !snap.CompatibleConfig(cfg[0]) {
-			return nil, fmt.Errorf("sprinkler: config for snapshot %q differs beyond the scheduler and host-side observation knobs", name)
+			return nil, fmt.Errorf("sprinkler: config for snapshot %q differs beyond the scheduler and series knobs", name)
 		}
 		runCfg = cfg[0]
 	}

@@ -32,8 +32,8 @@ func runOn(t *testing.T, dev *sprinkler.Device, cfg sprinkler.Config, workload s
 }
 
 // TestArenaReuseParityRandomized is the reuse-correctness pin: randomized
-// cells — every scheduler, varying queue depths, backlog bounds, series
-// modes, GC preconditioning and workloads — each run once on a fresh
+// cells — every scheduler, varying queue depths, series modes, GC
+// preconditioning and workloads — each run once on a fresh
 // device and once on a single arena-recycled device chain. The
 // JSON-rendered Results must be byte-identical, proving Reset reproduces
 // New exactly across every layer's retained state.
@@ -43,13 +43,11 @@ func TestArenaReuseParityRandomized(t *testing.T) {
 	arena := sprinkler.NewDeviceArena()
 
 	queueDepths := []int{16, 32, 64}
-	backlogs := []int{0, 0, 256}
 	cells := 0
 	for _, kind := range sprinkler.Schedulers() {
 		for i := 0; i < 6; i++ {
 			cfg := smallConfig(kind)
 			cfg.QueueDepth = queueDepths[rng.Intn(len(queueDepths))]
-			cfg.MaxBacklog = backlogs[rng.Intn(len(backlogs))]
 			cfg.CollectSeries = rng.Intn(2) == 0
 			if cfg.CollectSeries && rng.Intn(2) == 0 {
 				cfg.SeriesWindow = 16
@@ -94,8 +92,8 @@ func TestArenaReuseParityRandomized(t *testing.T) {
 			arena.Put(reused)
 
 			if got != want {
-				t.Fatalf("%s cell %d (%s qd=%d backlog=%d pre=%v): reused result diverged\nfresh:  %s\nreused: %s",
-					kind, i, workload, cfg.QueueDepth, cfg.MaxBacklog, pre != nil, want, got)
+				t.Fatalf("%s cell %d (%s qd=%d pre=%v): reused result diverged\nfresh:  %s\nreused: %s",
+					kind, i, workload, cfg.QueueDepth, pre != nil, want, got)
 			}
 			cells++
 		}

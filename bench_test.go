@@ -249,14 +249,14 @@ func BenchmarkAblation(b *testing.B) {
 // BenchmarkStreamingOpenLoop streams 100k open-loop (Poisson) requests
 // per iteration through Device.Run without materializing the request
 // slice: an infinite generator wrapped in Poisson arrivals, bounded by
-// Limit, with the host-side backlog capped. Scale the same pipeline up
-// (examples/streaming drives >= 1M requests) and memory stays flat.
+// Limit. The device pulls the source at most one queue depth ahead of
+// admission, so scale the same pipeline up (examples/streaming drives
+// >= 1M requests) and memory stays flat.
 func BenchmarkStreamingOpenLoop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := sprinkler.Platform(64)
 		cfg.Scheduler = sprinkler.SPK3
-		cfg.MaxBacklog = 4096
 		gen, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 0, Seed: 1})
 		if err != nil {
 			b.Fatal(err)

@@ -3,10 +3,11 @@
 //
 //	infinite Table 1 generator -> Poisson open-loop arrivals -> Limit(n)
 //
-// and the device pulls it one request ahead of the simulation clock, so
-// the workload itself costs O(1) memory no matter how large -n gets
-// (the FTL's mapping table still grows with the *address space* the
-// workload touches, as a real SSD's DRAM map would). Ctrl-C cancels the
+// and the device pulls it one request ahead of the simulation clock and
+// at most one queue depth ahead of admission, so the workload itself
+// costs O(1) memory no matter how large -n gets or how far the arrival
+// rate outruns the device (the FTL's mapping table still grows with the
+// *address space* the workload touches, as a real SSD's DRAM map would). Ctrl-C cancels the
 // run and still prints the measurements accumulated so far.
 package main
 
@@ -33,9 +34,6 @@ func main() {
 
 	cfg := sprinkler.Platform(*chips)
 	cfg.Scheduler = sprinkler.SPK3
-	// Bound the host-side backlog so sustained overload (arrivals above
-	// the device's service rate) cannot grow memory with the workload.
-	cfg.MaxBacklog = 4096
 
 	// An unbounded generator (Requests: 0) wrapped into an open-loop
 	// Poisson arrival process, capped at n requests.

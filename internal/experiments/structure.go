@@ -56,7 +56,6 @@ func RunBurstiness(opts Options) ([]BurstPoint, error) {
 	}
 
 	cfg := Platform(opts.Chips)
-	cfg.MaxBacklog = 4096 // bursts back thousands of arrivals up; keep memory flat
 	cells := sprinkler.Grid{
 		Name:       "burst",
 		Base:       cfg,

@@ -361,10 +361,11 @@ func (s *Server) listSnapshots() ([]SnapshotInfo, error) {
 }
 
 // sessionCfg resolves an OpenRequest against the server's base platform
-// and budgets. With a warm-state snapshot the platform comes from the
-// snapshot itself — only the scheduler choice and the host-side
-// observation budgets apply on top — so the platform knobs are rejected
-// rather than silently ignored.
+// and series budget. With a warm-state snapshot the platform comes from the
+// snapshot itself — only the scheduler choice and the series budget apply
+// on top — so the platform knobs are rejected rather than silently
+// ignored. The backlog budget is not part of the Config: Open keeps it on
+// the session.
 func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sprinkler.Config, error) {
 	if snap != nil {
 		if req.Chips > 0 || req.Queue > 0 || req.GCStress || req.Faults != nil {
@@ -374,7 +375,6 @@ func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sp
 		if req.Scheduler != "" {
 			cfg.Scheduler = sprinkler.SchedulerKind(req.Scheduler)
 		}
-		cfg.MaxBacklog = clampBudget(req.MaxBacklog, s.opts.MaxBacklog)
 		cfg.CollectSeries = req.CollectSeries && s.opts.SeriesWindow > 0
 		if cfg.CollectSeries {
 			cfg.SeriesWindow = clampBudget(req.SeriesWindow, s.opts.SeriesWindow)
@@ -415,8 +415,7 @@ func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sp
 	if req.Faults != nil {
 		cfg.Faults = *req.Faults
 	}
-	// Clamp the session's memory budgets to the server's.
-	cfg.MaxBacklog = clampBudget(req.MaxBacklog, s.opts.MaxBacklog)
+	// Clamp the session's series budget to the server's.
 	cfg.CollectSeries = req.CollectSeries && s.opts.SeriesWindow > 0
 	if cfg.CollectSeries {
 		cfg.SeriesWindow = clampBudget(req.SeriesWindow, s.opts.SeriesWindow)
@@ -496,7 +495,7 @@ func (s *Server) Open(req OpenRequest) (*session, *OpenResponse, error) {
 		id:         id,
 		cfg:        cfg,
 		seed:       req.Seed,
-		maxBacklog: cfg.MaxBacklog,
+		maxBacklog: clampBudget(req.MaxBacklog, s.opts.MaxBacklog),
 		sem:        make(chan struct{}, 1),
 		wallStart:  time.Now(),
 		notify:     make(chan struct{}),
@@ -538,7 +537,7 @@ func (s *Server) Open(req OpenRequest) (*session, *OpenResponse, error) {
 		ID:           id,
 		Chips:        cfg.Channels * cfg.ChipsPerChan,
 		Scheduler:    string(cfg.Scheduler),
-		MaxBacklog:   cfg.MaxBacklog,
+		MaxBacklog:   sess.maxBacklog,
 		SeriesWindow: cfg.SeriesWindow,
 		WarmState:    req.WarmState,
 	}, nil

@@ -90,10 +90,9 @@ func TestOpenWarmState(t *testing.T) {
 	}
 
 	// Reference: the same snapshot hydrated directly, with the config the
-	// daemon resolves (scheduler override plus the clamped budgets).
+	// daemon resolves (scheduler override plus the clamped series budget).
 	cfg := warmStateConfig()
 	cfg.Scheduler = sprinkler.SPK1
-	cfg.MaxBacklog = opts.MaxBacklog
 	cfg.CollectSeries = false
 	cfg.SeriesWindow = 0
 	ref, err := sprinkler.Open(cfg, sprinkler.WithSnapshot(snap))

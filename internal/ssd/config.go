@@ -32,20 +32,6 @@ type Config struct {
 	// address after live-data migration.
 	RetranslatePenalty sim.Time
 
-	// MaxBacklog bounds the host-side requests buffered ahead of
-	// admission in source-driven runs; zero means unbounded. When the
-	// bound is reached the source is paused and resumed as admissions
-	// drain. Arrival timestamps are preserved (a late-executed arrival
-	// still carries its original time, so latency accounting includes
-	// the host-side wait); memory stays flat under sustained overload.
-	//
-	// The bound can change a run's result: every arrival calls
-	// drainBacklog, which retries preprocess on a head write stalled at
-	// the allocator, and each failed retry runs emergency mapping-GC
-	// passes. GC work therefore depends on how many arrivals land during
-	// a stall, which the bound changes.
-	MaxBacklog int
-
 	// LogicalPages bounds the logical address space. Zero defaults to
 	// ~90% of the physical pages, leaving over-provisioning headroom.
 	LogicalPages int64
@@ -121,9 +107,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RetranslatePenalty < 0 {
 		return fmt.Errorf("ssd: negative RetranslatePenalty")
-	}
-	if c.MaxBacklog < 0 {
-		return fmt.Errorf("ssd: negative MaxBacklog")
 	}
 	if c.LogicalPages < 0 {
 		return fmt.Errorf("ssd: negative LogicalPages")

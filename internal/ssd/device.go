@@ -68,12 +68,12 @@ type Device struct {
 	composeBatch bool
 
 	// Host front end. The backlog is a head-indexed queue: popping is
-	// O(1) so admission stays linear even when an open-loop burst backs
-	// thousands of requests up behind the device-level queue.
+	// O(1) so admission stays linear even when a session submits
+	// thousands of requests ahead of the device-level queue.
 	backlogHead int
 	src         IOSource
 	backlog     []*req.IO
-	srcStalled  bool // source pull paused at the MaxBacklog bound
+	srcStalled  bool // source pull paused: the backlog holds QueueDepth I/Os
 
 	// Source arrivals chain one at a time through a reusable timer.
 	arrivalIO    *req.IO
@@ -387,9 +387,9 @@ func (d *Device) Run(src IOSource) (*metrics.Result, error) {
 }
 
 // RunContext drives the workload to completion, polling ctx between event
-// batches. The source is pulled one request ahead of the simulation clock,
-// so the request stream itself costs O(1) memory however long the workload
-// is. On cancellation it returns the mid-run snapshot together with the
+// batches. The source is pulled lazily (see scheduleNextArrival), so the
+// request stream itself costs O(1) memory however long the workload is.
+// On cancellation it returns the mid-run snapshot together with the
 // context's error.
 func (d *Device) RunContext(ctx context.Context, src IOSource) (*metrics.Result, error) {
 	d.src = src
@@ -453,6 +453,8 @@ func (d *Device) Now() sim.Time { return d.eng.Now() }
 func (d *Device) SetIORetire(fn func(*req.IO)) { d.onRetire = fn }
 
 // Inflight reports how many host I/Os have arrived but not completed.
+// During a source-driven run it counts only I/Os already pulled from the
+// source, at most 2×QueueDepth: the queue's tags plus the bounded backlog.
 func (d *Device) Inflight() int { return d.inflight }
 
 // scheduleNextArrival chains host arrivals one event at a time, preserving
@@ -461,9 +463,12 @@ func (d *Device) scheduleNextArrival() {
 	if d.src == nil {
 		return
 	}
-	if d.cfg.MaxBacklog > 0 && d.backlogLen() >= d.cfg.MaxBacklog {
+	if d.backlogLen() >= d.cfg.QueueDepth {
 		// Pause the pull instead of buffering without bound; admission
-		// progress (drainBacklog) resumes it.
+		// progress (drainBacklog) resumes it. One drainBacklog admits at
+		// most QueueDepth I/Os, so a backlog this deep never runs dry
+		// before the queue fills, and admission proceeds exactly as if
+		// the whole workload were buffered.
 		d.srcStalled = true
 		return
 	}
@@ -483,8 +488,16 @@ func (d *Device) scheduleNextArrival() {
 func (d *Device) arrive(now sim.Time, io *req.IO) {
 	d.account(now)
 	d.inflight++
+	// Every drainBacklog leaves the backlog empty, the queue full or the
+	// head a write stalled at the allocator, and only an I/O or GC
+	// completion changes that. So a non-empty backlog is not retried per
+	// arrival, except in degraded mode, which refuses the stalled head
+	// instead of placing it.
+	retry := d.backlogLen() == 0 || d.fl.Degraded()
 	d.backlog = append(d.backlog, io)
-	d.drainBacklog(now)
+	if retry {
+		d.drainBacklog(now)
+	}
 	d.scheduleNextArrival()
 }
 

@@ -284,9 +284,10 @@ func (sw *stateWriter) clock(c sim.EngineClock) {
 }
 
 type stateReader struct {
-	r   io.ByteReader
-	buf [8]byte
-	err error
+	r    io.ByteReader
+	left interface{ Len() int } // unread input length; nil when unknown
+	buf  [8]byte
+	err  error
 }
 
 func newStateReader(r io.Reader) *stateReader {
@@ -297,7 +298,8 @@ func newStateReader(r io.Reader) *stateReader {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	return &stateReader{r: br}
+	left, _ := r.(interface{ Len() int })
+	return &stateReader{r: br, left: left}
 }
 
 func (sr *stateReader) fail(err error) {
@@ -356,12 +358,17 @@ func (sr *stateReader) bool() bool {
 	return b == 1
 }
 
-// count reads a uvarint length field bounded by max; the bound turns a
-// corrupt length into a descriptive error instead of a huge allocation.
+// count reads a uvarint length field bounded by max and, when the input
+// length is known, by the unread bytes (every element encodes to at least
+// one byte); the bounds turn a corrupt length into a descriptive error
+// instead of a huge allocation.
 func (sr *stateReader) count(what string, max uint64) int {
 	n := sr.uvarint()
 	if n > max && sr.err == nil {
 		sr.fail(fmt.Errorf("%s count %d exceeds limit %d", what, n, max))
+	}
+	if sr.left != nil && n > uint64(sr.left.Len()) && sr.err == nil {
+		sr.fail(fmt.Errorf("%s count %d exceeds the %d unread payload bytes", what, n, sr.left.Len()))
 	}
 	if sr.err != nil {
 		return 0

@@ -119,6 +119,24 @@ func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 
 }
 
+// TestDecodeRejectsCountBeyondPayload pins that a length field longer
+// than the unread payload is refused before anything is allocated for
+// it: a few corrupt bytes must not ask for a multi-gigabyte slice.
+func TestDecodeRejectsCountBeyondPayload(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&DeviceState{}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	// The payload opens with the engine clock (three varints, here all
+	// zero) and the channel-clock count; claim 60000 clocks.
+	corrupt := append([]byte{0, 0, 0, 0xE0, 0xD4, 0x03}, payload[4:]...)
+	_, err := DecodeDeviceState(bytes.NewReader(corrupt))
+	if err == nil || !strings.Contains(err.Error(), "unread payload bytes") {
+		t.Fatalf("oversized count: err = %v, want an unread-bytes error", err)
+	}
+}
+
 // TestEngineClockRestore pins that hydration restores the simulation
 // clock: time continues from the captured instant, not from zero.
 func TestEngineClockRestore(t *testing.T) {

@@ -25,9 +25,6 @@ func (c Config) Validate() error {
 	if c.QueueDepth <= 0 {
 		return fmt.Errorf("sprinkler: Config.QueueDepth must be positive, got %d (the device-level queue needs at least one tag)", c.QueueDepth)
 	}
-	if c.MaxBacklog < 0 {
-		return fmt.Errorf("sprinkler: Config.MaxBacklog must be non-negative, got %d", c.MaxBacklog)
-	}
 	if c.LogicalPages < 0 {
 		return fmt.Errorf("sprinkler: Config.LogicalPages must be non-negative, got %d", c.LogicalPages)
 	}

@@ -175,7 +175,7 @@ func (r Runner) runCell(ctx context.Context, c Cell, i int, arena *DeviceArena) 
 			case !ok:
 				err = fmt.Errorf("no snapshot registered as %q", c.Snapshot)
 			case !snap.CompatibleConfig(c.Config):
-				err = fmt.Errorf("config for snapshot %q differs beyond the scheduler and host-side observation knobs", c.Snapshot)
+				err = fmt.Errorf("config for snapshot %q differs beyond the scheduler and series knobs", c.Snapshot)
 			default:
 				if dev, err = New(c.Config); err == nil {
 					err = snap.hydrate(dev)

@@ -54,7 +54,7 @@ func Open(cfg Config, opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("sprinkler: Open with both WithSnapshot and WithPrecondition (the snapshot already embodies a warm-up)")
 		}
 		if !o.snapshot.CompatibleConfig(cfg) {
-			return nil, fmt.Errorf("sprinkler: session config differs from the snapshot's beyond the scheduler and host-side observation knobs")
+			return nil, fmt.Errorf("sprinkler: session config differs from the snapshot's beyond the scheduler and series knobs")
 		}
 	}
 	s := &Session{cfg: cfg}

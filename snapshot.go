@@ -105,14 +105,11 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 
 // CompatibleConfig reports whether cfg may run on a device hydrated from
 // this snapshot: it must equal the captured configuration in every field
-// except Scheduler, MaxBacklog, CollectSeries and SeriesWindow. Warm
-// state is scheduler-independent (preconditioning never touches the
-// scheduler, and per-run scheduler state is never part of a snapshot),
-// preconditioning never reads MaxBacklog (it bounds a source-driven run's
-// host-side buffer, which can change that run's Result but not the warm
-// state it starts from), and the series knobs only select what a run
-// records. Any other difference would change what the warm-up itself
-// produced, so it is refused. One caveat enforced at hydration time: a
+// except Scheduler, CollectSeries and SeriesWindow. Warm state is
+// scheduler-independent (preconditioning never touches the scheduler, and
+// per-run scheduler state is never part of a snapshot), and the series
+// knobs only select what a run records. Any other difference would change
+// what the warm-up itself produced, so it is refused. One caveat enforced at hydration time: a
 // snapshot that itself carries latency-series points (captured
 // mid-experiment rather than after preconditioning) requires the series
 // knobs to match exactly, since a different window would have retained a
@@ -120,7 +117,6 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 func (s *DeviceSnapshot) CompatibleConfig(cfg Config) bool {
 	c := s.cfg
 	c.Scheduler = cfg.Scheduler
-	c.MaxBacklog = cfg.MaxBacklog
 	c.CollectSeries = cfg.CollectSeries
 	c.SeriesWindow = cfg.SeriesWindow
 	return c == cfg
@@ -201,12 +197,14 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 }
 
 // storedConfig is a snapshot's config section as files may hold it. Files
-// written by earlier builds carry a ParallelChannels key, the worker count
-// of a since-removed event kernel that never affected Results; it is read
-// and ignored.
+// written by earlier builds carry keys for since-removed knobs, read and
+// ignored: ParallelChannels, the worker count of a per-channel event
+// kernel that never affected Results, and MaxBacklog, a host-side backlog
+// bound that source-driven runs now always set to the queue depth.
 type storedConfig struct {
 	Config
 	ParallelChannels int
+	MaxBacklog       int
 }
 
 // NewDevice builds a fresh device from the snapshot. The optional cfg
@@ -220,7 +218,7 @@ func (s *DeviceSnapshot) NewDevice(cfg ...Config) (*Device, error) {
 	}
 	if len(cfg) == 1 {
 		if !s.CompatibleConfig(cfg[0]) {
-			return nil, fmt.Errorf("sprinkler: config differs from the snapshot's beyond the scheduler and host-side observation knobs")
+			return nil, fmt.Errorf("sprinkler: config differs from the snapshot's beyond the scheduler and series knobs")
 		}
 		runCfg = cfg[0]
 	}

@@ -163,7 +163,7 @@ func TestSnapshotSchedulerOverride(t *testing.T) {
 }
 
 // TestSnapshotConfigCompatibility pins which knobs may differ between
-// capture and hydration (scheduler, host-side observation budgets) and
+// capture and hydration (scheduler, series knobs) and
 // that everything else is refused.
 func TestSnapshotConfigCompatibility(t *testing.T) {
 	base := agedConfig(sprinkler.SPK3)
@@ -175,7 +175,6 @@ func TestSnapshotConfigCompatibility(t *testing.T) {
 
 	allowed := []func(*sprinkler.Config){
 		func(c *sprinkler.Config) { c.Scheduler = sprinkler.VAS },
-		func(c *sprinkler.Config) { c.MaxBacklog = 4096 },
 		func(c *sprinkler.Config) { c.CollectSeries = true; c.SeriesWindow = 64 },
 	}
 	for i, mutate := range allowed {
@@ -222,7 +221,7 @@ func mutateSnapshot(raw []byte, f func([]byte) []byte) []byte {
 // config JSON and clocks channel clocks in its payload, each a copy of the
 // engine clock — the shape earlier builds wrote when they recorded a
 // per-channel kernel's worker count and clocks.
-func legacyFrame(t *testing.T, raw []byte, extraKeys string, clocks int) []byte {
+func legacyFrame(t testing.TB, raw []byte, extraKeys string, clocks int) []byte {
 	t.Helper()
 	const header = 12 // magic + version
 	section := func(b []byte) (sec, rest []byte) {
@@ -288,6 +287,79 @@ func TestSnapshotLegacyParallelChannels(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("unknown config key: err = %v, want an unknown-field error", err)
 	}
+}
+
+// TestSnapshotLegacyMaxBacklog pins that snapshot files from builds that
+// still had the MaxBacklog knob keep loading: the key is read and
+// ignored, and the hydrated device runs exactly like one from the plain
+// file.
+func TestSnapshotLegacyMaxBacklog(t *testing.T) {
+	raw := checkpointOf(t, agedConfig(sprinkler.SPK2), 0.7, 0.3, 37)
+	run := func(file []byte) string {
+		t.Helper()
+		snap, err := sprinkler.ReadSnapshot(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := snap.NewDevice(snap.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runWorkload(t, dev, "proj0", 250, 39)
+	}
+	legacy := legacyFrame(t, raw, `"MaxBacklog":4096`, 0)
+	if got, want := run(legacy), run(raw); got != want {
+		t.Errorf("legacy file diverged from the plain one:\n plain:  %s\n legacy: %s", want, got)
+	}
+}
+
+// FuzzReadSnapshot feeds arbitrary files to ReadSnapshot. No input may
+// panic, and every rejection must be a descriptive sprinkler: error. A
+// file that loads must hydrate a device with its own Config. Each input
+// is also tried with its CRC trailer recomputed, so mutations reach the
+// config and payload decoders behind the checksum; those edited files are
+// only read, not hydrated, because hydration builds the device the config
+// names before checking the payload against it.
+func FuzzReadSnapshot(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "warm_v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A one-plane drive keeps a seed small enough for the mutator to
+	// explore; the fixture covers a realistically sized payload.
+	tiny := sprinkler.DefaultConfig()
+	tiny.Channels, tiny.ChipsPerChan, tiny.DiesPerChip, tiny.PlanesPerDie = 1, 1, 1, 1
+	tiny.BlocksPerPlane, tiny.PagesPerBlock = 8, 8
+	tiny.Faults = sprinkler.FaultSpec{ReadFailProb: 0.1, Seed: 1}
+	dev, err := sprinkler.New(tiny)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dev.Precondition(0.5, 0.5, 1)
+	var small bytes.Buffer
+	if err := dev.Checkpoint(&small); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(small.Bytes())
+	f.Add(legacyFrame(f, small.Bytes(), `"MaxBacklog":4096`, 0))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		read := func(file []byte) *sprinkler.DeviceSnapshot {
+			snap, err := sprinkler.ReadSnapshot(bytes.NewReader(file))
+			if err != nil && !strings.HasPrefix(err.Error(), "sprinkler: ") {
+				t.Fatalf("undescriptive rejection: %v", err)
+			}
+			return snap
+		}
+		if snap := read(file); snap != nil {
+			if _, err := snap.NewDevice(snap.Config()); err != nil {
+				t.Fatalf("snapshot loads but does not hydrate with its own config: %v", err)
+			}
+		}
+		if len(file) >= 4 {
+			read(mutateSnapshot(file, func(b []byte) []byte { return b }))
+		}
+	})
 }
 
 // TestSnapshotRejectsDamage feeds every flavour of damaged file through

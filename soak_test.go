@@ -51,7 +51,6 @@ func TestSoakConstantMetricsMemory(t *testing.T) {
 	)
 	cfg := sprinkler.Platform(16)
 	cfg.Scheduler = sprinkler.SPK3
-	cfg.MaxBacklog = 2048
 	cfg.MetricsSampleCap = 1 << 16 // spill to buckets well before warmup ends
 	dev, err := sprinkler.New(cfg)
 	if err != nil {

@@ -264,7 +264,6 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *sprinkler.Config) { c.PageSize = 0 }, "PageSize"},
 		{func(c *sprinkler.Config) { c.QueueDepth = 0 }, "QueueDepth"},
 		{func(c *sprinkler.Config) { c.QueueDepth = -3 }, "QueueDepth"},
-		{func(c *sprinkler.Config) { c.MaxBacklog = -1 }, "MaxBacklog"},
 		{func(c *sprinkler.Config) { c.LogicalPages = -1 }, "LogicalPages"},
 		{func(c *sprinkler.Config) { c.LogicalPages = 1 << 60 }, "physical"},
 		{func(c *sprinkler.Config) { c.Scheduler = "nope" }, "scheduler"},
@@ -334,40 +333,4 @@ func (s *cancellingSource) Next() (sprinkler.Request, bool) {
 	}
 	s.emitted++
 	return s.Source.Next()
-}
-
-// TestMaxBacklogBoundsMemory runs an overloaded open-loop workload and
-// checks completion (the bound pauses the source pull without losing or
-// reordering requests).
-func TestMaxBacklogBoundsMemory(t *testing.T) {
-	cfg := smallConfig(sprinkler.SPK3)
-	run := func(maxBacklog int) *sprinkler.Result {
-		c := cfg
-		c.MaxBacklog = maxBacklog
-		dev, err := sprinkler.New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := c.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "cfs0", Requests: 2000, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An arrival rate far above an 8-chip device's service rate.
-		res, err := dev.Run(context.Background(), sprinkler.Poisson(gen, 1e6, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	bounded := run(64)
-	unbounded := run(0)
-	if bounded.IOsCompleted != 2000 || unbounded.IOsCompleted != 2000 {
-		t.Fatalf("lost requests: bounded=%d unbounded=%d", bounded.IOsCompleted, unbounded.IOsCompleted)
-	}
-	// Pausing the pull must not change the simulated outcome: admission
-	// order and arrival timestamps are identical either way.
-	if bounded.DurationNS != unbounded.DurationNS || bounded.AvgLatencyNS != unbounded.AvgLatencyNS {
-		t.Fatalf("backlog bound changed the timeline: %d/%d vs %d/%d",
-			bounded.DurationNS, bounded.AvgLatencyNS, unbounded.DurationNS, unbounded.AvgLatencyNS)
-	}
 }

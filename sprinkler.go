@@ -119,20 +119,6 @@ type Config struct {
 	// ChannelFirst).
 	Allocation AllocationScheme
 
-	// MaxBacklog bounds host-side requests buffered ahead of admission
-	// in source-driven runs; zero means unbounded. Set it for open-loop
-	// overload scenarios (arrival rate above service rate) so the
-	// host-side buffer stays flat: the source is paused at the bound and
-	// resumed as admissions drain. Arrival timestamps are kept, so a
-	// request's latency still counts its wait in the paused source.
-	//
-	// A bound can change the Result. When the allocator cannot place the
-	// write at the backlog head, admission stalls, every arrival retries
-	// it, and each failed retry runs emergency garbage collection. GC
-	// work then depends on how many arrivals land during the stall, and
-	// the bound changes that number.
-	MaxBacklog int
-
 	// LogicalPages bounds the logical address space. Zero defaults to
 	// ~90% of the physical pages, leaving over-provisioning headroom.
 	LogicalPages int64
@@ -307,7 +293,6 @@ func (c Config) internalConfig() (ssd.Config, error) {
 	cfg.Geo.PagesPerBlock = c.PagesPerBlock
 	cfg.Geo.PageSize = c.PageSize
 	cfg.QueueDepth = c.QueueDepth
-	cfg.MaxBacklog = c.MaxBacklog
 	cfg.LogicalPages = c.LogicalPages
 	cfg.GCFreeTarget = c.GCFreeTarget
 	cfg.MetricsSampleCap = c.MetricsSampleCap
@@ -494,8 +479,12 @@ func (d *Device) Precondition(fillFrac, churnFrac float64, seed uint64) {
 
 // Run streams the source to completion and returns the measurements —
 // the primary entry point. The source is pulled one request ahead of the
-// simulation clock, so the workload itself costs O(1) memory no matter
-// how long it is (per-completed-I/O latency samples for exact
+// simulation clock and at most QueueDepth requests ahead of admission to
+// the device-level queue: while that many wait on the host side the pull
+// pauses. Arrival timestamps are kept, so a request pulled late still
+// counts its host-side wait in its latency. The workload itself therefore
+// costs O(1) memory no matter how long it is or how far its arrival rate
+// outruns the device (per-completed-I/O latency samples for exact
 // percentiles still accumulate ~8 bytes each); bound an infinite source
 // with Limit or cancel ctx.
 //
