@@ -70,13 +70,13 @@ type Grid struct {
 	// (later axes win).
 	Precondition *Precondition
 
-	// Snapshot names a registered warm-state snapshot in the Runner's
-	// arena; every cell hydrates its device from it instead of
-	// preconditioning, so an aged-drive grid runs at fresh-drive cost.
-	// Cell configs must satisfy the snapshot's CompatibleConfig (the
-	// scheduler axis sweeps freely), and the grid must not also set
-	// Precondition (cells carrying both fail).
-	Snapshot string
+	// Snapshot, when non-nil, is a decoded warm-state snapshot every cell
+	// hydrates its device from instead of preconditioning, so an
+	// aged-drive grid runs at fresh-drive cost. Cell configs must satisfy
+	// the snapshot's CompatibleConfig (the scheduler axis sweeps freely),
+	// and the grid must not also set Precondition (cells carrying both
+	// fail).
+	Snapshot *DeviceSnapshot
 
 	// Seed is mixed into every derived cell seed, re-rolling the grid's
 	// traces wholesale without renaming cells.

@@ -118,7 +118,6 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 		MaxPages:   256, // cap at 512 KB per request, §2.1's "several bytes to MB"
 		Seed:       opts.Seed,
 	}
-	runner := opts.runner()
 	if opts.LoadState != "" {
 		snap, err := readWarmState(opts.LoadState)
 		if err != nil {
@@ -127,10 +126,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 		if !snap.CompatibleConfig(grid.Base) {
 			return nil, fmt.Errorf("experiments: warm state %s was captured on a different platform than the evaluation's (re-save it with the same -chips)", opts.LoadState)
 		}
-		arena := sprinkler.NewDeviceArena()
-		arena.RegisterSnapshot("warm", snap)
-		runner.Arena = arena
-		grid.Snapshot = "warm"
+		grid.Snapshot = snap
 	}
 	cells := grid.Cells()
 
@@ -138,7 +134,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 	for _, name := range SchedulerNames {
 		ev.Results[name] = make(map[string]*sprinkler.Result)
 	}
-	for _, cr := range runner.Run(context.Background(), cells) {
+	for _, cr := range opts.runner().Run(context.Background(), cells) {
 		if cr.Err != nil {
 			return nil, cr.Err
 		}

@@ -163,30 +163,6 @@ func (ps *planeState) layoutPools(nSpare, keep int) {
 	ps.dirty = false
 }
 
-// BlockMeta is the bulk block-metadata arena behind an FTL: the per-plane
-// structs, the per-block metadata records, the validity bitmap words and
-// the free-list storage, all sized by the geometry and carved from four
-// bulk allocations. It exists so a pool that must drop a whole device
-// (DeviceArena LRU eviction) can keep just this modest, geometry-shaped
-// slice of its memory keyed by topology: re-admitting the topology later
-// rebuilds the FTL on the retained arena instead of re-allocating it. The
-// mapping tables are deliberately *not* part of it — they are the bulk of
-// a device's memory, and retaining them would defeat the eviction bound.
-//
-// Obtain one from a finished FTL with DetachBlockMeta and hand it to
-// NewWithMeta; a BlockMeta whose geometry does not match is ignored.
-type BlockMeta struct {
-	geo        flash.Geometry
-	planePool  []planeState
-	blockPool  []blockMeta
-	bitmapPool []uint64
-	freePool   []int
-	sparePool  []int
-}
-
-// Geometry reports the geometry the metadata arena is sized for.
-func (m *BlockMeta) Geometry() flash.Geometry { return m.geo }
-
 // FTL is the translation layer. It is not safe for concurrent use; the
 // simulator is single-threaded by design.
 type FTL struct {
@@ -196,7 +172,6 @@ type FTL struct {
 	l2pSpan int64         // sizing hint l2p was built for (Reset reuse check)
 	p2l     *boundedTable // PPN -> LPN
 	planes  []*planeState
-	meta    *BlockMeta // bulk arena the planes are carved from
 
 	// cursor implements the channel-first stripe for write allocation:
 	// consecutive writes go to consecutive chips across channels, then
@@ -232,15 +207,7 @@ type FTL struct {
 }
 
 // New builds an FTL with every block erased and the logical space unmapped.
-func New(cfg Config) (*FTL, error) { return NewWithMeta(cfg, nil) }
-
-// NewWithMeta builds an FTL like New, carving the block metadata out of a
-// retained BlockMeta arena instead of allocating it when one with matching
-// geometry is supplied (nil, or a mismatched geometry, allocates fresh).
-// The resulting FTL is indistinguishable from a freshly allocated one —
-// the arena is fully re-initialized — so callers may treat metadata reuse
-// purely as an allocation optimization.
-func NewWithMeta(cfg Config, meta *BlockMeta) (*FTL, error) {
+func New(cfg Config) (*FTL, error) {
 	if err := cfg.Geo.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,39 +239,25 @@ func NewWithMeta(cfg Config, meta *BlockMeta) (*FTL, error) {
 	}
 	f.rng = sim.NewRand(cfg.Seed + 0x5EED)
 	// All validity bitmaps, plane structs, block metadata and free-list
-	// storage come from four bulk allocations: building a device is a
+	// storage come from five bulk allocations: building a device is a
 	// per-cell cost in concurrent sweeps, so construction avoids per-block
-	// allocations — and the four pools travel as one BlockMeta so eviction
-	// can retain them.
+	// allocations.
 	words := (g.PagesPerBlock + 63) / 64
-	if meta == nil || meta.geo != g {
-		meta = &BlockMeta{
-			geo:        g,
-			planePool:  make([]planeState, nPlanes),
-			blockPool:  make([]blockMeta, nPlanes*g.BlocksPerPlane),
-			bitmapPool: make([]uint64, nPlanes*g.BlocksPerPlane*words),
-			freePool:   make([]int, nPlanes*g.BlocksPerPlane),
-			sparePool:  make([]int, nPlanes*g.BlocksPerPlane),
-		}
-	} else if meta.sparePool == nil {
-		// Retained arena predating the spare pool: grow it in place.
-		meta.sparePool = make([]int, nPlanes*g.BlocksPerPlane)
-	}
-	f.meta = meta
+	planePool := make([]planeState, nPlanes)
+	blockPool := make([]blockMeta, nPlanes*g.BlocksPerPlane)
+	bitmapPool := make([]uint64, nPlanes*g.BlocksPerPlane*words)
+	freePool := make([]int, nPlanes*g.BlocksPerPlane)
+	sparePool := make([]int, nPlanes*g.BlocksPerPlane)
 	for i := range f.planes {
-		ps := &meta.planePool[i]
-		ps.blocks = meta.blockPool[i*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane]
+		lo, hi := i*g.BlocksPerPlane, (i+1)*g.BlocksPerPlane
+		ps := &planePool[i]
+		ps.blocks = blockPool[lo:hi:hi]
 		for b := range ps.blocks {
-			off := (i*g.BlocksPerPlane + b) * words
-			blk := &ps.blocks[b]
-			blk.valid = req.Bitmap(meta.bitmapPool[off : off+words : off+words])
-			// A retained arena carries the evicted device's state, dirty
-			// flags included; scrub it (no-op on the zeroed pools of a
-			// fresh build).
-			blk.scrub()
+			off := (lo + b) * words
+			ps.blocks[b].valid = req.Bitmap(bitmapPool[off : off+words : off+words])
 		}
-		ps.spare = meta.sparePool[i*g.BlocksPerPlane : i*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane]
-		ps.free = meta.freePool[i*g.BlocksPerPlane : i*g.BlocksPerPlane : (i+1)*g.BlocksPerPlane]
+		ps.spare = sparePool[lo:lo:hi]
+		ps.free = freePool[lo:lo:hi]
 		ps.layoutPools(nSpare, 0)
 		f.planes[i] = ps
 	}
@@ -325,11 +278,6 @@ func spareBlocks(cfg Config) (int, error) {
 	}
 	return n, nil
 }
-
-// DetachBlockMeta hands the FTL's bulk block-metadata arena to the caller
-// for retention across the FTL's destruction. The FTL still aliases the
-// arena: discard it (and the device around it) after detaching.
-func (f *FTL) DetachBlockMeta() *BlockMeta { return f.meta }
 
 // Reset re-initializes the FTL in place for a new run on the same
 // geometry: mappings are dropped, every block is returned to the erased

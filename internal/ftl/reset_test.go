@@ -73,10 +73,10 @@ func requireMatchesNew(t *testing.T, label string, f *FTL, cfg Config) {
 	if got, want := f.CaptureState(), fresh.CaptureState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: captured state differs from New", label)
 	}
-	if !reflect.DeepEqual(f.meta.blockPool, fresh.meta.blockPool) {
-		t.Fatalf("%s: block records differ from New", label)
-	}
 	for i, ps := range f.planes {
+		if !reflect.DeepEqual(ps.blocks, fresh.planes[i].blocks) {
+			t.Fatalf("%s: plane %d block records differ from New", label, i)
+		}
 		if ps.dirty {
 			t.Fatalf("%s: plane %d still flagged dirty", label, i)
 		}
@@ -93,8 +93,7 @@ func requireMatchesNew(t *testing.T, label string, f *FTL, cfg Config) {
 // writes, GC with injected erase failures, spare retirement into degraded
 // mode, warm-state restores, spare-fraction and logical-space changes —
 // and requires every Reset to leave it equal to a freshly built FTL, on
-// both the dirty-tracked path and the full-pass fallback. A retained
-// BlockMeta handed to NewWithMeta must come back equally clean.
+// both the dirty-tracked path and the full-pass fallback.
 func TestFTLResetMatchesNew(t *testing.T) {
 	rng := sim.NewRand(2024)
 	cfg := randomResetConfig(rng)
@@ -150,13 +149,6 @@ func TestFTLResetMatchesNew(t *testing.T) {
 		t.Fatalf("coverage gap: fast %d full %d restores %d degraded %d erases %d retired %d",
 			fastResets, fullResets, restores, degraded, erases, retired)
 	}
-
-	driveRandom(f, rng, 1200, 3000, 0.2)
-	g, err := NewWithMeta(cfg, f.DetachBlockMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireMatchesNew(t, "NewWithMeta on a retained arena", g, cfg)
 }
 
 // TestRestoreStateRejectsOversizedErases: per-block erase counts are

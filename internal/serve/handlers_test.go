@@ -717,6 +717,28 @@ func TestOpenRejectsInvalidFaultSpec(t *testing.T) {
 	openSession(t, ts, OpenRequest{Name: "ok", Faults: &sprinkler.FaultSpec{ReadFailProb: 0.01, ReadRetryMax: 2}})
 }
 
+// TestOpenRejectsOversizedPlatform: chips and queue past their bounds
+// are a 400 before any device is built.
+func TestOpenRejectsOversizedPlatform(t *testing.T) {
+	srv, ts := newTestServer(t, testOptions())
+	for _, req := range []OpenRequest{
+		{Chips: 1 << 20},
+		{Chips: 1025},
+		{Queue: 1 << 30},
+		{Queue: 65537},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/sessions", req, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("open %+v: status %d, want 400", req, resp.StatusCode)
+		}
+	}
+	if misses := srv.ArenaStats().DeviceMisses; misses != 0 {
+		t.Fatalf("rejected opens built %d devices", misses)
+	}
+	// The bounds themselves are still accepted.
+	openSession(t, ts, OpenRequest{Name: "max-queue", Queue: 65536})
+}
+
 // TestFaultSessionMetrics: a session opened with an aggressive fault spec
 // surfaces its fault counters in the session listing and the Prometheus
 // exposition.

@@ -39,7 +39,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"sprinklerd_arena_device_hits_total", "Device checkouts served from the warm pool.", a.DeviceHits},
 		{"sprinklerd_arena_device_misses_total", "Device checkouts that built a device.", a.DeviceMisses},
 		{"sprinklerd_arena_device_evictions_total", "Pooled devices dropped at the arena bound.", a.DeviceEvictions},
-		{"sprinklerd_arena_meta_reuses_total", "Evicted-topology re-admissions served from retained block metadata.", a.MetaReuses},
 	}
 	for _, m := range counters {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.v)

@@ -360,6 +360,14 @@ func (s *Server) listSnapshots() ([]SnapshotInfo, error) {
 	return infos, nil
 }
 
+// Bounds on the platform knobs an open may set. Both size allocations
+// from untrusted input: maxOpenChips is the largest platform Platform
+// documents (32 × 32 chips), maxOpenQueue NVMe's per-queue entry limit.
+const (
+	maxOpenChips = 1024
+	maxOpenQueue = 65536
+)
+
 // sessionCfg resolves an OpenRequest against the server's base platform
 // and series budget. With a warm-state snapshot the platform comes from the
 // snapshot itself — only the scheduler choice and the series budget apply
@@ -385,6 +393,12 @@ func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sp
 			return cfg, err
 		}
 		return cfg, nil
+	}
+	if req.Chips > maxOpenChips {
+		return sprinkler.Config{}, fmt.Errorf("chips %d exceeds the limit of %d", req.Chips, maxOpenChips)
+	}
+	if req.Queue > maxOpenQueue {
+		return sprinkler.Config{}, fmt.Errorf("queue %d exceeds the limit of %d", req.Queue, maxOpenQueue)
 	}
 	cfg := s.opts.BaseConfig
 	if req.Chips > 0 || req.Queue > 0 || req.Scheduler != "" || req.GCStress {

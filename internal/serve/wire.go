@@ -21,7 +21,8 @@ type OpenRequest struct {
 
 	// Chips/Queue/Scheduler/GCStress override the daemon's base platform
 	// (zero values keep the base). GCStress also preconditions the device
-	// so garbage collection runs under the session's workload.
+	// so garbage collection runs under the session's workload. Chips past
+	// 1024 and Queue past 65536 are rejected with 400.
 	Chips     int    `json:"chips,omitempty"`
 	Queue     int    `json:"queue,omitempty"`
 	Scheduler string `json:"scheduler,omitempty"`

@@ -124,11 +124,6 @@ type Device struct {
 	transientResults bool
 }
 
-// New builds a Device with the given scheduler.
-func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
-	return NewWithFTLMeta(cfg, scheduler, nil)
-}
-
 // SetTransientResults declares that every metrics.Result this device
 // renders is flattened and discarded before the device next observes a
 // sample or resets — the public API's contract. Rendering then borrows
@@ -137,19 +132,15 @@ func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 // retain Results (or read Latency later) must leave this off.
 func (d *Device) SetTransientResults(on bool) { d.transientResults = on }
 
-// NewWithFTLMeta builds a Device like New, reusing a retained FTL
-// block-metadata arena (from a previously discarded device on the same
-// geometry) instead of allocating one. Nil or mismatched metadata falls
-// back to fresh allocation; the built device is indistinguishable either
-// way.
-func NewWithFTLMeta(cfg Config, scheduler sched.Scheduler, meta *ftl.BlockMeta) (*Device, error) {
+// New builds a Device with the given scheduler.
+func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if scheduler == nil {
 		return nil, errors.New("ssd: nil scheduler")
 	}
-	fl, err := ftl.NewWithMeta(cfg.ftlConfig(), meta)
+	fl, err := ftl.New(cfg.ftlConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -167,11 +167,8 @@ func (d *Device) CaptureState() (*DeviceState, error) {
 // (which verifies its own invariants); on error the device is in an
 // unspecified state and must be discarded, never run.
 func (d *Device) LoadState(st *DeviceState) error {
-	if n := d.cfg.Geo.NumChips(); len(st.Chips) != n {
-		return fmt.Errorf("ssd: snapshot has %d chips, device has %d", len(st.Chips), n)
-	}
-	if w := d.cfg.SeriesWindow; d.cfg.CollectSeries && w > 0 && len(st.Series) > w {
-		return fmt.Errorf("ssd: snapshot series holds %d points, window is %d", len(st.Series), w)
+	if err := st.CheckShape(d.cfg); err != nil {
+		return err
 	}
 	if err := d.fl.RestoreState(st.FTL); err != nil {
 		return err
@@ -198,11 +195,6 @@ func (d *Device) LoadState(st *DeviceState) error {
 			chip := d.ctrls[ch].chip(d.cfg.Geo.ChipAt(ch, off))
 			in := &st.Chips[i]
 			i++
-			_, hasRNG := chip.FaultRNGState()
-			if in.HasFRNG != hasRNG {
-				return fmt.Errorf("ssd: snapshot chip %d fault stream (present=%v) does not match config (present=%v)",
-					chip.ID, in.HasFRNG, hasRNG)
-			}
 			if in.HasFRNG {
 				chip.SetFaultRNGState(in.FRNG)
 			}
@@ -221,6 +213,38 @@ func (d *Device) LoadState(st *DeviceState) error {
 			cs.ProgramFails = in.ProgramFails
 			cs.EraseFails = in.EraseFails
 		}
+	}
+	return nil
+}
+
+// CheckShape reports whether the state fits a device built from cfg: the
+// chip count, the FTL's plane count and blocks per plane, each chip's
+// fault-stream presence, and the series length against the window must
+// all agree. Checking a decoded payload against its embedded config
+// before building anything means every chip and block a snapshot file
+// names is accounted for by its payload.
+func (st *DeviceState) CheckShape(cfg Config) error {
+	g := cfg.Geo
+	if n := g.NumChips(); len(st.Chips) != n {
+		return fmt.Errorf("ssd: snapshot has %d chips, config has %d", len(st.Chips), n)
+	}
+	if n := g.NumChips() * g.DiesPerChip * g.PlanesPerDie; len(st.FTL.Planes) != n {
+		return fmt.Errorf("ssd: snapshot has %d FTL planes, config has %d", len(st.FTL.Planes), n)
+	}
+	for i := range st.FTL.Planes {
+		if n := len(st.FTL.Planes[i].Blocks); n != g.BlocksPerPlane {
+			return fmt.Errorf("ssd: snapshot plane %d has %d blocks, config has %d", i, n, g.BlocksPerPlane)
+		}
+	}
+	faults := cfg.Faults.flashConfig().Enabled()
+	for i := range st.Chips {
+		if st.Chips[i].HasFRNG != faults {
+			return fmt.Errorf("ssd: snapshot chip %d fault stream (present=%v) does not match config (present=%v)",
+				i, st.Chips[i].HasFRNG, faults)
+		}
+	}
+	if w := cfg.SeriesWindow; cfg.CollectSeries && w > 0 && len(st.Series) > w {
+		return fmt.Errorf("ssd: snapshot series holds %d points, window is %d", len(st.Series), w)
 	}
 	return nil
 }

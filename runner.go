@@ -29,14 +29,13 @@ type Cell struct {
 	// Precondition optionally fragments the device before the run.
 	Precondition *Precondition
 
-	// Snapshot, when non-empty, names a warm-state snapshot registered in
-	// the Runner's Arena (RegisterSnapshot): the cell's device is hydrated
-	// from it instead of running Precondition, so an aged-drive sweep pays
-	// fresh-drive cost per cell. The cell's Config must satisfy the
-	// snapshot's CompatibleConfig. Mutually exclusive with Precondition —
-	// a cell carrying both fails rather than guessing which warm-up was
-	// meant.
-	Snapshot string
+	// Snapshot, when non-nil, is a decoded warm-state snapshot the cell's
+	// device is hydrated from instead of running Precondition, so an
+	// aged-drive sweep pays fresh-drive cost per cell. Cells share it
+	// read-only. The cell's Config must satisfy the snapshot's
+	// CompatibleConfig. Mutually exclusive with Precondition — a cell
+	// carrying both fails rather than guessing which warm-up was meant.
+	Snapshot *DeviceSnapshot
 
 	// Seed overrides the derived per-cell seed when non-zero. Cells that
 	// must share a trace (the same workload under different schedulers)
@@ -121,11 +120,10 @@ func (r Runner) Run(ctx context.Context, cells []Cell) []CellResult {
 	// next cell on that topology. Under NoReuse the nil arena degrades
 	// every checkout to a fresh build.
 	arena := r.Arena
-	if arena == nil && !r.NoReuse {
-		arena = NewDeviceArena()
-	}
 	if r.NoReuse {
 		arena = nil
+	} else if arena == nil {
+		arena = NewDeviceArena()
 	}
 	results := make([]CellResult, len(cells))
 	idx := make(chan int)
@@ -157,44 +155,17 @@ func (r Runner) runCell(ctx context.Context, c Cell, i int, arena *DeviceArena) 
 		out.Err = fmt.Errorf("sprinkler: cell %q has no Source", c.Name)
 		return out
 	}
-	var dev *Device
-	var err error
-	if c.Snapshot != "" {
-		if c.Precondition != nil {
-			out.Err = fmt.Errorf("sprinkler: cell %q has both Snapshot and Precondition", c.Name)
-			return out
-		}
-		// The snapshot registry lives on the runner's own arena so that
-		// NoReuse (nil checkout arena) still resolves names; only the
-		// device checkout path degrades to a fresh build.
-		if arena != nil {
-			dev, err = arena.GetFromSnapshot(c.Snapshot, c.Config)
-		} else {
-			snap, ok := r.Arena.Snapshot(c.Snapshot)
-			switch {
-			case !ok:
-				err = fmt.Errorf("no snapshot registered as %q", c.Snapshot)
-			case !snap.CompatibleConfig(c.Config):
-				err = fmt.Errorf("config for snapshot %q differs beyond the scheduler and series knobs", c.Snapshot)
-			default:
-				if dev, err = New(c.Config); err == nil {
-					err = snap.hydrate(dev)
-				}
-			}
-		}
-		if err != nil {
-			out.Err = fmt.Errorf("sprinkler: cell %q: %w", c.Name, err)
-			return out
-		}
-	} else {
-		dev, err = arena.Get(c.Config)
-		if err != nil {
-			out.Err = fmt.Errorf("sprinkler: cell %q: %w", c.Name, err)
-			return out
-		}
-		if p := c.Precondition; p != nil {
-			dev.Precondition(p.FillFrac, p.ChurnFrac, p.Seed)
-		}
+	if c.Snapshot != nil && c.Precondition != nil {
+		out.Err = fmt.Errorf("sprinkler: cell %q has both Snapshot and Precondition", c.Name)
+		return out
+	}
+	dev, err := c.Snapshot.checkout(arena, c.Config)
+	if err != nil {
+		out.Err = fmt.Errorf("sprinkler: cell %q: %w", c.Name, err)
+		return out
+	}
+	if p := c.Precondition; p != nil {
+		dev.Precondition(p.FillFrac, p.ChurnFrac, p.Seed)
 	}
 	src, err := c.Source(out.Seed)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"sprinkler/internal/metrics"
-	"sprinkler/internal/ssd"
 )
 
 // Session is an online simulation: callers submit requests while the run
@@ -19,21 +18,13 @@ import (
 // A Session is not safe for concurrent use; it advances a single
 // deterministic event loop.
 type Session struct {
-	dev       *ssd.Device
-	cfg       Config
+	dev       *Device
 	nextID    int64
 	submitted int64
 	closed    bool
 
-	// pool recycles completed request objects so long-lived sessions
-	// admit at zero steady-state allocations per I/O. An arena-backed
-	// session (WithArena) borrows the pooled device's own free list, so
-	// consecutive sessions on one recycled device warm from a hot pool.
-	pool *ioPool
-
-	// pub/arena are set when the session's device was checked out of a
-	// DeviceArena; Drain hands it back.
-	pub   *Device
+	// arena is where the device was checked out (nil without WithArena);
+	// Drain hands the device back to it.
 	arena *DeviceArena
 }
 
@@ -49,47 +40,21 @@ func Open(cfg Config, opts ...Option) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if o.snapshot != nil {
-		if o.precondition != nil {
-			return nil, fmt.Errorf("sprinkler: Open with both WithSnapshot and WithPrecondition (the snapshot already embodies a warm-up)")
-		}
-		if !o.snapshot.CompatibleConfig(cfg) {
-			return nil, fmt.Errorf("sprinkler: session config differs from the snapshot's beyond the scheduler and series knobs")
-		}
+	if o.snapshot != nil && o.precondition != nil {
+		return nil, fmt.Errorf("sprinkler: Open with both WithSnapshot and WithPrecondition (the snapshot already embodies a warm-up)")
 	}
-	s := &Session{cfg: cfg}
-	if o.arena != nil {
-		pub, err := o.arena.Get(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.pub, s.arena = pub, o.arena
-		s.dev = pub.inner
-		s.pool = &pub.adapter.pool
-	} else {
-		icfg, sch, err := cfg.toInternal()
-		if err != nil {
-			return nil, err
-		}
-		inner, err := ssd.New(icfg, sch)
-		if err != nil {
-			return nil, err
-		}
-		s.dev = inner
-		s.pool = new(ioPool)
-	}
-	if snap := o.snapshot; snap != nil {
-		// On error the device is tainted (possibly part-hydrated): it is
-		// dropped here, never handed back to the arena.
-		if err := snap.hydrateInner(s.dev, cfg); err != nil {
-			return nil, err
-		}
+	dev, err := o.snapshot.checkout(o.arena, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if p := o.precondition; p != nil {
-		s.dev.Precondition(p.FillFrac, p.ChurnFrac, p.Seed)
+		dev.Precondition(p.FillFrac, p.ChurnFrac, p.Seed)
 	}
-	s.dev.SetIORetire(s.pool.put)
-	return s, nil
+	// Completed request objects recycle into the device's own free list,
+	// so consecutive sessions on one recycled device warm from a hot pool
+	// and long-lived sessions admit at zero steady-state allocations.
+	dev.inner.SetIORetire(dev.adapter.pool.put)
+	return &Session{dev: dev, arena: o.arena}, nil
 }
 
 // errClosed reports use after Drain.
@@ -102,13 +67,13 @@ func (s *Session) Submit(r Request) error {
 	if s.closed {
 		return errClosed
 	}
-	io, err := s.pool.build(s.nextID, r)
+	io, err := s.dev.adapter.pool.build(s.nextID, r)
 	if err != nil {
 		return err
 	}
 	s.nextID++
 	s.submitted++
-	s.dev.Submit(io)
+	s.dev.inner.Submit(io)
 	return nil
 }
 
@@ -146,16 +111,16 @@ func (s *Session) Advance(dNS int64) error {
 	if dNS < 0 {
 		return fmt.Errorf("sprinkler: Advance by negative duration %d", dNS)
 	}
-	s.dev.Advance(s.dev.Now() + simTime(dNS))
+	s.dev.inner.Advance(s.dev.inner.Now() + simTime(dNS))
 	return nil
 }
 
 // NowNS returns the current simulation time in nanoseconds.
-func (s *Session) NowNS() int64 { return int64(s.dev.Now()) }
+func (s *Session) NowNS() int64 { return int64(s.dev.inner.Now()) }
 
 // Inflight reports how many submitted I/Os have arrived but not yet
 // completed.
-func (s *Session) Inflight() int { return s.dev.Inflight() }
+func (s *Session) Inflight() int { return s.dev.inner.Inflight() }
 
 // Drain runs every outstanding event to completion and returns the final
 // measurements. The session cannot be used afterwards. On context
@@ -165,7 +130,7 @@ func (s *Session) Drain(ctx context.Context) (*Result, error) {
 	if s.closed {
 		return nil, errClosed
 	}
-	res, err := s.dev.Drain(ctx)
+	res, err := s.dev.inner.Drain(ctx)
 	if err != nil {
 		if res != nil {
 			return publicResult(res), err
@@ -173,15 +138,15 @@ func (s *Session) Drain(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	s.closed = true
-	if s.arena != nil {
-		// The run drained: the device is pristine after its next Reset.
-		// Uninstall our retire hook before recycling so the pooled device
-		// does not call into a dead session.
-		s.dev.SetIORetire(nil)
-		s.arena.Put(s.pub)
-		s.pub, s.arena = nil, nil
-	}
-	return publicResult(res), nil
+	// res borrows the device's live latency storage: flatten it before the
+	// device goes back to the arena, where another checkout may Reset it.
+	out := publicResult(res)
+	// The run drained: the device is pristine after its next Reset.
+	// Uninstall our retire hook before recycling so a pooled device does
+	// not call into a dead session. Without an arena Put drops it.
+	s.dev.inner.SetIORetire(nil)
+	s.arena.Put(s.dev)
+	return out, nil
 }
 
 // Discard abandons the session without draining: the session is closed
@@ -195,8 +160,7 @@ func (s *Session) Discard() {
 		return
 	}
 	s.closed = true
-	s.dev.SetIORetire(nil)
-	s.pub, s.arena = nil, nil
+	s.dev.inner.SetIORetire(nil)
 }
 
 // Snapshot reports the measurements accumulated so far without advancing
@@ -204,8 +168,8 @@ func (s *Session) Discard() {
 // IOsSubmitted, IOsCompleted and byte counts; windowed rates come from
 // Since.
 func (s *Session) Snapshot() Snapshot {
-	r := s.dev.Snapshot()
-	return snapshotOf(r, s.submitted, s.dev.Inflight())
+	r := s.dev.inner.Snapshot()
+	return snapshotOf(r, s.submitted, s.dev.inner.Inflight())
 }
 
 // Snapshot is a cheap point-in-time view of a running simulation.

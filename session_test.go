@@ -1,7 +1,9 @@
 package sprinkler_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"sprinkler"
@@ -177,14 +179,14 @@ func TestSessionRejectsBadRequest(t *testing.T) {
 	}
 }
 
-// TestOpenWithPrecondition fragments the device so GC runs during the
-// session workload.
 // TestSessionWithArena: sessions check devices out of a DeviceArena and
-// return them on Drain; an arena-recycled session produces the identical
-// Result a fresh-built one does.
+// return them on Drain; an arena-recycled session renders the identical
+// Result JSON a fresh-built one does, on a pristine device and on one
+// hydrated WithSnapshot.
 func TestSessionWithArena(t *testing.T) {
 	cfg := smallConfig(sprinkler.SPK3)
-	drive := func(opts ...sprinkler.Option) *sprinkler.Result {
+	drive := func(opts ...sprinkler.Option) string {
+		t.Helper()
 		sess, err := sprinkler.Open(cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -199,31 +201,45 @@ func TestSessionWithArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	want := drive()
+	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(checkpointOf(t, cfg, 0.8, 0.3, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	arena := sprinkler.NewDeviceArena()
-	first := drive(sprinkler.WithArena(arena))
-	if arena.Size() != 1 {
-		t.Fatalf("drained session did not return its device: arena holds %d", arena.Size())
-	}
-	// The second session must recycle the pooled device (arena empties at
-	// checkout) and still match the fresh-built result exactly.
-	second := drive(sprinkler.WithArena(arena))
-	if arena.Size() != 1 {
-		t.Fatalf("second session did not recycle: arena holds %d", arena.Size())
-	}
-	for i, res := range []*sprinkler.Result{first, second} {
-		if res.IOsCompleted != want.IOsCompleted ||
-			res.DurationNS != want.DurationNS ||
-			res.AvgLatencyNS != want.AvgLatencyNS ||
-			res.BandwidthKBps != want.BandwidthKBps {
-			t.Fatalf("arena session %d diverged from fresh: %+v vs %+v", i, res, want)
+	for _, tc := range []struct {
+		name string
+		opts []sprinkler.Option
+	}{
+		{"pristine", nil},
+		{"snapshot", []sprinkler.Option{sprinkler.WithSnapshot(snap)}},
+	} {
+		want := drive(tc.opts...)
+		arena := sprinkler.NewDeviceArena()
+		// The first session builds the device and returns it on Drain; the
+		// second must recycle it and still match the fresh-built result.
+		for round := 0; round < 2; round++ {
+			got := drive(append([]sprinkler.Option{sprinkler.WithArena(arena)}, tc.opts...)...)
+			if arena.Size() != 1 {
+				t.Fatalf("%s round %d: drained session did not return its device: arena holds %d", tc.name, round, arena.Size())
+			}
+			if got != want {
+				t.Fatalf("%s round %d: arena session diverged from fresh:\n want: %s\n got:  %s", tc.name, round, want, got)
+			}
+		}
+		if hits := arena.Stats().DeviceHits; hits != 1 {
+			t.Fatalf("%s: %d arena device hits, want 1", tc.name, hits)
 		}
 	}
 }
 
+// TestOpenWithPrecondition fragments the device so GC runs during the
+// session workload.
 func TestOpenWithPrecondition(t *testing.T) {
 	cfg := smallConfig(sprinkler.SPK3)
 	cfg.BlocksPerPlane = 12

@@ -46,10 +46,11 @@ const snapshotMagic = "SPKSNAP1"
 const SnapshotVersion = 1
 
 // DeviceSnapshot is a decoded warm-state snapshot: the configuration it
-// was
-// captured under plus the device state. Decode once with ReadSnapshot,
-// then hydrate any number of devices from it — NewDevice builds fresh
-// ones, and DeviceArena.GetFromSnapshot recycles pooled ones.
+// was captured under plus the device state. Decode once with
+// ReadSnapshot, then hydrate any number of devices from it, all sharing
+// the one decoded state read-only: NewDevice builds fresh ones, and
+// Grid.Snapshot, Cell.Snapshot and WithSnapshot hydrate devices checked
+// out of a DeviceArena.
 type DeviceSnapshot struct {
 	cfg   Config
 	state *ssd.DeviceState
@@ -109,11 +110,11 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 // scheduler-independent (preconditioning never touches the scheduler, and
 // per-run scheduler state is never part of a snapshot), and the series
 // knobs only select what a run records. Any other difference would change
-// what the warm-up itself produced, so it is refused. One caveat enforced at hydration time: a
-// snapshot that itself carries latency-series points (captured
-// mid-experiment rather than after preconditioning) requires the series
-// knobs to match exactly, since a different window would have retained a
-// different history.
+// what the warm-up itself produced, so it is refused. One caveat is
+// enforced at hydration time: a snapshot that itself carries
+// latency-series points (captured mid-experiment rather than after
+// preconditioning) requires the series knobs to match exactly, since a
+// different window would have retained a different history.
 func (s *DeviceSnapshot) CompatibleConfig(cfg Config) bool {
 	c := s.cfg
 	c.Scheduler = cfg.Scheduler
@@ -144,8 +145,11 @@ func RestoreDevice(r io.Reader) (*Device, error) {
 }
 
 // ReadSnapshot reads and fully validates a snapshot: magic, version,
-// checksum, configuration, and payload structure. Nothing device-shaped
-// is built yet; use NewDevice (or DeviceArena.GetFromSnapshot) for that.
+// checksum, configuration, payload structure, and the payload's shape
+// against the configuration (chips, planes, blocks per plane, fault
+// streams, series length), so every chip and block a file names is
+// accounted for by its payload. Nothing device-shaped is built yet; use
+// NewDevice (or Grid.Snapshot, or WithSnapshot) for that.
 func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -193,6 +197,13 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sprinkler: %w", err)
 	}
+	icfg, err := cfg.internalConfig()
+	if err != nil {
+		return nil, fmt.Errorf("sprinkler: snapshot config invalid: %w", err)
+	}
+	if err := st.CheckShape(icfg); err != nil {
+		return nil, fmt.Errorf("sprinkler: snapshot payload does not match its config: %w", err)
+	}
 	return &DeviceSnapshot{cfg: cfg, state: st}, nil
 }
 
@@ -217,39 +228,36 @@ func (s *DeviceSnapshot) NewDevice(cfg ...Config) (*Device, error) {
 		return nil, fmt.Errorf("sprinkler: NewDevice takes at most one config override")
 	}
 	if len(cfg) == 1 {
-		if !s.CompatibleConfig(cfg[0]) {
-			return nil, fmt.Errorf("sprinkler: config differs from the snapshot's beyond the scheduler and series knobs")
-		}
 		runCfg = cfg[0]
 	}
-	d, err := New(runCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.hydrate(d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return s.checkout(nil, runCfg)
 }
 
-// hydrate loads the snapshot state into a freshly built or freshly Reset
-// device whose config satisfies CompatibleConfig. On error the device
-// must be discarded — state may be partially applied.
-func (s *DeviceSnapshot) hydrate(d *Device) error { return s.hydrateInner(d.inner, d.cfg) }
-
-// hydrateInner is hydrate for callers holding the internal device (the
-// Session open path). It enforces the series caveat CompatibleConfig
-// defers to hydration time: series-carrying snapshots only restore under
-// the series configuration they were captured with.
-func (s *DeviceSnapshot) hydrateInner(inner *ssd.Device, cfg Config) error {
-	if len(s.state.Series) > 0 &&
-		(cfg.CollectSeries != s.cfg.CollectSeries || cfg.SeriesWindow != s.cfg.SeriesWindow) {
-		return fmt.Errorf("sprinkler: snapshot carries a latency series; CollectSeries/SeriesWindow must match the captured config")
+// checkout is the one path that hands out devices for a run (Runner
+// cells, Open, NewDevice): it checks a device for cfg out of a (a nil
+// arena builds fresh) and, when s is non-nil, loads the snapshot's warm
+// state onto it. cfg must satisfy CompatibleConfig and its series caveat;
+// both are checked before any device is checked out. On a hydration
+// error the device is dropped, never pooled: its state may be partially
+// applied.
+func (s *DeviceSnapshot) checkout(a *DeviceArena, cfg Config) (*Device, error) {
+	if s != nil {
+		if !s.CompatibleConfig(cfg) {
+			return nil, fmt.Errorf("sprinkler: config differs from the snapshot's beyond the scheduler and series knobs")
+		}
+		if len(s.state.Series) > 0 &&
+			(cfg.CollectSeries != s.cfg.CollectSeries || cfg.SeriesWindow != s.cfg.SeriesWindow) {
+			return nil, fmt.Errorf("sprinkler: snapshot carries a latency series; CollectSeries/SeriesWindow must match the captured config")
+		}
 	}
-	if err := inner.LoadState(s.state); err != nil {
-		return fmt.Errorf("sprinkler: hydrating from snapshot: %w", err)
+	d, err := a.Get(cfg)
+	if err != nil || s == nil {
+		return d, err
 	}
-	return nil
+	if err := d.inner.LoadState(s.state); err != nil {
+		return nil, fmt.Errorf("sprinkler: hydrating from snapshot: %w", err)
+	}
+	return d, nil
 }
 
 // encodeSnapshot frames config + payload with magic, version and CRC.

@@ -317,9 +317,11 @@ func TestSnapshotLegacyMaxBacklog(t *testing.T) {
 // panic, and every rejection must be a descriptive sprinkler: error. A
 // file that loads must hydrate a device with its own Config. Each input
 // is also tried with its CRC trailer recomputed, so mutations reach the
-// config and payload decoders behind the checksum; those edited files are
-// only read, not hydrated, because hydration builds the device the config
-// names before checking the payload against it.
+// config and payload decoders behind the checksum. Those edited files
+// are hydrated too when they load: ReadSnapshot has already checked the
+// payload's shape against the config, so hydration builds no device the
+// payload does not account for. It may still reject FTL state that
+// breaks an invariant, but only with a descriptive error.
 func FuzzReadSnapshot(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "warm_v1.snap"))
 	if err != nil {
@@ -356,8 +358,13 @@ func FuzzReadSnapshot(f *testing.F) {
 				t.Fatalf("snapshot loads but does not hydrate with its own config: %v", err)
 			}
 		}
-		if len(file) >= 4 {
-			read(mutateSnapshot(file, func(b []byte) []byte { return b }))
+		if len(file) < 4 {
+			return
+		}
+		if snap := read(mutateSnapshot(file, func(b []byte) []byte { return b })); snap != nil {
+			if _, err := snap.NewDevice(snap.Config()); err != nil && !strings.HasPrefix(err.Error(), "sprinkler: ") {
+				t.Fatalf("undescriptive hydration failure: %v", err)
+			}
 		}
 	})
 }
@@ -367,6 +374,19 @@ func FuzzReadSnapshot(f *testing.F) {
 // device, never a panic.
 func TestSnapshotRejectsDamage(t *testing.T) {
 	raw := checkpointOf(t, agedConfig(sprinkler.SPK2), 0.6, 0.3, 7)
+
+	// A file that captured a latency series, for the series-window case.
+	seriesCfg := agedConfig(sprinkler.SPK2)
+	seriesCfg.CollectSeries = true
+	dev, err := sprinkler.New(seriesCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = runWorkload(t, dev, "cfs0", 50, 3)
+	var series bytes.Buffer
+	if err := dev.Checkpoint(&series); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -401,6 +421,15 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 			}
 			return b
 		}), "snapshot"},
+		// Checksum-valid files whose config names a different device than
+		// the payload describes (legacyFrame appends keys, and the last
+		// value of a repeated key wins). One names 2^17 chips: it must be
+		// refused before anything is built.
+		{"config names more chips", legacyFrame(t, raw, `"ChipsPerChan":65536`, 0), "chips, config has"},
+		{"config names more planes", legacyFrame(t, raw, `"DiesPerChip":4`, 0), "FTL planes"},
+		{"config names more blocks", legacyFrame(t, raw, `"BlocksPerPlane":48`, 0), "blocks, config has"},
+		{"config adds fault streams", legacyFrame(t, raw, `"Faults":{"readFailProb":0.1}`, 0), "fault stream"},
+		{"config shrinks series window", legacyFrame(t, series.Bytes(), `"SeriesWindow":10`, 0), "series holds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -458,49 +487,10 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	}
 }
 
-// TestArenaGetFromSnapshot covers the pooled hydration path: fresh build,
-// recycled checkout (Reset + hydrate), and the unknown-name error.
-func TestArenaGetFromSnapshot(t *testing.T) {
-	cfg := agedConfig(sprinkler.SPK1)
-	raw := checkpointOf(t, cfg, 0.75, 0.4, 17)
-	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := snap.NewDevice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runWorkload(t, ref, "proj0", 200, 23)
-
-	arena := sprinkler.NewDeviceArena()
-	arena.RegisterSnapshot("warm", snap)
-	if _, err := arena.GetFromSnapshot("missing"); err == nil {
-		t.Error("unknown snapshot name did not error")
-	}
-
-	// First checkout builds fresh; the second recycles the pooled device
-	// through Reset before hydrating. Both must match the reference.
-	for round := 0; round < 2; round++ {
-		dev, err := arena.GetFromSnapshot("warm", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := runWorkload(t, dev, "proj0", 200, 23); got != want {
-			t.Errorf("round %d: arena-hydrated device diverged:\n want: %s\n got:  %s", round, want, got)
-		}
-		arena.Put(dev)
-	}
-	stats := arena.Stats()
-	if stats.DeviceHits == 0 {
-		t.Errorf("second checkout did not recycle the pooled device: %+v", stats)
-	}
-}
-
 // TestGridSnapshotSweep runs an aged-drive scheduler sweep hydrated from
-// one registered snapshot — concurrently, with and without device reuse —
-// and checks every cell equals a directly hydrated reference run.
+// one decoded snapshot — concurrently, with and without device reuse —
+// and checks every cell equals a directly hydrated reference run. The
+// reuse pass must recycle pooled devices (Reset, then hydrate).
 func TestGridSnapshotSweep(t *testing.T) {
 	base := agedConfig(sprinkler.SPK3)
 	raw := checkpointOf(t, base, 0.85, 0.35, 29)
@@ -514,12 +504,11 @@ func TestGridSnapshotSweep(t *testing.T) {
 		Schedulers: sprinkler.Schedulers(),
 		Workloads:  []string{"msnfs1", "cfs0"},
 		Requests:   150,
-		Snapshot:   "warm",
+		Snapshot:   snap,
 	}
 
 	for _, noreuse := range []bool{false, true} {
 		arena := sprinkler.NewDeviceArena()
-		arena.RegisterSnapshot("warm", snap)
 		runner := sprinkler.Runner{Workers: 4, Arena: arena, NoReuse: noreuse}
 		for _, cr := range runner.Run(context.Background(), grid.Cells()) {
 			if cr.Err != nil {
@@ -541,6 +530,9 @@ func TestGridSnapshotSweep(t *testing.T) {
 					noreuse, cr.Name, want, got)
 			}
 		}
+		if hits := arena.Stats().DeviceHits; noreuse != (hits == 0) {
+			t.Errorf("noreuse=%v: %d arena device hits", noreuse, hits)
+		}
 	}
 }
 
@@ -552,16 +544,14 @@ func TestGridSnapshotPreconditionConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := sprinkler.NewDeviceArena()
-	arena.RegisterSnapshot("warm", snap)
 	grid := sprinkler.Grid{
 		Base:         base,
 		Workloads:    []string{"cfs0"},
 		Requests:     50,
-		Snapshot:     "warm",
+		Snapshot:     snap,
 		Precondition: &sprinkler.Precondition{FillFrac: 0.5, ChurnFrac: 0.1},
 	}
-	for _, cr := range (sprinkler.Runner{Arena: arena}).Run(context.Background(), grid.Cells()) {
+	for _, cr := range (sprinkler.Runner{}).Run(context.Background(), grid.Cells()) {
 		if cr.Err == nil || !strings.Contains(cr.Err.Error(), "both Snapshot and Precondition") {
 			t.Errorf("cell %s: want both-warmups error, got %v", cr.Name, cr.Err)
 		}

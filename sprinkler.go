@@ -377,11 +377,7 @@ type Device struct {
 }
 
 // New builds a Device from the configuration, validating it first.
-func New(cfg Config) (*Device, error) { return newWithMeta(cfg, nil) }
-
-// newWithMeta builds a Device, reusing a retained FTL block-metadata arena
-// when the DeviceArena kept one for the topology (nil builds fresh).
-func newWithMeta(cfg Config, meta *ftl.BlockMeta) (*Device, error) {
+func New(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -389,7 +385,7 @@ func newWithMeta(cfg Config, meta *ftl.BlockMeta) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := ssd.NewWithFTLMeta(icfg, s, meta)
+	inner, err := ssd.New(icfg, s)
 	if err != nil {
 		return nil, err
 	}
