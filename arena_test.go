@@ -113,11 +113,11 @@ func TestArenaReuseParityRandomized(t *testing.T) {
 // Runner-level face of the reuse-parity guarantee.
 func TestRunnerArenaMatchesNoReuse(t *testing.T) {
 	grid := sprinkler.Grid{
-		Base:        smallConfig(sprinkler.SPK3),
-		Schedulers:  sprinkler.Schedulers(),
-		Workloads:   []string{"cfs0", "msnfs1"},
-		Requests:    120,
-		QueueDepths: []int{16, 64},
+		Base:       smallConfig(sprinkler.SPK3),
+		Schedulers: sprinkler.Schedulers(),
+		Workloads:  []string{"cfs0", "msnfs1"},
+		Requests:   120,
+		Vary:       []sprinkler.Axis{queueDepthAxis(16, 64)},
 	}
 	reused := sprinkler.Runner{Workers: 2}.Run(context.Background(), grid.Cells())
 	freshly := sprinkler.Runner{Workers: 2, NoReuse: true}.Run(context.Background(), grid.Cells())

@@ -13,7 +13,7 @@
 //	tracegen -workload cfs3 -n 1000 -seed 7 -o cfs3.csv
 //	tracegen -mix msnfs1:3,cfs0:1 -n 5000 > mixed.csv
 //	tracegen -workload hm0 -n 10000 -poisson 150000 -burst-on 2000000 -burst-off 6000000 > bursty.csv
-//	tracegen -workload websearch1 -n 2000 -zipf 0.99 -read-frac 0.8 > skewed.csv
+//	tracegen -workload proj1 -n 2000 -zipf 0.99 -read-frac 0.8 > skewed.csv
 package main
 
 import (
@@ -54,24 +54,25 @@ func main() {
 		fail(fmt.Errorf("-n must be positive, got %d", *n))
 	}
 
-	spec, err := baseSpec(*name, *mix, *n)
+	cfg := sprinkler.Platform(*chips)
+	src, err := baseSource(cfg, *name, *mix, *n, *seed)
 	fail(err)
+	span := cfg.LogicalSpan()
 	if *zipf > 0 {
-		spec = spec.WithZipf(*zipf)
+		src, err = sprinkler.Zipf(src, *zipf, span, *seed)
+		fail(err)
 	}
 	if *readFrac >= 0 {
-		spec = spec.WithReadRatio(*readFrac)
+		src, err = sprinkler.ReadRatio(src, *readFrac, *seed)
+		fail(err)
 	}
 	if *poisson > 0 {
-		spec = spec.WithPoisson(*poisson)
+		src = sprinkler.Poisson(src, *poisson, *seed)
 	}
 	if *burstOn > 0 || *burstOff > 0 {
-		spec = spec.WithBurst(*burstOn, *burstOff)
+		src, err = sprinkler.Burst(src, *burstOn, *burstOff)
+		fail(err)
 	}
-
-	cfg := sprinkler.Platform(*chips)
-	src, err := spec.New(cfg, *seed)
-	fail(err)
 	reqs := make([]sprinkler.Request, 0, *n)
 	for len(reqs) < *n {
 		r, ok := src.Next()
@@ -92,41 +93,41 @@ func main() {
 	fail(sprinkler.WriteCSV(dst, reqs))
 }
 
-// baseSpec resolves the workload axis: a single Table 1 workload, or a
-// weighted mix of them (each component unbounded, the mix capped at n).
-func baseSpec(name, mix string, n int) (sprinkler.SourceSpec, error) {
+// baseSource resolves the base stream: a single Table 1 workload of n
+// requests, or a weighted mix of them (component i unbounded and built
+// with SubSeed(seed, i), the mix capped at n).
+func baseSource(cfg sprinkler.Config, name, mix string, n int, seed uint64) (sprinkler.Source, error) {
 	if mix == "" {
 		if name == "" {
-			return sprinkler.SourceSpec{}, fmt.Errorf("need -workload or -mix (use -list)")
+			return nil, fmt.Errorf("need -workload or -mix (use -list)")
 		}
-		return sprinkler.WorkloadSpec{Name: name, Requests: n}.Spec(), nil
+		return cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: name, Requests: n, Seed: seed})
 	}
-	var items []sprinkler.WeightedSpec
-	var labels []string
-	for _, part := range strings.Split(mix, ",") {
+	var items []sprinkler.Weighted
+	for i, part := range strings.Split(mix, ",") {
 		part = strings.TrimSpace(part)
 		w, weight := part, 1.0
 		if i := strings.LastIndex(part, ":"); i >= 0 {
 			var err error
 			if weight, err = strconv.ParseFloat(part[i+1:], 64); err != nil || weight <= 0 {
-				return sprinkler.SourceSpec{}, fmt.Errorf("bad mix weight in %q", part)
+				return nil, fmt.Errorf("bad mix weight in %q", part)
 			}
 			w = part[:i]
 		}
 		if w == "" {
-			return sprinkler.SourceSpec{}, fmt.Errorf("bad mix component %q", part)
+			return nil, fmt.Errorf("bad mix component %q", part)
 		}
-		items = append(items, sprinkler.WeightedSpec{
-			Spec:   sprinkler.WorkloadSpec{Name: w, Requests: 0}.Spec(),
-			Weight: weight,
-		})
-		labels = append(labels, part)
+		src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: w, Seed: sprinkler.SubSeed(seed, i)})
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, sprinkler.Weighted{Source: src, Weight: weight})
 	}
-	if len(items) == 0 {
-		return sprinkler.SourceSpec{}, fmt.Errorf("empty -mix")
+	mixed, err := sprinkler.Mix(seed, items...)
+	if err != nil {
+		return nil, err
 	}
-	label := "mix(" + strings.Join(labels, ",") + ")"
-	return sprinkler.MixSpec(label, items...).WithLimit(int64(n)), nil
+	return sprinkler.Limit(mixed, int64(n)), nil
 }
 
 // sprinklerErr surfaces a source's terminal error, if any.

@@ -13,8 +13,8 @@ import (
 // distributions, and read-ratio / transfer-size modulation. A combinator's
 // own random draws come from the seed it is built with, so a combined
 // workload is a pure function of its seeds like the primitive sources.
-// The SourceSpec constructors in spec.go lift each combinator to a grid
-// axis.
+// To sweep structure as a grid axis, compose them inside a SourceSpec's
+// New, threading the cell seed into every seeded layer.
 
 // Weighted pairs a source with its interleave weight for Mix.
 type Weighted struct {

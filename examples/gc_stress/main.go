@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -48,7 +49,7 @@ func run(cfg sprinkler.Config, kind sprinkler.SchedulerKind, reqs []sprinkler.Re
 	if fragmented {
 		dev.Precondition(0.95, 0.5, 42)
 	}
-	res, err := dev.RunRequests(reqs)
+	res, err := dev.Run(context.Background(), sprinkler.SliceSource(reqs))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // Figure 10 comparison — bandwidth, IOPS, latency, queue stall — plus the
 // idleness and parallelism metrics of Figures 11 and 14.
 //
-// The five cells run concurrently through the Sweep/Runner API; each
+// The five cells run concurrently through the Grid/Runner API; each
 // scheduler replays the identical trace, and per-cell seeding makes the
 // concurrent results identical to a serial run.
 //
@@ -26,7 +26,12 @@ func main() {
 	}
 
 	cfg := sprinkler.DefaultConfig()
-	cells := sprinkler.Sweep(cfg, sprinkler.Schedulers(), []string{workload}, 2000)
+	cells := sprinkler.Grid{
+		Base:       cfg,
+		Schedulers: sprinkler.Schedulers(),
+		Workloads:  []string{workload},
+		Requests:   2000,
+	}.Cells()
 	results := sprinkler.Runner{}.Run(context.Background(), cells)
 
 	fmt.Printf("workload %s: 2000 I/Os on a 64-chip SSD, %d cells in parallel\n\n",

@@ -7,22 +7,25 @@ import (
 )
 
 // Grid declares a sweep as a cross product of axes over one base
-// configuration: schedulers × workloads (or arbitrary sources) × topology
-// knobs × custom axes. Cells() expands it into the concrete cell list a
-// Runner executes, with a stable name and a deterministic seed per cell.
+// configuration: schedulers × workloads (or arbitrary sources) × the Vary
+// axes. Cells() expands it into the concrete cell list a Runner executes,
+// with a stable name and a deterministic seed per cell.
 //
 // Seeds are derived from everything except the scheduler axis, so every
-// scheduler replays the identical trace for a given (workload, topology)
+// scheduler replays the identical trace for a given (workload, axis)
 // point — differences between scheduler rows are scheduling, not input
-// noise — while distinct workloads and topology points get distinct
-// streams. Mix Seed (or Runner.Seed) to re-roll a whole grid.
+// noise — while distinct workloads and axis points get distinct streams.
+// Mix Seed to re-roll a whole grid.
 //
 //	cells := sprinkler.Grid{
 //	    Base:       sprinkler.DefaultConfig(),
 //	    Schedulers: sprinkler.Schedulers(),
 //	    Workloads:  []string{"cfs0", "msnfs1"},
 //	    Requests:   3000,
-//	    QueueDepths: []int{32, 64, 128},
+//	    Vary: []sprinkler.Axis{{Name: "queue_depth", Values: []sprinkler.AxisValue{
+//	        {Label: "qd=32", Apply: func(c *sprinkler.Config) { c.QueueDepth = 32 }},
+//	        {Label: "qd=128", Apply: func(c *sprinkler.Config) { c.QueueDepth = 128 }},
+//	    }}},
 //	}.Cells()
 //	results := sprinkler.Runner{}.Run(ctx, cells)
 type Grid struct {
@@ -48,21 +51,9 @@ type Grid struct {
 	// from the topology the cell landed on).
 	Sources []SourceSpec
 
-	// Topology axes; an empty slice keeps the Base value. These are the
-	// knobs a DeviceArena can absorb per-run (QueueDepths) or that key
-	// separate pooled devices (Channels, ChipsPerChan).
-	Channels     []int
-	ChipsPerChan []int
-	QueueDepths  []int
-
-	// FaultRates is a built-in fault-injection axis: each value sets the
-	// cell's per-operation failure probabilities (read, program and
-	// erase) to it, on top of whatever else Base.Faults configures. An
-	// empty slice keeps Base.Faults untouched.
-	FaultRates []float64
-
-	// Vary appends custom axes, applied to the config in listed order
-	// after the built-in topology axes and before the scheduler is set.
+	// Vary lists the grid's axes (topology, queue depth, fault rate, ...),
+	// applied to the config in listed order before the scheduler is set.
+	// An axis with no values keeps the base.
 	Vary []Axis
 
 	// Precondition fragments every cell's device before its run. An
@@ -84,20 +75,23 @@ type Grid struct {
 }
 
 // SourceSpec is one point of a Grid's workload axis: a label plus a
-// factory invoked with the cell's final configuration and seed.
+// factory invoked with the cell's final configuration and seed. New
+// composes sources and combinators directly and threads the seed into
+// every seeded layer (SubSeed(seed, i) for the i-th child of a Mix or
+// Phases), so a point's stream is a pure function of the cell seed.
 type SourceSpec struct {
 	Label string
 	New   func(cfg Config, seed uint64) (Source, error)
 }
 
-// Axis is one custom grid dimension.
+// Axis is one grid dimension (see Grid.Vary).
 type Axis struct {
 	// Name keys the axis in Cell.Labels.
 	Name   string
 	Values []AxisValue
 }
 
-// AxisValue is one point of a custom Axis.
+// AxisValue is one point of an Axis.
 type AxisValue struct {
 	// Label names the point in cell names and Cell.Labels.
 	Label string
@@ -108,53 +102,13 @@ type AxisValue struct {
 	Precondition *Precondition
 }
 
-// intAxis lifts a built-in []int knob into a labelled axis.
-func intAxis(name, short string, vals []int, apply func(*Config, int)) (Axis, bool) {
-	if len(vals) == 0 {
-		return Axis{}, false
-	}
-	ax := Axis{Name: name}
-	for _, v := range vals {
-		v := v
-		ax.Values = append(ax.Values, AxisValue{
-			Label: fmt.Sprintf("%s=%d", short, v),
-			Apply: func(c *Config) { apply(c, v) },
-		})
-	}
-	return ax, true
-}
-
-// axes collects the built-in topology axes and the custom ones, in the
-// order they cross-product (left = slowest varying).
+// axes returns the grid's non-empty axes, in the order they
+// cross-product (left = slowest varying).
 func (g Grid) axes() []Axis {
 	var out []Axis
-	if ax, ok := intAxis("channels", "ch", g.Channels, func(c *Config, v int) { c.Channels = v }); ok {
-		out = append(out, ax)
-	}
-	if ax, ok := intAxis("chips_per_chan", "way", g.ChipsPerChan, func(c *Config, v int) { c.ChipsPerChan = v }); ok {
-		out = append(out, ax)
-	}
-	if ax, ok := intAxis("queue_depth", "qd", g.QueueDepths, func(c *Config, v int) { c.QueueDepth = v }); ok {
-		out = append(out, ax)
-	}
-	if len(g.FaultRates) > 0 {
-		ax := Axis{Name: "fault_rate"}
-		for _, v := range g.FaultRates {
-			v := v
-			ax.Values = append(ax.Values, AxisValue{
-				Label: fmt.Sprintf("fr=%g", v),
-				Apply: func(c *Config) {
-					c.Faults.ReadFailProb = v
-					c.Faults.ProgramFailProb = v
-					c.Faults.EraseFailProb = v
-				},
-			})
-		}
-		out = append(out, ax)
-	}
 	for _, ax := range g.Vary {
-		// An empty custom axis means "keep the base", exactly like an
-		// empty built-in knob — not a zero-way cross product.
+		// An empty axis means "keep the base", not a zero-way cross
+		// product.
 		if len(ax.Values) > 0 {
 			out = append(out, ax)
 		}
@@ -316,17 +270,4 @@ func (g Grid) cellSeed(key string) uint64 {
 		s = 1
 	}
 	return s
-}
-
-// Sweep builds the scheduler × workload cross product on one platform —
-// the paper's evaluation grid — as a convenience wrapper over Grid. Every
-// scheduler sees the identical trace for a given workload, so differences
-// between rows are scheduling, not input noise.
-func Sweep(base Config, scheds []SchedulerKind, workloads []string, requests int) []Cell {
-	return Grid{
-		Base:       base,
-		Schedulers: scheds,
-		Workloads:  workloads,
-		Requests:   requests,
-	}.Cells()
 }

@@ -2,22 +2,35 @@ package sprinkler_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sprinkler"
 )
 
+// queueDepthAxis sweeps the device queue depth, labelled "qd=N".
+func queueDepthAxis(depths ...int) sprinkler.Axis {
+	ax := sprinkler.Axis{Name: "queue_depth"}
+	for _, d := range depths {
+		ax.Values = append(ax.Values, sprinkler.AxisValue{
+			Label: fmt.Sprintf("qd=%d", d),
+			Apply: func(c *sprinkler.Config) { c.QueueDepth = d },
+		})
+	}
+	return ax
+}
+
 // TestGridCrossProduct checks expansion order, naming, labels and seed
 // sharing of the declarative grid.
 func TestGridCrossProduct(t *testing.T) {
 	g := sprinkler.Grid{
-		Name:        "t",
-		Base:        smallConfig(sprinkler.SPK3),
-		Schedulers:  []sprinkler.SchedulerKind{sprinkler.VAS, sprinkler.SPK3},
-		Workloads:   []string{"cfs0", "msnfs1"},
-		Requests:    50,
-		QueueDepths: []int{16, 64},
+		Name:       "t",
+		Base:       smallConfig(sprinkler.SPK3),
+		Schedulers: []sprinkler.SchedulerKind{sprinkler.VAS, sprinkler.SPK3},
+		Workloads:  []string{"cfs0", "msnfs1"},
+		Requests:   50,
+		Vary:       []sprinkler.Axis{queueDepthAxis(16, 64)},
 	}
 	cells := g.Cells()
 	if len(cells) != 2*2*2 {
@@ -128,24 +141,34 @@ func TestGridCustomAxesAndSources(t *testing.T) {
 }
 
 // TestGridWorkloadStructureAxis declares workload *structure* — burst duty
-// cycle over one base workload — as a grid axis built entirely from
-// SourceSpec combinators, and checks the swept structure actually shows in
-// the simulated timelines.
+// cycle over one base workload — as a grid axis of SourceSpecs composing
+// the combinators, and checks the swept structure actually shows in the
+// simulated timelines.
 func TestGridWorkloadStructureAxis(t *testing.T) {
 	// Light arrival-bound load (small reads, 20k req/s -> a 4 ms arrival
 	// span) so the burst envelope's 4x time dilation dominates the
 	// simulated duration.
-	base := sprinkler.WorkloadSpec{Name: "cfs0", Requests: 80, MaxPages: 4}.Spec().
-		WithReadRatio(1).
-		WithPoisson(20_000)
+	duty := func(label string, offNS int64) sprinkler.SourceSpec {
+		return sprinkler.SourceSpec{Label: label, New: func(cfg sprinkler.Config, seed uint64) (sprinkler.Source, error) {
+			src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "cfs0", Requests: 80, MaxPages: 4, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			if src, err = sprinkler.ReadRatio(src, 1, seed); err != nil {
+				return nil, err
+			}
+			src = sprinkler.Poisson(src, 20_000, seed)
+			if offNS == 0 {
+				return src, nil
+			}
+			return sprinkler.Burst(src, 200_000, offNS)
+		}}
+	}
 	g := sprinkler.Grid{
 		Name:       "structure",
 		Base:       smallConfig(sprinkler.SPK3),
 		Schedulers: []sprinkler.SchedulerKind{sprinkler.VAS, sprinkler.SPK3},
-		Sources: []sprinkler.SourceSpec{
-			base.Relabel("duty=100"),
-			base.WithBurst(200_000, 600_000).Relabel("duty=25"),
-		},
+		Sources:    []sprinkler.SourceSpec{duty("duty=100", 0), duty("duty=25", 600_000)},
 	}
 	cells := g.Cells()
 	if len(cells) != 2*2 {

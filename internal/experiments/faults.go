@@ -54,7 +54,7 @@ func faultPlatform(o Options) sprinkler.Config {
 
 // RunFaultStudy sweeps schedulers × fault rates on the fragmented
 // platform: a read/write mix over a preconditioned device, every cell
-// replaying the identical trace, with the FaultRates axis scaling the
+// replaying the identical trace, with a fault_rate axis scaling the
 // read, program and erase failure probabilities together. opts.Faults
 // seeds the ladder/spare shape (zero fields take the study defaults).
 func RunFaultStudy(opts Options) ([]FaultPoint, error) {
@@ -66,11 +66,22 @@ func RunFaultStudy(opts Options) ([]FaultPoint, error) {
 	}
 	requests := opts.scaled(8000, 600)
 
+	rateAxis := sprinkler.Axis{Name: "fault_rate"}
+	for _, r := range rates {
+		rateAxis.Values = append(rateAxis.Values, sprinkler.AxisValue{
+			Label: faultRateLabel(r),
+			Apply: func(c *sprinkler.Config) {
+				c.Faults.ReadFailProb = r
+				c.Faults.ProgramFailProb = r
+				c.Faults.EraseFailProb = r
+			},
+		})
+	}
 	cells := sprinkler.Grid{
 		Name:       "faults",
 		Base:       faultPlatform(opts),
 		Schedulers: schedulerKinds(schedulers),
-		FaultRates: rates,
+		Vary:       []sprinkler.Axis{rateAxis},
 		Precondition: &sprinkler.Precondition{
 			FillFrac: 0.95, ChurnFrac: 0.5, Seed: opts.Seed,
 		},
@@ -95,7 +106,7 @@ func RunFaultStudy(opts Options) ([]FaultPoint, error) {
 
 	rateByLabel := make(map[string]float64, len(rates))
 	for _, r := range rates {
-		rateByLabel[fmt.Sprintf("fr=%g", r)] = r
+		rateByLabel[faultRateLabel(r)] = r
 	}
 	var points []FaultPoint
 	for _, cr := range opts.runner().Run(context.Background(), cells) {
@@ -122,6 +133,8 @@ func RunFaultStudy(opts Options) ([]FaultPoint, error) {
 	})
 	return points, nil
 }
+
+func faultRateLabel(rate float64) string { return fmt.Sprintf("fr=%g", rate) }
 
 // FormatFaultStudy renders the degradation table: one row per
 // (scheduler, rate), bandwidth relative to that scheduler's fault-free row

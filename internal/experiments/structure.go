@@ -33,9 +33,9 @@ type BurstPoint struct {
 // RunBurstiness sweeps arrival burstiness × scheduler at a fixed mean
 // arrival rate: an msnfs1 stream is rewritten as open-loop Poisson
 // arrivals at rate/duty inside on-windows of 2 ms, separated by off-gaps
-// sized so every duty point delivers the same long-run request rate. The
-// workload-structure axis is declared entirely as SourceSpec combinators
-// (WithPoisson + WithBurst), so every scheduler replays the identical
+// sized so every duty point delivers the same long-run request rate. Each
+// duty point is one SourceSpec composing Poisson and Burst over the base
+// workload with the cell seed, so every scheduler replays the identical
 // modulated trace per duty point.
 func RunBurstiness(opts Options) ([]BurstPoint, error) {
 	opts = opts.Defaults()
@@ -44,15 +44,23 @@ func RunBurstiness(opts Options) ([]BurstPoint, error) {
 	const onNS = int64(2_000_000)
 	duties := []float64{1, 0.5, 0.25, 0.125}
 
-	base := sprinkler.WorkloadSpec{Name: "msnfs1", Requests: n, MaxPages: 64}.Spec()
 	var sources []sprinkler.SourceSpec
 	for _, duty := range duties {
 		offNS := int64(float64(onNS)*(1/duty)) - onNS
-		spec := base.WithPoisson(meanRate / duty)
-		if offNS > 0 {
-			spec = spec.WithBurst(onNS, offNS)
-		}
-		sources = append(sources, spec.Relabel(dutyLabel(duty)))
+		sources = append(sources, sprinkler.SourceSpec{
+			Label: dutyLabel(duty),
+			New: func(cfg sprinkler.Config, seed uint64) (sprinkler.Source, error) {
+				src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "msnfs1", Requests: n, MaxPages: 64, Seed: seed})
+				if err != nil {
+					return nil, err
+				}
+				src = sprinkler.Poisson(src, meanRate/duty, seed)
+				if offNS == 0 {
+					return src, nil
+				}
+				return sprinkler.Burst(src, onNS, offNS)
+			},
+		})
 	}
 
 	cfg := Platform(opts.Chips)

@@ -209,59 +209,69 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// buildSource constructs the feed's workload source for cfg via the
-// declarative SourceSpec combinators, and reports whether the stream is
-// bounded (a zero Count may only drain a bounded source).
+// buildSource constructs the feed's workload source for cfg: the base
+// stream, then every set combinator in the order FeedSpec documents. A
+// base stream's own non-zero Seed pins it; otherwise it follows the feed
+// seed (Seed, else the session's), and so does every seeded combinator.
+// It also reports whether the stream is bounded (a zero Count may only
+// drain a bounded source).
 func (f FeedSpec) buildSource(cfg sprinkler.Config, seed uint64) (sprinkler.Source, bool, error) {
-	var spec sprinkler.SourceSpec
+	if f.Seed != 0 {
+		seed = f.Seed
+	}
+	follow := func(own uint64) uint64 {
+		if own != 0 {
+			return own
+		}
+		return seed
+	}
+	var src sprinkler.Source
+	var err error
 	bounded := f.Limit > 0
 	switch {
 	case f.Workload != nil && f.Fixed != nil:
 		return nil, false, fmt.Errorf("feed spec names both a workload and a fixed stream")
 	case f.Workload != nil:
-		spec = sprinkler.WorkloadSpec{
+		src, err = cfg.NewWorkloadSource(sprinkler.WorkloadSpec{
 			Name:     f.Workload.Name,
 			Requests: f.Workload.Requests,
 			MaxPages: f.Workload.MaxPages,
-			Seed:     f.Workload.Seed,
-		}.Spec()
+			Seed:     follow(f.Workload.Seed),
+		})
 		bounded = bounded || f.Workload.Requests > 0
 	case f.Fixed != nil:
-		spec = sprinkler.FixedSpec{
+		src, err = cfg.NewFixedSource(sprinkler.FixedSpec{
 			Requests:   f.Fixed.Requests,
 			Pages:      f.Fixed.Pages,
 			Write:      f.Fixed.Write,
 			Sequential: f.Fixed.Sequential,
-			Seed:       f.Fixed.Seed,
-		}.Spec("fixed")
+			Seed:       follow(f.Fixed.Seed),
+		})
 		bounded = bounded || f.Fixed.Requests > 0
 	default:
 		return nil, false, fmt.Errorf("feed spec needs a workload or fixed stream")
 	}
-	if f.PoissonRate > 0 {
-		spec = spec.WithPoisson(f.PoissonRate)
+	span := cfg.LogicalSpan()
+	if err == nil && f.PoissonRate > 0 {
+		src = sprinkler.Poisson(src, f.PoissonRate, seed)
 	}
-	if f.ZipfTheta > 0 {
-		spec = spec.WithZipf(f.ZipfTheta)
+	if err == nil && f.ZipfTheta > 0 {
+		src, err = sprinkler.Zipf(src, f.ZipfTheta, span, seed)
 	}
-	if f.ReadRatio != nil {
-		spec = spec.WithReadRatio(*f.ReadRatio)
+	if err == nil && f.ReadRatio != nil {
+		src, err = sprinkler.ReadRatio(src, *f.ReadRatio, seed)
 	}
-	if f.MinPages > 0 || f.MaxPages > 0 {
-		spec = spec.WithPages(f.MinPages, f.MaxPages)
+	if err == nil && (f.MinPages > 0 || f.MaxPages > 0) {
+		src, err = sprinkler.Resize(src, f.MinPages, f.MaxPages, span, seed)
 	}
-	if f.BurstOnNS > 0 || f.BurstOffNS > 0 {
-		spec = spec.WithBurst(f.BurstOnNS, f.BurstOffNS)
+	if err == nil && (f.BurstOnNS > 0 || f.BurstOffNS > 0) {
+		src, err = sprinkler.Burst(src, f.BurstOnNS, f.BurstOffNS)
 	}
-	if f.Limit > 0 {
-		spec = spec.WithLimit(f.Limit)
-	}
-	if f.Seed != 0 {
-		seed = f.Seed
-	}
-	src, err := spec.New(cfg, seed)
 	if err != nil {
 		return nil, false, err
+	}
+	if f.Limit > 0 {
+		src = sprinkler.Limit(src, f.Limit)
 	}
 	return src, bounded, nil
 }

@@ -59,19 +59,15 @@ type CellResult struct {
 }
 
 // Runner fans sweep cells across worker goroutines. The zero value uses
-// all CPU cores, base seed 0, and a private DeviceArena so consecutive
-// cells on one topology recycle a device instead of rebuilding it. Every
-// cell builds its own workload source from its seed; only devices are
-// recycled. Per-cell seeds are deterministic functions of (base seed,
-// cell name, cell index), and device reuse is behaviour-preserving, so
+// all CPU cores and a private DeviceArena so consecutive cells on one
+// topology recycle a device instead of rebuilding it. Every cell builds
+// its own workload source from its seed; only devices are recycled.
+// Per-cell seeds are deterministic functions of the cell (its Seed, else
+// its name and index), and device reuse is behaviour-preserving, so
 // results do not depend on scheduling order, worker count, or reuse.
 type Runner struct {
 	// Workers caps concurrency; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-
-	// Seed is mixed into every derived cell seed, so a sweep can be
-	// re-rolled wholesale.
-	Seed uint64
 
 	// Arena supplies the devices workers check out per cell. Nil makes
 	// Run create a private arena for the call; share one across Runs to
@@ -84,23 +80,15 @@ type Runner struct {
 	NoReuse bool
 }
 
-// cellSeed derives a cell's seed: the explicit per-cell seed when set,
-// otherwise an FNV hash of the cell's name and index, both mixed with
-// the runner's base seed.
-func (r Runner) cellSeed(c Cell, i int) uint64 {
-	s := c.Seed
-	if s == 0 {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s#%d", c.Name, i)
-		s = h.Sum64()
+// seedOf derives a cell's seed: the explicit per-cell seed when set,
+// otherwise an FNV hash of the cell's name and index.
+func seedOf(c Cell, i int) uint64 {
+	if c.Seed != 0 {
+		return c.Seed
 	}
-	if r.Seed != 0 {
-		s = (s ^ r.Seed) * 0x2545F4914F6CDD1D
-		if s == 0 {
-			s = 1
-		}
-	}
-	return s
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s#%d", c.Name, i)
+	return h.Sum64()
 }
 
 // Run executes every cell and returns results in cell order. A cell
@@ -146,7 +134,7 @@ func (r Runner) Run(ctx context.Context, cells []Cell) []CellResult {
 }
 
 func (r Runner) runCell(ctx context.Context, c Cell, i int, arena *DeviceArena) CellResult {
-	out := CellResult{Name: c.Name, Seed: r.cellSeed(c, i), Labels: c.Labels}
+	out := CellResult{Name: c.Name, Seed: seedOf(c, i), Labels: c.Labels}
 	if err := ctx.Err(); err != nil {
 		out.Err = err
 		return out

@@ -8,18 +8,23 @@ import (
 	"sprinkler"
 )
 
-// sweepCells builds a small scheduler-comparison grid.
-func sweepCells() []sprinkler.Cell {
-	cfg := smallConfig(sprinkler.SPK3)
-	return sprinkler.Sweep(cfg, sprinkler.Schedulers(), []string{"cfs0", "msnfs1"}, 150)
+// sweepCells builds a small scheduler-comparison grid, re-rolled by seed.
+func sweepCells(seed uint64) []sprinkler.Cell {
+	return sprinkler.Grid{
+		Base:       smallConfig(sprinkler.SPK3),
+		Schedulers: sprinkler.Schedulers(),
+		Workloads:  []string{"cfs0", "msnfs1"},
+		Requests:   150,
+		Seed:       seed,
+	}.Cells()
 }
 
 // TestSweepConcurrentMatchesSerial runs the same cells with one worker
 // and with eight and requires identical results — the determinism
 // guarantee of the Runner API.
 func TestSweepConcurrentMatchesSerial(t *testing.T) {
-	serial := sprinkler.Runner{Workers: 1, Seed: 9}.Run(context.Background(), sweepCells())
-	concurrent := sprinkler.Runner{Workers: 8, Seed: 9}.Run(context.Background(), sweepCells())
+	serial := sprinkler.Runner{Workers: 1}.Run(context.Background(), sweepCells(9))
+	concurrent := sprinkler.Runner{Workers: 8}.Run(context.Background(), sweepCells(9))
 	if len(serial) != len(concurrent) {
 		t.Fatalf("result counts differ: %d != %d", len(serial), len(concurrent))
 	}
@@ -45,7 +50,7 @@ func TestSweepConcurrentMatchesSerial(t *testing.T) {
 // TestSweepSharesTracePerWorkload: all schedulers of one workload get the
 // same seed, different workloads different seeds.
 func TestSweepSharesTracePerWorkload(t *testing.T) {
-	results := sprinkler.Runner{Workers: 4}.Run(context.Background(), sweepCells())
+	results := sprinkler.Runner{Workers: 4}.Run(context.Background(), sweepCells(0))
 	seeds := map[string]map[uint64]bool{}
 	for _, cr := range results {
 		if cr.Err != nil {
@@ -112,7 +117,7 @@ func TestRunnerCellErrorIsolated(t *testing.T) {
 func TestRunnerCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := sprinkler.Runner{Workers: 2}.Run(ctx, sweepCells())
+	results := sprinkler.Runner{Workers: 2}.Run(ctx, sweepCells(0))
 	for _, cr := range results {
 		if cr.Err == nil {
 			t.Fatalf("cell %q ran under a cancelled context", cr.Name)

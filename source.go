@@ -38,7 +38,7 @@ func sourceErr(s Source) error {
 }
 
 // SubSeed derives the seed of the i-th child of a composite source from
-// the composite's seed: MixSpec and PhasesSpec build child i with
+// the composite's seed: build child i of a Mix or Phases with
 // SubSeed(seed, i), so sibling children draw decorrelated streams from one
 // cell seed.
 func SubSeed(seed uint64, i int) uint64 {
@@ -224,10 +224,6 @@ func (c Config) NewFixedSource(spec FixedSpec) (Source, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	icfg, err := c.internalConfig()
-	if err != nil {
-		return nil, err
-	}
 	kind := req.Read
 	if spec.Write {
 		kind = req.Write
@@ -237,7 +233,7 @@ func (c Config) NewFixedSource(spec FixedSpec) (Source, error) {
 		Pages:        spec.Pages,
 		Kind:         kind,
 		Sequential:   spec.Sequential,
-		LogicalPages: logicalSpan(icfg.LogicalPages, icfg.Geo.TotalPages()),
+		LogicalPages: c.LogicalSpan(),
 		Seed:         spec.Seed,
 	})
 	if err != nil {
@@ -261,15 +257,6 @@ func (s *fixedSource) Next() (Request, bool) {
 		LPN:       int64(rec.LPN),
 		Pages:     rec.Pages,
 	}, true
-}
-
-// logicalSpan resolves the logical address space (default 90% of
-// physical, leaving over-provisioning headroom).
-func logicalSpan(configured, physical int64) int64 {
-	if configured > 0 {
-		return configured
-	}
-	return physical * 9 / 10
 }
 
 // Poisson turns any source into an open-loop arrival process: request

@@ -224,10 +224,34 @@ func TestSourceBuildDeterminism(t *testing.T) {
 }
 
 // structuredGrid builds a grid whose workload axis is pure structure:
-// combinator-wrapped specs over one base workload, swept alongside plain
-// Table 1 workloads, across every scheduler.
+// combinators composed over one base workload, swept alongside a plain
+// Table 1 workload, across every scheduler.
 func structuredGrid(seed uint64) sprinkler.Grid {
-	base := sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 90, MaxPages: 32}.Spec()
+	over := func(label string, fn func(src sprinkler.Source, cfg sprinkler.Config, seed uint64) (sprinkler.Source, error)) sprinkler.SourceSpec {
+		return sprinkler.SourceSpec{Label: label, New: func(cfg sprinkler.Config, seed uint64) (sprinkler.Source, error) {
+			src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 90, MaxPages: 32, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return fn(src, cfg, seed)
+		}}
+	}
+	mix := sprinkler.SourceSpec{Label: "mix", New: func(cfg sprinkler.Config, seed uint64) (sprinkler.Source, error) {
+		weights := []float64{3, 1}
+		var items []sprinkler.Weighted
+		for i, name := range []string{"msnfs1", "hm0"} {
+			src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: name, Seed: sprinkler.SubSeed(seed, i)})
+			if err != nil {
+				return nil, err
+			}
+			items = append(items, sprinkler.Weighted{Source: src, Weight: weights[i]})
+		}
+		src, err := sprinkler.Mix(seed, items...)
+		if err != nil {
+			return nil, err
+		}
+		return sprinkler.Limit(src, 90), nil
+	}}
 	return sprinkler.Grid{
 		Name:       "structured",
 		Base:       smallConfig(sprinkler.SPK3),
@@ -235,13 +259,16 @@ func structuredGrid(seed uint64) sprinkler.Grid {
 		Workloads:  []string{"cfs0"},
 		Requests:   90,
 		Sources: []sprinkler.SourceSpec{
-			base.WithBurst(1_000_000, 3_000_000),
-			base.WithZipf(0.99),
-			base.WithReadRatio(0.65),
-			sprinkler.MixSpec("mix",
-				sprinkler.WeightedSpec{Spec: sprinkler.WorkloadSpec{Name: "msnfs1"}.Spec(), Weight: 3},
-				sprinkler.WeightedSpec{Spec: sprinkler.WorkloadSpec{Name: "hm0"}.Spec(), Weight: 1},
-			).WithLimit(90),
+			over("burst", func(src sprinkler.Source, _ sprinkler.Config, _ uint64) (sprinkler.Source, error) {
+				return sprinkler.Burst(src, 1_000_000, 3_000_000)
+			}),
+			over("zipf", func(src sprinkler.Source, cfg sprinkler.Config, seed uint64) (sprinkler.Source, error) {
+				return sprinkler.Zipf(src, 0.99, cfg.LogicalSpan(), seed)
+			}),
+			over("read", func(src sprinkler.Source, _ sprinkler.Config, seed uint64) (sprinkler.Source, error) {
+				return sprinkler.ReadRatio(src, 0.65, seed)
+			}),
+			mix,
 		},
 		Seed: seed,
 	}
@@ -285,28 +312,6 @@ func TestRecycledDevicesDoNotLeakAcrossCells(t *testing.T) {
 	// per cell.
 	if n := arena.Size(); n != 1 {
 		t.Fatalf("arena pooled %d devices, want 1", n)
-	}
-}
-
-// TestPinnedSeedSpecIgnoresCellSeed: a spec with an explicit Seed freezes
-// its trace — built under two different cell seeds, it replays one
-// stream.
-func TestPinnedSeedSpecIgnoresCellSeed(t *testing.T) {
-	cfg := smallConfig(sprinkler.SPK3)
-	spec := sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 60, Seed: 7}.Spec()
-	drain := func(cellSeed uint64) []sprinkler.Request {
-		src, err := spec.New(cfg, cellSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return drainSource(t, src, 100)
-	}
-	want := drain(12345)
-	if len(want) == 0 {
-		t.Fatal("pinned spec emitted nothing")
-	}
-	if i := sameStream(want, drain(999)); i >= 0 {
-		t.Fatalf("pinned-seed spec diverged across cell seeds at request %d", i)
 	}
 }
 

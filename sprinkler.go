@@ -20,9 +20,9 @@
 // long it runs. Sources compose through deterministic combinators — Mix,
 // Phases, Burst, Zipf, ReadRatio, Resize — and a source is a pure function
 // of its seed: two builds with one seed emit the identical stream, which
-// is what lets every scheduler of a sweep replay one trace (see Grid and
-// the SourceSpec constructors). Metrics memory
-// is O(1): latency percentiles are exact up to Config's MetricsSampleCap
+// is what lets every scheduler of a sweep replay one trace (see Grid: a
+// SourceSpec's New composes the combinators for one workload-axis point).
+// Metrics memory is O(1): latency percentiles are exact up to Config's MetricsSampleCap
 // and then stream into a fixed-size log-bucketed estimator, and completed
 // request objects are recycled.
 // The FTL's mapping tables cost ~8 bytes per logical/physical page over
@@ -51,7 +51,12 @@
 //
 // Sweeps (many cells, all CPU cores, deterministic seeds):
 //
-//	cells := sprinkler.Sweep(cfg, sprinkler.Schedulers(), sprinkler.Workloads(), 3000)
+//	cells := sprinkler.Grid{
+//	    Base:       cfg,
+//	    Schedulers: sprinkler.Schedulers(),
+//	    Workloads:  sprinkler.Workloads(),
+//	    Requests:   3000,
+//	}.Cells()
 //	results := sprinkler.Runner{}.Run(ctx, cells)
 package sprinkler
 
@@ -62,7 +67,6 @@ import (
 
 	"sprinkler/internal/core"
 	"sprinkler/internal/ftl"
-	"sprinkler/internal/req"
 	"sprinkler/internal/sched"
 	"sprinkler/internal/ssd"
 	"sprinkler/internal/trace"
@@ -251,6 +255,16 @@ func (f FaultSpec) check() error {
 func (c Config) TotalPages() int64 {
 	return int64(c.Channels) * int64(c.ChipsPerChan) * int64(c.DiesPerChip) *
 		int64(c.PlanesPerDie) * int64(c.BlocksPerPlane) * int64(c.PagesPerBlock)
+}
+
+// LogicalSpan returns the logical address space in pages: LogicalPages
+// when set, else 90% of the physical pages, leaving over-provisioning
+// headroom. Zipf and Resize take it as their span.
+func (c Config) LogicalSpan() int64 {
+	if c.LogicalPages > 0 {
+		return c.LogicalPages
+	}
+	return c.TotalPages() * 9 / 10
 }
 
 // DefaultConfig returns the paper's evaluation platform with SPK3.
@@ -513,12 +527,6 @@ func (d *Device) Run(ctx context.Context, src Source) (*Result, error) {
 	return publicResult(res), nil
 }
 
-// RunRequests replays a fully materialized request list — the original
-// entry point, retained as a thin wrapper over Run.
-func (d *Device) RunRequests(requests []Request) (*Result, error) {
-	return d.Run(context.Background(), SliceSource(requests))
-}
-
 // Workloads returns the names of the paper's Table 1 trace catalogue.
 func Workloads() []string {
 	var names []string
@@ -526,57 +534,4 @@ func Workloads() []string {
 		names = append(names, w.Name)
 	}
 	return names
-}
-
-// GenerateWorkload synthesizes n requests of a named Table 1 workload
-// sized for this configuration's logical space. It is a materializing
-// wrapper over NewWorkloadSource; prefer the Source for long workloads.
-func (c Config) GenerateWorkload(name string, n int, seed uint64) ([]Request, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sprinkler: GenerateWorkload needs a positive request count, got %d", n)
-	}
-	src, err := c.NewWorkloadSource(WorkloadSpec{Name: name, Requests: n, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Request, 0, n)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}
-
-// SequentialReads builds n back-to-back reads of the given size.
-func SequentialReads(n, pages int) []Request {
-	out := make([]Request, n)
-	for i := range out {
-		out[i] = Request{LPN: int64(i * pages), Pages: pages}
-	}
-	return out
-}
-
-// SequentialWrites builds n back-to-back writes of the given size.
-func SequentialWrites(n, pages int) []Request {
-	out := make([]Request, n)
-	for i := range out {
-		out[i] = Request{Write: true, LPN: int64(i * pages), Pages: pages}
-	}
-	return out
-}
-
-func fromIOs(ios []*req.IO) []Request {
-	out := make([]Request, len(ios))
-	for i, io := range ios {
-		out[i] = Request{
-			ArrivalNS: int64(io.Arrival),
-			Write:     io.Kind == req.Write,
-			LPN:       int64(io.Start),
-			Pages:     io.Pages,
-			FUA:       io.FUA,
-		}
-	}
-	return out
 }
