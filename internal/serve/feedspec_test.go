@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -132,4 +133,44 @@ func TestBuildSourceStreamsPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFeedSpec decodes untrusted feed JSON the way the daemon does and
+// feeds the built source into a session on a small platform: no input may
+// panic, exhaust memory, or admit more than the 64 requests asked for.
+func FuzzFeedSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"workload":{"name":"msnfs1","requests":50}}`,
+		`{"workload":{"name":"hm0","seed":7},"limit":20}`,
+		`{"fixed":{"requests":30,"pages":4,"write":true}}`,
+		`{"fixed":{"requests":30,"pages":8,"sequential":true,"seed":3}}`,
+		`{"workload":{"name":"cfs0"},"poissonRate":150000,"count":10}`,
+		`{"workload":{"name":"cfs0","requests":40},"zipfTheta":0.99}`,
+		`{"workload":{"name":"cfs0","requests":40},"readRatio":0.3}`,
+		`{"fixed":{"requests":40,"pages":1},"minPages":2,"maxPages":16}`,
+		`{"workload":{"name":"cfs0","requests":40},"burstOnNS":1000000,"burstOffNS":3000000}`,
+		`{"workload":{"name":"msnfs1"},"poissonRate":2e5,"zipfTheta":0.9,"readRatio":0.7,"minPages":1,"maxPages":8,"burstOnNS":500000,"burstOffNS":1500000,"limit":100,"seed":9}`,
+		`{"fixed":{"requests":4,"pages":1073741824,"sequential":true}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	cfg := testOptions().BaseConfig
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec FeedSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		src, _, err := spec.buildSource(cfg, 1)
+		if err != nil {
+			return
+		}
+		sess, err := sprinkler.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Discard()
+		if fed, _ := sess.Feed(src, 64); fed > 64 {
+			t.Fatalf("fed %d requests, asked for at most 64", fed)
+		}
+	})
 }

@@ -219,6 +219,35 @@ func TestSubmitBacklogBudget(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestRejected: a submit or feed naming a 2^30-page
+// request is a 400, not an out-of-memory crash, and the server keeps
+// serving the session afterwards.
+func TestOversizedRequestRejected(t *testing.T) {
+	_, ts := newTestServer(t, testOptions())
+	openSession(t, ts, OpenRequest{Name: "big"})
+
+	huge := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 1 << 30}}}
+	if r := postJSON(t, ts.URL+"/v1/sessions/big/submit", huge, nil); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized submit: status %d, want 400", r.StatusCode)
+	}
+	feed := FeedSpec{Fixed: &FixedSpec{Requests: 4, Pages: 1 << 30, Sequential: true}}
+	if r := postJSON(t, ts.URL+"/v1/sessions/big/feed", feed, nil); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized feed: status %d, want 400", r.StatusCode)
+	}
+	ok := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 4}}}
+	if r := postJSON(t, ts.URL+"/v1/sessions/big/submit", ok, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("valid submit after rejection: status %d", r.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejection: status %d", resp.StatusCode)
+	}
+}
+
 // TestFeedClampsToBacklogBudget: a bounded feed larger than the budget
 // admits exactly the headroom and reports it, so clients make progress
 // under backpressure instead of failing.

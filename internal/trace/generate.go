@@ -131,9 +131,6 @@ func NewStream(w Workload, cfg GenConfig) (*Stream, error) {
 	return g, nil
 }
 
-// Emitted reports how many requests the stream has produced.
-func (g *Stream) Emitted() int64 { return g.emitted }
-
 // Next produces the next request as a host I/O object, or false when a
 // bounded stream is done. Streaming consumers that only need the request
 // parameters should use NextRecord, which allocates nothing.

@@ -307,14 +307,26 @@ type ioPool struct {
 // pinning memory forever.
 const ioPoolMax = 4096
 
+// maxRequestPages bounds one request's length. An admitted request costs
+// about 120 B per page, so an unbounded length from an untrusted trace or
+// client could exhaust memory; no built-in workload emits more than 2048
+// pages.
+const maxRequestPages = 1 << 16
+
 // build converts one public request, validating it, recycling a retired
 // I/O when one is available.
 func (p *ioPool) build(id int64, r Request) (*req.IO, error) {
 	if r.Pages <= 0 {
 		return nil, fmt.Errorf("sprinkler: request %d has %d pages", id, r.Pages)
 	}
+	if r.Pages > maxRequestPages {
+		return nil, fmt.Errorf("sprinkler: request %d has %d pages, more than the limit of %d", id, r.Pages, maxRequestPages)
+	}
 	if r.LPN < 0 {
 		return nil, fmt.Errorf("sprinkler: request %d has negative LPN %d", id, r.LPN)
+	}
+	if r.ArrivalNS < 0 {
+		return nil, fmt.Errorf("sprinkler: request %d has negative arrival %d ns", id, r.ArrivalNS)
 	}
 	kind := req.Read
 	if r.Write {

@@ -354,7 +354,8 @@ func resolveKind(k SchedulerKind) SchedulerKind {
 	return k
 }
 
-// Request is one host I/O request.
+// Request is one host I/O request. Run and Session reject a request with
+// a negative ArrivalNS or LPN, or with Pages outside [1, 65536].
 type Request struct {
 	// ArrivalNS is the arrival time in nanoseconds from simulation start.
 	ArrivalNS int64

@@ -1,6 +1,10 @@
 package sprinkler
 
-import "testing"
+import (
+	"context"
+	"strings"
+	"testing"
+)
 
 // testConfig shrinks the platform for fast tests.
 func testConfig(kind SchedulerKind) Config {
@@ -65,6 +69,61 @@ func TestPublicAPIRejectsBadRequests(t *testing.T) {
 	}
 	if _, err := dev.RunRequests([]Request{{Pages: 0}}); err == nil {
 		t.Fatal("accepted zero-page request")
+	}
+}
+
+// TestRequestBoundsOnBothRunPaths: an oversized request or a negative
+// arrival is refused on admission, whether it arrives through Run or
+// through a Session, before it can cost memory or corrupt latencies.
+func TestRequestBoundsOnBothRunPaths(t *testing.T) {
+	cfg := testConfig(SPK3)
+	bad := []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"oversized", Request{Pages: maxRequestPages + 1}, "more than the limit"},
+		{"huge", Request{Write: true, Pages: 1 << 30}, "more than the limit"},
+		{"negative-arrival", Request{ArrivalNS: -1, Pages: 1}, "negative arrival"},
+	}
+	for _, tc := range bad {
+		dev, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := []Request{{Pages: 1}, tc.req}
+		if _, err := dev.Run(context.Background(), SliceSource(reqs)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		sess, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Submit(tc.req); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Submit error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if fed, err := sess.Feed(SliceSource(reqs), 0); fed != 1 || err == nil {
+			t.Errorf("%s: Feed admitted %d with error %v, want 1 and an error", tc.name, fed, err)
+		}
+		// The session keeps serving valid requests after a refusal.
+		if err := sess.Submit(Request{LPN: 8, Pages: 2}); err != nil {
+			t.Fatalf("%s: valid submit after refusal: %v", tc.name, err)
+		}
+		if _, err := sess.Drain(context.Background()); err != nil {
+			t.Fatalf("%s: drain: %v", tc.name, err)
+		}
+	}
+
+	// A Poisson process at a vanishing rate overflows its clock into a
+	// negative arrival; the run fails instead of reporting a negative
+	// average latency.
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := Poisson(SliceSource(SequentialReads(4, 1)), 1e-12, 1)
+	if _, err := dev.Run(context.Background(), src); err == nil || !strings.Contains(err.Error(), "negative arrival") {
+		t.Fatalf("overflowed Poisson run: error %v, want a negative arrival", err)
 	}
 }
 
