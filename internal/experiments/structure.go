@@ -55,7 +55,7 @@ func RunBurstiness(opts Options) ([]BurstPoint, error) {
 					return nil, err
 				}
 				src = sprinkler.Poisson(src, meanRate/duty, seed)
-				if offNS == 0 {
+				if offNS <= 0 {
 					return src, nil
 				}
 				return sprinkler.Burst(src, onNS, offNS)
