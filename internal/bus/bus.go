@@ -18,18 +18,12 @@ type Channel struct {
 
 	releaseT *sim.Timer         // reusable release event (one hold at a time)
 	done     func(end sim.Time) // current holder's end-of-hold callback
-
-	// Accounting.
-	busyTime sim.TimedCounter
-	waitTime sim.Time // total time grants spent queued
-	grants   int64
 }
 
 type pending struct {
 	dur     sim.Time
 	granted func(start sim.Time)
 	done    func(end sim.Time)
-	asked   sim.Time
 }
 
 // New returns an idle channel bus bound to eng. The release event runs on
@@ -59,9 +53,6 @@ func (c *Channel) Reset() {
 	c.qh = 0
 	c.releaseT.Stop()
 	c.done = nil
-	c.busyTime = sim.TimedCounter{}
-	c.waitTime = 0
-	c.grants = 0
 }
 
 // Acquire requests the bus for dur. When granted, granted(start) runs at
@@ -74,10 +65,9 @@ func (c *Channel) Acquire(dur sim.Time, granted, done func(sim.Time)) {
 	if dur < 0 {
 		panic("bus: negative duration")
 	}
-	now := c.eng.Now()
-	p := pending{dur: dur, granted: granted, done: done, asked: now}
+	p := pending{dur: dur, granted: granted, done: done}
 	if !c.busy && c.queueLen() == 0 {
-		c.grant(now, p)
+		c.grant(c.eng.Now(), p)
 		return
 	}
 	c.q = append(c.q, p)
@@ -85,9 +75,6 @@ func (c *Channel) Acquire(dur sim.Time, granted, done func(sim.Time)) {
 
 func (c *Channel) grant(now sim.Time, p pending) {
 	c.busy = true
-	c.busyTime.Set(now, true)
-	c.waitTime += now - p.asked
-	c.grants++
 	c.done = p.done
 	p.granted(now)
 	c.eng.AtTimer(now+p.dur, c.releaseT)
@@ -98,7 +85,6 @@ func (c *Channel) release(now sim.Time) {
 		c.done(now)
 	}
 	c.busy = false
-	c.busyTime.Set(now, false)
 	if c.queueLen() > 0 {
 		next := c.q[c.qh]
 		c.q[c.qh] = pending{}
@@ -116,15 +102,3 @@ func (c *Channel) queueLen() int { return len(c.q) - c.qh }
 
 // Busy reports whether the bus is currently held.
 func (c *Channel) Busy() bool { return c.busy }
-
-// QueueLen reports how many acquisitions are waiting.
-func (c *Channel) QueueLen() int { return c.queueLen() }
-
-// BusyTime returns the cumulative time the bus was held, through now.
-func (c *Channel) BusyTime(now sim.Time) sim.Time { return c.busyTime.Total(now) }
-
-// WaitTime returns the cumulative time acquisitions spent queued.
-func (c *Channel) WaitTime() sim.Time { return c.waitTime }
-
-// Grants returns the number of grants issued.
-func (c *Channel) Grants() int64 { return c.grants }

@@ -96,8 +96,9 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 					}
 
 					// Occasionally readdress one still-queued request
-					// (live-data migration): both paths must see the new
-					// address, the incremental one via the index hook.
+					// (live-data migration, which stays on the request's
+					// chip): both paths must see the new address, the
+					// incremental one via the index hook.
 					if rng.Bool(0.3) {
 						var cand []*req.Mem
 						for _, io := range queued {
@@ -110,7 +111,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 						if len(cand) > 0 {
 							m := cand[rng.Intn(len(cand))]
 							dst := flash.Addr{
-								Chip:  flash.ChipID(rng.Intn(idxFab.geo.NumChips())),
+								Chip:  m.Addr.Chip,
 								Die:   rng.Intn(idxFab.geo.DiesPerChip),
 								Plane: rng.Intn(idxFab.geo.PlanesPerDie),
 								Block: rng.Intn(idxFab.geo.BlocksPerPlane),

@@ -41,7 +41,18 @@ func DefaultGeometry() Geometry {
 	}
 }
 
-// Validate reports an error when any dimension is non-positive.
+// MaxPagesPerBlock and MaxPageSize bound the page dimensions a geometry may
+// name. PagesPerBlock sizes the per-block validity bitmaps and PageSize
+// feeds byte counts, so a configuration read from a file must not be able
+// to ask for gigabytes of bitmaps or overflow bandwidth arithmetic. Real
+// NAND stays far below both (the paper's platform: 128 pages of 2 KB).
+const (
+	MaxPagesPerBlock = 1 << 14
+	MaxPageSize      = 1 << 20
+)
+
+// Validate reports an error when any dimension is non-positive or a page
+// dimension exceeds its bound.
 func (g Geometry) Validate() error {
 	type dim struct {
 		name string
@@ -59,6 +70,12 @@ func (g Geometry) Validate() error {
 		if d.v <= 0 {
 			return fmt.Errorf("flash: geometry %s = %d, must be positive", d.name, d.v)
 		}
+	}
+	if g.PagesPerBlock > MaxPagesPerBlock {
+		return fmt.Errorf("flash: geometry PagesPerBlock = %d exceeds the limit of %d", g.PagesPerBlock, MaxPagesPerBlock)
+	}
+	if g.PageSize > MaxPageSize {
+		return fmt.Errorf("flash: geometry PageSize = %d exceeds the limit of %d", g.PageSize, MaxPageSize)
 	}
 	return nil
 }

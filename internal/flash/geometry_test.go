@@ -40,6 +40,26 @@ func TestGeometryValidateRejectsZeroDims(t *testing.T) {
 	}
 }
 
+func TestGeometryValidateBoundsPageDims(t *testing.T) {
+	g := DefaultGeometry()
+	g.PagesPerBlock, g.PageSize = MaxPagesPerBlock, MaxPageSize
+	if err := g.Validate(); err != nil {
+		t.Fatalf("rejected the largest page dimensions: %v", err)
+	}
+	for _, m := range []func(*Geometry){
+		func(g *Geometry) { g.PagesPerBlock = MaxPagesPerBlock + 1 },
+		func(g *Geometry) { g.PagesPerBlock = 1 << 27 },
+		func(g *Geometry) { g.PageSize = MaxPageSize + 1 },
+		func(g *Geometry) { g.PageSize = 1 << 62 },
+	} {
+		g := DefaultGeometry()
+		m(&g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted PagesPerBlock %d, PageSize %d", g.PagesPerBlock, g.PageSize)
+		}
+	}
+}
+
 func TestGeometryCapacity(t *testing.T) {
 	g := DefaultGeometry()
 	// 64 chips * 2 dies * 4 planes * 2048 blocks * 128 pages = 134,217,728 pages.

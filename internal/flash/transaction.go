@@ -190,26 +190,16 @@ func (t *Transaction) String() string {
 	return fmt.Sprintf("txn{chip=%d op=%v n=%d class=%v}", t.Chip, t.Op, t.Len(), t.Class())
 }
 
-// BuildTransaction greedily coalesces as many of the pending requests as
-// legally possible into one transaction, starting from pending[0] (the
-// highest-priority request as ordered by the scheduler). It returns the
-// transaction and the indices of pending that were consumed.
+// BuildTransactionInto greedily coalesces as many of the pending requests
+// as legally possible into t, starting from pending[0] (the
+// highest-priority request as ordered by the scheduler). t is reset and
+// filled in place; the indices of pending that were consumed are returned
+// in taken, reusing its capacity, so controllers build every transaction
+// without allocating.
 //
 // The greedy order respects the committed order: the flash controller scans
 // the per-chip queue once and takes every request that still fits. This is
 // exactly the opportunity window FARO widens by over-committing.
-func BuildTransaction(g Geometry, pending []Request) (*Transaction, []int) {
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	t := &Transaction{}
-	return t, BuildTransactionInto(g, pending, t, nil)
-}
-
-// BuildTransactionInto is BuildTransaction with caller-owned storage: t is
-// reset and filled in place, and the consumed indices are appended to taken
-// (reusing its capacity). Controllers on the hot path use this to build
-// every transaction without allocating.
 func BuildTransactionInto(g Geometry, pending []Request, t *Transaction, taken []int) []int {
 	t.Reset()
 	if len(pending) == 0 {
@@ -225,7 +215,7 @@ func BuildTransactionInto(g Geometry, pending []Request, t *Transaction, taken [
 		} else if i == 0 {
 			// First request must always be accepted; Add only fails for
 			// non-empty transactions, so this cannot happen.
-			panic("flash: BuildTransaction failed to seed transaction")
+			panic("flash: BuildTransactionInto failed to seed transaction")
 		}
 	}
 	return taken

@@ -135,6 +135,12 @@ func TestEraseCoalesce(t *testing.T) {
 	}
 }
 
+// build runs BuildTransactionInto on fresh storage.
+func build(g Geometry, pending []Request) (*Transaction, []int) {
+	tx := &Transaction{}
+	return tx, BuildTransactionInto(g, pending, tx, nil)
+}
+
 func TestBuildTransactionGreedy(t *testing.T) {
 	g := smallGeo()
 	pending := []Request{
@@ -143,7 +149,7 @@ func TestBuildTransactionGreedy(t *testing.T) {
 		req(0, 1, 0, 9, 1, OpRead), // joins via die interleave
 		req(0, 0, 1, 5, 7, OpRead), // joins via plane share
 	}
-	tx, taken := BuildTransaction(g, pending)
+	tx, taken := build(g, pending)
 	if tx.Len() != 3 {
 		t.Fatalf("coalesced %d members, want 3 (%v)", tx.Len(), tx)
 	}
@@ -160,22 +166,22 @@ func TestBuildTransactionGreedy(t *testing.T) {
 
 func TestBuildTransactionEmpty(t *testing.T) {
 	g := smallGeo()
-	tx, taken := BuildTransaction(g, nil)
-	if tx != nil || taken != nil {
-		t.Fatal("BuildTransaction on empty input should return nils")
+	tx, taken := build(g, nil)
+	if tx.Len() != 0 || len(taken) != 0 {
+		t.Fatalf("empty input built %v, took %v", tx, taken)
 	}
 }
 
 func TestBuildTransactionSingleAlwaysSucceeds(t *testing.T) {
 	g := smallGeo()
 	p := []Request{req(1, 1, 3, 60, 15, OpProgram)}
-	tx, taken := BuildTransaction(g, p)
+	tx, taken := build(g, p)
 	if tx.Len() != 1 || len(taken) != 1 || taken[0] != 0 {
 		t.Fatalf("single build wrong: %v %v", tx, taken)
 	}
 }
 
-// Property: BuildTransaction output is always legal — no duplicated
+// Property: BuildTransactionInto output is always legal — no duplicated
 // (die,plane), one op kind, same-die members share page+block offsets, and
 // degree <= MaxFLP.
 func TestBuildTransactionLegalProperty(t *testing.T) {
@@ -197,7 +203,7 @@ func TestBuildTransactionLegalProperty(t *testing.T) {
 		if len(pending) == 0 {
 			return true
 		}
-		tx, taken := BuildTransaction(g, pending)
+		tx, taken := build(g, pending)
 		if tx.Len() != len(taken) || tx.Len() == 0 || tx.Len() > g.MaxFLP() {
 			return false
 		}

@@ -11,7 +11,6 @@ import (
 
 	"sprinkler/internal/flash"
 	"sprinkler/internal/req"
-	"sprinkler/internal/sim"
 )
 
 // Allocation selects the dynamic page-allocation (striping) scheme, i.e.
@@ -72,18 +71,6 @@ type Config struct {
 	// Allocation picks the write striping scheme.
 	Allocation Allocation
 
-	// EraseFailProb is the per-erase probability that a block wears out
-	// and is retired (bad-block replacement, §4.3 migration reason 3).
-	// Zero disables failure injection.
-	EraseFailProb float64
-
-	// WearDeltaMax enables static wear-leveling (§4.3 migration reason 2):
-	// when a plane's erase-count spread exceeds this delta, the next GC in
-	// that plane victimizes its coldest full block instead of the greedy
-	// min-valid choice, rotating cold data into circulation. Zero disables
-	// wear-leveling.
-	WearDeltaMax int
-
 	// SpareBlockFrac reserves this fraction of every plane's blocks as a
 	// spare pool for bad-block replacement: a block retired by a
 	// (chip-level) erase failure is remapped to a spare, keeping the
@@ -92,9 +79,6 @@ type Config struct {
 	// writes. Must be in [0, 1) and leave enough usable blocks for the GC
 	// free target; zero reserves nothing (today's behaviour).
 	SpareBlockFrac float64
-
-	// Seed drives the failure-injection generator.
-	Seed uint64
 }
 
 // DefaultConfig returns the configuration used by the evaluation: GC kicks
@@ -179,7 +163,6 @@ type FTL struct {
 	cursor int64
 
 	onMigrate MigrationFunc
-	rng       *sim.Rand
 
 	// Recycle bookkeeping. allocate is the only way a block leaves the
 	// erased state (GC erase, retirement and spare promotion act only on
@@ -199,8 +182,6 @@ type FTL struct {
 	gcErases      int64
 	gcRuns        int64
 	invalidated   int64
-	badBlocks     int64
-	wlRuns        int64
 	retiredBlocks int64
 	sparesUsed    int64
 	degraded      bool
@@ -237,7 +218,6 @@ func New(cfg Config) (*FTL, error) {
 		dirtyBlocks: make([]int, 0, nPlanes),
 		dirtyPlanes: make([]int, 0, nPlanes),
 	}
-	f.rng = sim.NewRand(cfg.Seed + 0x5EED)
 	// All validity bitmaps, plane structs, block metadata and free-list
 	// storage come from five bulk allocations: building a device is a
 	// per-cell cost in concurrent sweeps, so construction avoids per-block
@@ -281,11 +261,10 @@ func spareBlocks(cfg Config) (int, error) {
 
 // Reset re-initializes the FTL in place for a new run on the same
 // geometry: mappings are dropped, every block is returned to the erased
-// state, wear and activity counters restart, and the failure-injection
-// generator is reseeded — all without touching the bulk block/bitmap
-// arenas New allocated, which is what makes device reuse cheap. Per-run
-// knobs (GC threshold, allocation scheme, logical-space hint, failure
-// injection, wear-leveling) may change; the geometry may not.
+// state and wear and activity counters restart — all without touching the
+// bulk block/bitmap arenas New allocated, which is what makes device reuse
+// cheap. Per-run knobs (GC threshold, allocation scheme, logical-space
+// hint, spare pool) may change; the geometry may not.
 //
 // The cost is O(what the last run touched): only blocks allocated since
 // the previous reset are scrubbed, only the free-list tails their planes
@@ -337,10 +316,8 @@ func (f *FTL) Reset(cfg Config) error {
 	f.cfg = cfg
 	f.cursor = 0
 	f.onMigrate = nil
-	f.rng.Reseed(cfg.Seed + 0x5EED)
 	f.hostWrites, f.gcWrites, f.gcReads, f.gcErases, f.gcRuns = 0, 0, 0, 0, 0
-	f.invalidated, f.badBlocks, f.wlRuns = 0, 0, 0
-	f.retiredBlocks, f.sparesUsed, f.degraded = 0, 0, false
+	f.invalidated, f.retiredBlocks, f.sparesUsed, f.degraded = 0, 0, 0, false
 	return nil
 }
 
@@ -406,12 +383,6 @@ func (f *FTL) stripeTarget() int {
 		die = (int(rest) / g.PlanesPerDie) % g.DiesPerChip
 	}
 	return f.planeIndex(chip, die, plane)
-}
-
-// FreeBlocks returns the erased-block count of a plane (for tests and GC
-// policy probes).
-func (f *FTL) FreeBlocks(chip flash.ChipID, die, plane int) int {
-	return len(f.planes[f.planeIndex(chip, die, plane)].free)
 }
 
 // allocate takes the next free page in the plane's active block, refusing
@@ -586,10 +557,7 @@ type Migration struct {
 type GCJob struct {
 	Victim     flash.Addr // Block field identifies the victim; Page is 0
 	Migrations []Migration
-	// WearLeveling marks a job whose victim was chosen by the static
-	// wear-leveler (coldest block) rather than the greedy policy.
-	WearLeveling bool
-	committed    bool
+	committed  bool
 }
 
 // PlanGC selects a victim in the plane (greedy: fewest valid pages among
@@ -602,36 +570,20 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 	chip, die, plane := f.planeAddr(planeIdx)
 	victim := -1
 	best := f.geo.PagesPerBlock + 1
-	wear := false
-	if f.cfg.WearDeltaMax > 0 {
-		// Static wear-leveling: when the erase-count spread is too wide,
-		// rotate the coldest full block back into circulation even if it
-		// is fully valid.
-		minE, maxE, cold := f.wearSpread(ps)
-		if maxE-minE > f.cfg.WearDeltaMax && cold >= 0 {
-			victim, best = cold, int(ps.blocks[cold].validCount)
-			wear = true
+	for b := range ps.blocks {
+		blk := &ps.blocks[b]
+		if !blk.full || b == ps.active || blk.bad {
+			continue
+		}
+		if int(blk.validCount) < best {
+			best = int(blk.validCount)
+			victim = b
 		}
 	}
-	if victim < 0 {
-		for b := range ps.blocks {
-			blk := &ps.blocks[b]
-			if !blk.full || b == ps.active || blk.bad {
-				continue
-			}
-			if int(blk.validCount) < best {
-				best = int(blk.validCount)
-				victim = b
-			}
-		}
-		if victim < 0 || best >= f.geo.PagesPerBlock {
-			return nil, nil
-		}
+	if victim < 0 || best >= f.geo.PagesPerBlock {
+		return nil, nil
 	}
-	job := &GCJob{
-		Victim:       flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim},
-		WearLeveling: wear,
-	}
+	job := &GCJob{Victim: flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim}}
 	blk := &ps.blocks[victim]
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 		if !blk.valid.Get(pg) {
@@ -684,19 +636,14 @@ func (f *FTL) bestPlaneOnChip(chip flash.ChipID, fallback int) int {
 
 // CommitGC applies the mapping changes of a finished job: live pages are
 // remapped to their destinations (skipping any the host overwrote while
-// the job was in flight), the victim is erased and returned to the free
-// list, and the migration observer fires once per applied move.
+// the job was in flight), the victim is erased, and the migration observer
+// fires once per applied move. The erased victim returns to the free list,
+// unless the chip-level fault model reported its erase as failed
+// (eraseFailed): then the block is retired and a spare activated in its
+// place.
 //
 // It returns the migrations actually applied.
-func (f *FTL) CommitGC(job *GCJob) []Migration { return f.CommitGCOutcome(job, false) }
-
-// CommitGCOutcome is CommitGC with the simulated erase outcome supplied by
-// the caller: when the chip-level fault model reported the victim's erase
-// as failed, the block is retired and a spare activated in its place
-// instead of returning to the free list. (The FTL's own legacy
-// EraseFailProb draw still applies when the erase succeeded, preserving the
-// historic stream.)
-func (f *FTL) CommitGCOutcome(job *GCJob, eraseFailed bool) []Migration {
+func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 	if job.committed {
 		panic("ftl: GC job committed twice")
 	}
@@ -732,17 +679,9 @@ func (f *FTL) CommitGCOutcome(job *GCJob, eraseFailed bool) []Migration {
 	blk.written = 0
 	blk.full = false
 	blk.erases++
-	if job.WearLeveling {
-		f.wlRuns++
-	}
-	switch {
-	case eraseFailed:
+	if eraseFailed {
 		f.retireBlock(ps, job.Victim.Block)
-	case f.cfg.EraseFailProb > 0 && f.rng.Float64() < f.cfg.EraseFailProb:
-		blk.bad = true
-		blk.full = true // never allocatable again
-		f.badBlocks++
-	default:
+	} else {
 		ps.free = append(ps.free, job.Victim.Block)
 	}
 	f.gcErases++
@@ -757,7 +696,6 @@ func (f *FTL) retireBlock(ps *planeState, block int) {
 	blk := &ps.blocks[block]
 	blk.bad = true
 	blk.full = true // never allocatable again
-	f.badBlocks++
 	f.retiredBlocks++
 	if n := len(ps.spare); n > 0 {
 		sp := ps.spare[n-1]
@@ -798,31 +736,6 @@ func (f *FTL) RemapProgramFail(lpn req.LPN, failed flash.Addr) (a flash.Addr, ok
 	return a, true, nil
 }
 
-// wearSpread returns the min and max erase counts over a plane's blocks
-// and the coldest collectable (full, non-active, healthy) block index.
-func (f *FTL) wearSpread(ps *planeState) (minE, maxE, coldest int) {
-	minE, maxE, coldest = 1<<30, -1, -1
-	coldE := 1 << 30
-	for b := range ps.blocks {
-		blk := &ps.blocks[b]
-		if blk.bad {
-			continue
-		}
-		e := int(blk.erases)
-		if e < minE {
-			minE = e
-		}
-		if e > maxE {
-			maxE = e
-		}
-		if blk.full && b != ps.active && e < coldE {
-			coldE = e
-			coldest = b
-		}
-	}
-	return minE, maxE, coldest
-}
-
 // Stats reports FTL activity counters.
 type Stats struct {
 	HostWrites    int64
@@ -832,8 +745,6 @@ type Stats struct {
 	GCRuns        int64
 	Invalidated   int64
 	MappedPages   int64
-	BadBlocks     int64
-	WearLevels    int64
 	RetiredBlocks int64 // blocks retired via chip-level erase failures
 	SparesUsed    int64 // spare blocks activated to replace retirements
 	Degraded      bool  // spare pool exhausted; drive is read-only
@@ -849,8 +760,6 @@ func (f *FTL) Stats() Stats {
 		GCRuns:        f.gcRuns,
 		Invalidated:   f.invalidated,
 		MappedPages:   int64(f.l2p.len()),
-		BadBlocks:     f.badBlocks,
-		WearLevels:    f.wlRuns,
 		RetiredBlocks: f.retiredBlocks,
 		SparesUsed:    f.sparesUsed,
 		Degraded:      f.degraded,

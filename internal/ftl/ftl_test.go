@@ -212,7 +212,7 @@ func TestGCPlanAndCommit(t *testing.T) {
 		if job == nil {
 			continue
 		}
-		applied := f.CommitGC(job)
+		applied := f.CommitGC(job, false)
 		if len(applied) != len(job.Migrations) {
 			t.Fatalf("applied %d of %d planned migrations with no interference",
 				len(applied), len(job.Migrations))
@@ -260,7 +260,7 @@ func TestGCSkipsHostOverwrittenPages(t *testing.T) {
 	// Host overwrites the first migrating LPN mid-flight.
 	victimLPN := job.Migrations[0].LPN
 	writeMem(t, f, victimLPN)
-	applied := f.CommitGC(job)
+	applied := f.CommitGC(job, false)
 	for _, mg := range applied {
 		if mg.LPN == victimLPN {
 			t.Fatal("GC applied a migration for a host-overwritten LPN")
@@ -290,13 +290,13 @@ func TestCommitGCTwicePanics(t *testing.T) {
 	if job == nil {
 		t.Fatal("no collectable block")
 	}
-	f.CommitGC(job)
+	f.CommitGC(job, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double CommitGC did not panic")
 		}
 	}()
-	f.CommitGC(job)
+	f.CommitGC(job, false)
 }
 
 func TestWriteAmplification(t *testing.T) {
@@ -312,7 +312,7 @@ func TestWriteAmplification(t *testing.T) {
 		if err != nil || job == nil {
 			continue
 		}
-		f.CommitGC(job)
+		f.CommitGC(job, false)
 	}
 	if wa := f.WriteAmplification(); wa < 1 {
 		t.Fatalf("WA = %v, want >= 1", wa)
@@ -367,7 +367,7 @@ func TestGCDurabilityProperty(t *testing.T) {
 					if err != nil || job == nil {
 						continue
 					}
-					f.CommitGC(job)
+					f.CommitGC(job, false)
 				}
 			}
 		}

@@ -17,11 +17,8 @@ func randomResetConfig(rng *sim.Rand) Config {
 	cfg.GCFreeTarget = 1 + rng.Intn(3)
 	cfg.MigrateCrossPlane = rng.Intn(2) == 0
 	cfg.Allocation = Allocation(rng.Intn(3))
-	cfg.EraseFailProb = []float64{0, 0, 0.05, 0.3}[rng.Intn(4)]
-	cfg.WearDeltaMax = []int{0, 2}[rng.Intn(2)]
 	cfg.SpareBlockFrac = []float64{0, 0.125, 0.25}[rng.Intn(3)]
 	cfg.LogicalPages = []int64{0, 1200, 5000}[rng.Intn(3)]
-	cfg.Seed = rng.Uint64()
 	return cfg
 }
 
@@ -52,7 +49,7 @@ func collectOnce(f *FTL, rng *sim.Rand, failP float64) bool {
 		if job == nil {
 			continue
 		}
-		f.CommitGCOutcome(job, rng.Float64() < failP)
+		f.CommitGC(job, rng.Float64() < failP)
 		progressed = true
 	}
 	return progressed

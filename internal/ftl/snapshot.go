@@ -12,13 +12,13 @@ import (
 // serializable State mirrors everything that survives a drained run —
 // the logical-to-physical map, per-block wear/occupancy metadata, the
 // per-plane free/spare pools in their exact LIFO order, the write-stripe
-// cursor, the failure-injection generator position, and every activity
-// counter (including the sticky degraded-mode ones from bad-block
-// retirement). The validity bitmaps, their per-block population counts
-// and the reverse (PPN→LPN) table are deliberately NOT part of the
-// state: the L2P map determines all three (CheckInvariants pins the
-// bijection), so RestoreState rebuilds them — halving the snapshot and
-// removing a whole class of internally-inconsistent snapshot inputs.
+// cursor, and every activity counter (including the sticky degraded-mode
+// ones from bad-block retirement). The validity bitmaps, their per-block
+// population counts and the reverse (PPN→LPN) table are deliberately NOT
+// part of the state: the L2P map determines all three (CheckInvariants
+// pins the bijection), so RestoreState rebuilds them — halving the
+// snapshot and removing a whole class of internally-inconsistent snapshot
+// inputs.
 
 // MapPair is one L2P entry.
 type MapPair struct {
@@ -48,7 +48,6 @@ type PlaneState2 struct {
 type State struct {
 	L2P    []MapPair // sorted by LPN (canonical form)
 	Cursor int64
-	RNG    uint64
 	Planes []PlaneState2
 
 	HostWrites    int64
@@ -57,8 +56,6 @@ type State struct {
 	GCErases      int64
 	GCRuns        int64
 	Invalidated   int64
-	BadBlocks     int64
-	WLRuns        int64
 	RetiredBlocks int64
 	SparesUsed    int64
 	Degraded      bool
@@ -70,7 +67,6 @@ type State struct {
 func (f *FTL) CaptureState() State {
 	st := State{
 		Cursor:        f.cursor,
-		RNG:           f.rng.State(),
 		Planes:        make([]PlaneState2, len(f.planes)),
 		HostWrites:    f.hostWrites,
 		GCWrites:      f.gcWrites,
@@ -78,8 +74,6 @@ func (f *FTL) CaptureState() State {
 		GCErases:      f.gcErases,
 		GCRuns:        f.gcRuns,
 		Invalidated:   f.invalidated,
-		BadBlocks:     f.badBlocks,
-		WLRuns:        f.wlRuns,
 		RetiredBlocks: f.retiredBlocks,
 		SparesUsed:    f.sparesUsed,
 		Degraded:      f.degraded,
@@ -184,15 +178,12 @@ func (f *FTL) RestoreState(st State) error {
 		f.p2l.set(e.PPN, e.LPN)
 	}
 	f.cursor = st.Cursor
-	f.rng.SetState(st.RNG)
 	f.hostWrites = st.HostWrites
 	f.gcWrites = st.GCWrites
 	f.gcReads = st.GCReads
 	f.gcErases = st.GCErases
 	f.gcRuns = st.GCRuns
 	f.invalidated = st.Invalidated
-	f.badBlocks = st.BadBlocks
-	f.wlRuns = st.WLRuns
 	f.retiredBlocks = st.RetiredBlocks
 	f.sparesUsed = st.SparesUsed
 	f.degraded = st.Degraded

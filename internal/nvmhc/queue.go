@@ -75,9 +75,6 @@ func (q *Queue) Reset() {
 	q.admitted, q.released = 0, 0
 }
 
-// Cap returns the tag capacity.
-func (q *Queue) Cap() int { return q.capacity }
-
 // Len returns the number of occupied tags.
 func (q *Queue) Len() int { return q.count }
 

@@ -6,6 +6,7 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 
 	"sprinkler/internal/flash"
@@ -78,9 +79,8 @@ type ReadyIndex struct {
 	version []uint64
 
 	// addVer and readdrVer split version by cause: addVer counts entries
-	// entering a chip's list (admission, readdressing inserts), readdrVer
-	// counts physical-address rewrites touching it (including the source
-	// side of a cross-chip move). A version bump with both unchanged is
+	// entering a chip's list (admission), readdrVer counts physical-address
+	// rewrites touching it. A version bump with both unchanged is
 	// therefore removal-only — the precondition for Sprinkler's FARO
 	// partial invalidation, which advances a memoized order past removed
 	// groups instead of regrouping from scratch.
@@ -151,59 +151,28 @@ func (x *ReadyIndex) Add(m *req.Mem) {
 // holes dominate, so index memory tracks the live queue depth for every
 // scheduler instead of growing with total admissions.
 func (x *ReadyIndex) Remove(m *req.Mem) {
-	c := x.drop(m)
-	if l := x.lists[c]; len(l) >= 64 && int(x.live[c])*2 < len(l) {
-		x.lists[c] = compactList(l)
-	}
-}
-
-// drop nils m's slot without compacting — safe while the chip's list is
-// being iterated (Readdress during an applyMigrations walk).
-func (x *ReadyIndex) drop(m *req.Mem) flash.ChipID {
 	c := m.Addr.Chip
 	x.lists[c][m.ReadySlot] = nil
 	m.ReadySlot = -1
 	x.live[c]--
 	x.version[c]++
-	return c
+	if l := x.lists[c]; len(l) >= 64 && int(x.live[c])*2 < len(l) {
+		x.lists[c] = compactList(l)
+	}
 }
 
-// Readdress re-points m at dst (live-data migration, §4.3), moving it
-// between chip lists when the migration crossed chips. The destination
-// insert restores admission order, so index-driven selection stays
-// identical to a queue scan even after migration.
+// Readdress re-points m at dst (live-data migration, §4.3). GC migrates
+// live pages only between planes of the victim's chip, so membership and
+// order are untouched; the address feeds FARO grouping, though, so cached
+// selection state must still be invalidated. A dst on another chip is an
+// internal invariant violation and panics.
 func (x *ReadyIndex) Readdress(m *req.Mem, dst flash.Addr) {
-	if m.Addr.Chip == dst.Chip {
-		// Same chip, new die/plane/block/page: membership and order are
-		// untouched but the address feeds FARO grouping, so cached
-		// selection state must still be invalidated.
-		x.version[dst.Chip]++
-		x.readdrVer[dst.Chip]++
-		m.Addr = dst
-		return
+	if m.Addr.Chip != dst.Chip {
+		panic(fmt.Sprintf("sched: readdress of %v to another chip %v", m.Addr, dst))
 	}
-	src := x.drop(m)
-	x.readdrVer[src]++
-	m.Addr = dst
-	l := compactList(x.lists[dst.Chip])
-	pos := sort.Search(len(l), func(i int) bool {
-		o := l[i]
-		if o.IO.Seq != m.IO.Seq {
-			return o.IO.Seq > m.IO.Seq
-		}
-		return o.Index > m.Index
-	})
-	l = append(l, nil)
-	copy(l[pos+1:], l[pos:])
-	l[pos] = m
-	for i := pos; i < len(l); i++ {
-		l[i].ReadySlot = int32(i)
-	}
-	x.lists[dst.Chip] = l
-	x.live[dst.Chip]++
 	x.version[dst.Chip]++
-	x.addVer[dst.Chip]++
 	x.readdrVer[dst.Chip]++
+	m.Addr = dst
 }
 
 // compactList squeezes out nil holes, fixing ReadySlot positions.

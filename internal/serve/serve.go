@@ -10,11 +10,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,14 +230,6 @@ func (s *session) finished() (res *sprinkler.Result, err error, done bool) {
 	s.nmu.Lock()
 	defer s.nmu.Unlock()
 	return s.result, s.closeErr, s.closed
-}
-
-// backlog is the session's submitted-but-uncompleted I/O count per the
-// last published snapshot.
-func (s *session) backlog() int64 {
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
-	return s.last.IOsSubmitted - s.last.IOsCompleted
 }
 
 // idleFor reports how long the session has gone without a request.
@@ -666,7 +660,8 @@ func (s *Server) expireIdle(now time.Time) {
 	}
 }
 
-// Sessions lists the open sessions for the listing endpoint and /metrics.
+// Sessions lists the open sessions, sorted by ID, for the listing
+// endpoint, /metrics and the daemon's shutdown log.
 func (s *Server) Sessions() []SessionInfo {
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
@@ -674,6 +669,7 @@ func (s *Server) Sessions() []SessionInfo {
 		sessions = append(sessions, sess)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(sessions, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
 	now := time.Now()
 	infos := make([]SessionInfo, 0, len(sessions))
 	for _, sess := range sessions {

@@ -28,9 +28,6 @@ func (c *TimedCounter) Set(now Time, on bool) {
 	c.since = now
 }
 
-// On reports the current condition state.
-func (c *TimedCounter) On() bool { return c.on }
-
 // Total returns the accumulated on-time through now.
 func (c *TimedCounter) Total(now Time) Time {
 	t := c.total

@@ -43,14 +43,6 @@ type Config struct {
 	// Allocation picks the FTL's dynamic page-allocation scheme.
 	Allocation ftl.Allocation
 
-	// EraseFailProb injects per-erase block retirements (bad-block
-	// replacement, §4.3). Zero disables.
-	EraseFailProb float64
-
-	// WearDeltaMax enables static wear-leveling when a plane's erase
-	// spread exceeds it (§4.3). Zero disables.
-	WearDeltaMax int
-
 	// MetricsSampleCap bounds the exact latency samples the device
 	// retains: runs shorter than the cap report exact percentiles, longer
 	// runs switch to a fixed-memory log-bucketed estimator so metrics
@@ -235,9 +227,6 @@ func (c *Config) ftlConfig() ftl.Config {
 	}
 	fc.LogicalPages = c.logicalPages()
 	fc.Allocation = c.Allocation
-	fc.EraseFailProb = c.EraseFailProb
-	fc.WearDeltaMax = c.WearDeltaMax
 	fc.SpareBlockFrac = c.Faults.SpareBlockFrac
-	fc.Seed = c.Faults.Seed
 	return fc
 }

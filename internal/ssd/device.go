@@ -301,9 +301,6 @@ func (d *Device) Engine() *sim.Engine { return d.eng }
 // FTL exposes the translation layer (preconditioning, tests).
 func (d *Device) FTL() *ftl.FTL { return d.fl }
 
-// Scheduler returns the active scheduler.
-func (d *Device) Scheduler() sched.Scheduler { return d.sch }
-
 // Geo implements sched.Fabric.
 func (d *Device) Geo() flash.Geometry { return d.cfg.Geo }
 
@@ -368,7 +365,7 @@ func (d *Device) mappingGCSweep() {
 		if err != nil || job == nil {
 			continue
 		}
-		d.applyMigrations(d.fl.CommitGC(job))
+		d.applyMigrations(d.fl.CommitGC(job, false))
 	}
 }
 
@@ -606,7 +603,7 @@ func (d *Device) preprocess(m *req.Mem) bool {
 			if jerr != nil || job == nil {
 				continue
 			}
-			d.applyMigrations(d.fl.CommitGC(job))
+			d.applyMigrations(d.fl.CommitGC(job, false))
 			reclaimed = true
 			// Retry as soon as one block is reclaimed: full passes over
 			// every pressured plane are wasted work under heavy churn.

@@ -147,7 +147,7 @@ func (r *gcRun) stepDone(now sim.Time, kind flash.Op, failed bool) {
 // next victim if the plane is still under pressure.
 func (r *gcRun) finish(now sim.Time) {
 	d := r.dev
-	applied := d.fl.CommitGCOutcome(r.job, r.eraseFailed)
+	applied := d.fl.CommitGC(r.job, r.eraseFailed)
 	d.applyMigrations(applied)
 	d.setGCActive(r.chip, false)
 	// Chain another pass while the plane stays pressured.
@@ -180,8 +180,7 @@ func (r *gcRun) planeAddr() (flash.ChipID, int, int) {
 //
 // A migration's source chip is known, so the ready index localizes the
 // lookup to that chip's queued requests — no standing LPN map needs to be
-// maintained on the admission path. Readdress keeps the index consistent
-// when a migration crosses chips.
+// maintained on the admission path.
 func (d *Device) applyMigrations(applied []ftl.Migration) {
 	if !d.sch.NeedsReaddressing() {
 		return

@@ -143,14 +143,12 @@ func TestReaddressingRepointsQueuedReads(t *testing.T) {
 	old := m.Addr
 	d.ready.Add(m)
 
-	// Write the LPN so a real mapping exists, then fake a migration.
-	wio := req.NewIO(2, req.Write, 500, 1, 0)
-	if !d.preprocess(wio.Mem[0]) {
-		t.Fatal("write preprocess failed")
-	}
-	// The queued read's address is now stale relative to the mapping; a
-	// readdressing callback for (old -> new) must fix only matching reads.
-	newAddr := wio.Mem[0].Addr
+	// Fake a migration to another plane and block of the same chip, as GC
+	// makes: a readdressing callback for (old -> new) must fix only
+	// matching reads.
+	newAddr := old
+	newAddr.Plane = (old.Plane + 1) % cfg.Geo.PlanesPerDie
+	newAddr.Block = (old.Block + 1) % cfg.Geo.BlocksPerPlane
 	d.applyMigrations([]ftl.Migration{{LPN: 500, Src: old, Dst: newAddr}})
 	if m.Addr != newAddr {
 		t.Fatalf("queued read kept stale address %v, want %v", m.Addr, newAddr)

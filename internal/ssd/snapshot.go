@@ -528,7 +528,7 @@ func (st *DeviceState) Encode(w io.Writer) error {
 		sw.uvarint(uint64(e.PPN))
 	}
 	sw.varint(st.FTL.Cursor)
-	sw.u64(st.FTL.RNG)
+	sw.u64(0) // reserved (a former FTL generator state): zero, ignored on read
 	sw.uvarint(uint64(len(st.FTL.Planes)))
 	for i := range st.FTL.Planes {
 		ps := &st.FTL.Planes[i]
@@ -561,8 +561,10 @@ func (st *DeviceState) Encode(w io.Writer) error {
 	sw.varint(st.FTL.GCErases)
 	sw.varint(st.FTL.GCRuns)
 	sw.varint(st.FTL.Invalidated)
-	sw.varint(st.FTL.BadBlocks)
-	sw.varint(st.FTL.WLRuns)
+	// Two version-1 slots readers ignore: a bad-block count, which equals
+	// the retired count, and a wear-leveling count, which is zero.
+	sw.varint(st.FTL.RetiredBlocks)
+	sw.varint(0)
 	sw.varint(st.FTL.RetiredBlocks)
 	sw.varint(st.FTL.SparesUsed)
 	sw.bool(st.FTL.Degraded)
@@ -665,7 +667,7 @@ func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
 		st.FTL.L2P = append(st.FTL.L2P, ftl.MapPair{LPN: prev, PPN: int64(sr.uvarint())})
 	}
 	st.FTL.Cursor = sr.varint()
-	st.FTL.RNG = sr.u64()
+	sr.u64() // reserved slot
 	nPlanes := sr.count("plane", maxSnapshotPlanes)
 	st.FTL.Planes = make([]ftl.PlaneState2, nPlanes)
 	for i := 0; i < nPlanes && sr.err == nil; i++ {
@@ -704,8 +706,8 @@ func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
 	st.FTL.GCErases = sr.varint()
 	st.FTL.GCRuns = sr.varint()
 	st.FTL.Invalidated = sr.varint()
-	st.FTL.BadBlocks = sr.varint()
-	st.FTL.WLRuns = sr.varint()
+	sr.varint() // the bad-block and wear-leveling slots
+	sr.varint()
 	st.FTL.RetiredBlocks = sr.varint()
 	st.FTL.SparesUsed = sr.varint()
 	st.FTL.Degraded = sr.bool()

@@ -23,24 +23,6 @@ type Record struct {
 	Pages   int
 }
 
-// ToIOs converts records to host I/O requests with sequential IDs.
-func ToIOs(recs []Record) []*req.IO {
-	ios := make([]*req.IO, len(recs))
-	for i, r := range recs {
-		ios[i] = req.NewIO(int64(i), r.Kind, r.LPN, r.Pages, r.Arrival)
-	}
-	return ios
-}
-
-// FromIOs converts host I/O requests to records.
-func FromIOs(ios []*req.IO) []Record {
-	recs := make([]Record, len(ios))
-	for i, io := range ios {
-		recs[i] = Record{Arrival: io.Arrival, Kind: io.Kind, LPN: io.Start, Pages: io.Pages}
-	}
-	return recs
-}
-
 // Write emits records in the CSV format with a header comment.
 func Write(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
@@ -120,20 +102,4 @@ func (r *Reader) parseLine(line string) (Record, error) {
 		return Record{}, fmt.Errorf("trace: line %d: bad pages %q", r.lineNo, fields[3])
 	}
 	return Record{Arrival: sim.Time(arrival), Kind: kind, LPN: req.LPN(lpn), Pages: pages}, nil
-}
-
-// Parse reads the whole CSV stream into a record list.
-func Parse(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
-	var recs []Record
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
 }

@@ -287,9 +287,7 @@ type FixedConfig struct {
 
 // FixedStream generates a fixed-transfer-size workload one request at a
 // time in O(1) memory: Count same-size requests, all arriving at t=0
-// (closed loop: the device-level queue's backpressure paces them). The
-// sequence is identical to what GenerateFixed materializes for the same
-// config.
+// (closed loop: the device-level queue's backpressure paces them).
 type FixedStream struct {
 	cfg FixedConfig
 	rng *sim.Rand
@@ -324,22 +322,4 @@ func (g *FixedStream) NextRecord() (Record, bool) {
 	}
 	g.i++
 	return Record{Kind: g.cfg.Kind, LPN: start, Pages: g.cfg.Pages}, true
-}
-
-// GenerateFixed produces Count same-size requests, all arriving at t=0
-// (closed loop: the device-level queue's backpressure paces them). It is
-// the materializing wrapper over FixedStream.
-func GenerateFixed(cfg FixedConfig) ([]*req.IO, error) {
-	g, err := NewFixedStream(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ios := make([]*req.IO, 0, cfg.Count)
-	for {
-		rec, ok := g.NextRecord()
-		if !ok {
-			return ios, nil
-		}
-		ios = append(ios, req.NewIO(int64(len(ios)), rec.Kind, rec.LPN, rec.Pages, rec.Arrival))
-	}
 }

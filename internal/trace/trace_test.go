@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,54 +147,89 @@ func TestGenerateRequiresLogicalPages(t *testing.T) {
 	}
 }
 
+// generateFixed drains a FixedStream for cfg.
+func generateFixed(cfg FixedConfig) ([]Record, error) {
+	g, err := NewFixedStream(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for rec, ok := g.NextRecord(); ok; rec, ok = g.NextRecord() {
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
+// parseAll reads a whole CSV stream through a Reader.
+func parseAll(r io.Reader) ([]Record, error) {
+	rd := NewReader(r)
+	var recs []Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
 func TestGenerateFixedSequential(t *testing.T) {
-	ios, err := GenerateFixed(FixedConfig{Count: 10, Pages: 4, Kind: req.Read, Sequential: true})
+	recs, err := generateFixed(FixedConfig{Count: 10, Pages: 4, Kind: req.Read, Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, io := range ios {
-		if io.Start != req.LPN(i*4) {
-			t.Fatalf("sequential layout broken at %d: %v", i, io)
+	if len(recs) != 10 {
+		t.Fatalf("generated %d requests, want 10", len(recs))
+	}
+	for i, r := range recs {
+		if r.LPN != req.LPN(i*4) || r.Pages != 4 || r.Kind != req.Read {
+			t.Fatalf("sequential layout broken at %d: %+v", i, r)
 		}
-		if io.Arrival != 0 {
+		if r.Arrival != 0 {
 			t.Fatal("closed-loop arrivals must be zero")
 		}
 	}
 }
 
 func TestGenerateFixedRandomBounds(t *testing.T) {
-	ios, err := GenerateFixed(FixedConfig{Count: 500, Pages: 8, Kind: req.Write, LogicalPages: 4096, Seed: 3})
+	recs, err := generateFixed(FixedConfig{Count: 500, Pages: 8, Kind: req.Write, LogicalPages: 4096, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, io := range ios {
-		if io.Start < 0 || int64(io.End()) > 4096 {
-			t.Fatalf("random request out of range: %v", io)
+	for _, r := range recs {
+		if r.LPN < 0 || int64(r.LPN)+int64(r.Pages) > 4096 {
+			t.Fatalf("random request out of range: %+v", r)
 		}
 	}
 }
 
 func TestGenerateFixedValidation(t *testing.T) {
-	if _, err := GenerateFixed(FixedConfig{Count: 0, Pages: 1}); err == nil {
+	if _, err := NewFixedStream(FixedConfig{Count: 0, Pages: 1}); err == nil {
 		t.Fatal("accepted zero count")
 	}
-	if _, err := GenerateFixed(FixedConfig{Count: 1, Pages: 64, LogicalPages: 8}); err == nil {
+	if _, err := NewFixedStream(FixedConfig{Count: 1, Pages: 64, LogicalPages: 8}); err == nil {
 		t.Fatal("accepted logical space smaller than one request")
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
 	w, _ := ByName("proj3")
-	ios, err := Generate(w, GenConfig{Instructions: 150, LogicalPages: 1 << 20})
+	g, err := NewStream(w, GenConfig{Instructions: 150, LogicalPages: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := FromIOs(ios)
+	var recs []Record
+	for rec, ok := g.NextRecord(); ok; rec, ok = g.NextRecord() {
+		recs = append(recs, rec)
+	}
 	var buf bytes.Buffer
 	if err := Write(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(&buf)
+	back, err := parseAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +240,6 @@ func TestCSVRoundTrip(t *testing.T) {
 		if recs[i] != back[i] {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, recs[i], back[i])
 		}
-	}
-	ios2 := ToIOs(back)
-	if ios2[0].Kind != ios[0].Kind || ios2[0].Start != ios[0].Start {
-		t.Fatal("ToIOs mismatch")
 	}
 }
 
@@ -225,7 +257,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"0,R,0,1\n" + strings.Repeat("9", 1<<20),
 	}
 	for _, line := range bad {
-		_, err := Parse(strings.NewReader(line))
+		_, err := parseAll(strings.NewReader(line))
 		if err == nil {
 			t.Errorf("accepted malformed line %.40q", line)
 			continue
@@ -238,7 +270,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestParseSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# header\n\n100,R,5,2\n  \n200,W,9,1\n"
-	recs, err := Parse(strings.NewReader(in))
+	recs, err := parseAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +304,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, recs); err != nil {
 			return false
 		}
-		back, err := Parse(&buf)
+		back, err := parseAll(&buf)
 		if err != nil {
 			return false
 		}

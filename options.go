@@ -1,6 +1,10 @@
 package sprinkler
 
-import "fmt"
+import (
+	"fmt"
+
+	"sprinkler/internal/flash"
+)
 
 // Validate checks the platform configuration, returning a descriptive
 // error for degenerate geometry or queue settings. New and Open validate
@@ -9,17 +13,21 @@ func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
+		max  int // 0: unbounded
 	}{
-		{"Channels", c.Channels},
-		{"ChipsPerChan", c.ChipsPerChan},
-		{"DiesPerChip", c.DiesPerChip},
-		{"PlanesPerDie", c.PlanesPerDie},
-		{"BlocksPerPlane", c.BlocksPerPlane},
-		{"PagesPerBlock", c.PagesPerBlock},
-		{"PageSize", c.PageSize},
+		{"Channels", c.Channels, 0},
+		{"ChipsPerChan", c.ChipsPerChan, 0},
+		{"DiesPerChip", c.DiesPerChip, 0},
+		{"PlanesPerDie", c.PlanesPerDie, 0},
+		{"BlocksPerPlane", c.BlocksPerPlane, 0},
+		{"PagesPerBlock", c.PagesPerBlock, flash.MaxPagesPerBlock},
+		{"PageSize", c.PageSize, flash.MaxPageSize},
 	} {
 		if f.v <= 0 {
 			return fmt.Errorf("sprinkler: Config.%s must be positive, got %d", f.name, f.v)
+		}
+		if f.max > 0 && f.v > f.max {
+			return fmt.Errorf("sprinkler: Config.%s %d exceeds the limit of %d", f.name, f.v, f.max)
 		}
 	}
 	if c.QueueDepth <= 0 {

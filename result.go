@@ -89,15 +89,21 @@ type Result struct {
 
 	// GCRuns counts background garbage collections; GCPageMoves and
 	// GCErases its live-page migrations and block erases.
-	// WriteAmplification is (host+GC)/host page writes. BadBlocks counts
-	// blocks retired by erase failures; WearLevels counts wear-leveling
-	// victim rotations.
+	// WriteAmplification is (host+GC)/host page writes.
 	GCRuns             int64   `json:"gcRuns"`
 	GCPageMoves        int64   `json:"gcPageMoves"`
 	GCErases           int64   `json:"gcErases"`
 	WriteAmplification float64 `json:"writeAmplification"`
-	BadBlocks          int64   `json:"badBlocks"`
-	WearLevels         int64   `json:"wearLevels"`
+
+	// BadBlocks counts blocks retired because the chip-level fault model
+	// (Config.Faults.EraseFailProb) failed their GC erase. It always equals
+	// RetiredBlocks; unlike that field it is encoded even when zero.
+	BadBlocks int64 `json:"badBlocks"`
+
+	// WearLevels is always 0: the simulator has no wear-leveler. The field
+	// is kept, and encoded, so the Result JSON and the digests pinned over
+	// it do not change; it goes with the next change that moves them.
+	WearLevels int64 `json:"wearLevels"`
 
 	// StaleRetranslations counts commit-time address fixups forced by
 	// live-data migration under schedulers without the readdressing
@@ -154,8 +160,7 @@ func publicResult(r *metrics.Result) *Result {
 		GCRuns:              r.GC.GCRuns,
 		GCPageMoves:         r.GC.GCWrites,
 		GCErases:            r.GC.GCErases,
-		BadBlocks:           r.GC.BadBlocks,
-		WearLevels:          r.GC.WearLevels,
+		BadBlocks:           r.GC.RetiredBlocks,
 		StaleRetranslations: r.StaleRetranslations,
 		ReadRetries:         r.ReadRetries,
 		ReadUncorrectable:   r.ReadUncorrectable,

@@ -96,7 +96,7 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 		HostWrites:    s.state.FTL.HostWrites,
 		GCRuns:        s.state.FTL.GCRuns,
 		GCErases:      s.state.FTL.GCErases,
-		BadBlocks:     s.state.FTL.BadBlocks,
+		BadBlocks:     s.state.FTL.RetiredBlocks,
 		RetiredBlocks: s.state.FTL.RetiredBlocks,
 		SparesUsed:    s.state.FTL.SparesUsed,
 		Degraded:      s.state.FTL.Degraded,

@@ -322,6 +322,34 @@ func TestSnapshotLegacyMaxBacklog(t *testing.T) {
 // payload's shape against the config, so hydration builds no device the
 // payload does not account for. It may still reject FTL state that
 // breaks an invariant, but only with a descriptive error.
+// tinyCheckpoint is the warm state of a one-plane, eight-block drive with
+// read faults armed.
+func tinyCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	tiny := sprinkler.DefaultConfig()
+	tiny.Channels, tiny.ChipsPerChan, tiny.DiesPerChip, tiny.PlanesPerDie = 1, 1, 1, 1
+	tiny.BlocksPerPlane, tiny.PagesPerBlock = 8, 8
+	tiny.Faults = sprinkler.FaultSpec{ReadFailProb: 0.1, Seed: 1}
+	dev, err := sprinkler.New(tiny)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dev.Precondition(0.5, 0.5, 1)
+	var buf bytes.Buffer
+	if err := dev.Checkpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Config keys for page dimensions the payload does not bound: they size
+// the validity bitmaps and byte counts, so 2^27 pages per block would
+// allocate gigabytes and a 2^62-byte page overflows bandwidth arithmetic.
+const (
+	hugeBlocks = `"PagesPerBlock":134217728`
+	hugePages  = `"PageSize":4611686018427387904`
+)
+
 func FuzzReadSnapshot(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "warm_v1.snap"))
 	if err != nil {
@@ -329,22 +357,12 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	// A one-plane drive keeps a seed small enough for the mutator to
 	// explore; the fixture covers a realistically sized payload.
-	tiny := sprinkler.DefaultConfig()
-	tiny.Channels, tiny.ChipsPerChan, tiny.DiesPerChip, tiny.PlanesPerDie = 1, 1, 1, 1
-	tiny.BlocksPerPlane, tiny.PagesPerBlock = 8, 8
-	tiny.Faults = sprinkler.FaultSpec{ReadFailProb: 0.1, Seed: 1}
-	dev, err := sprinkler.New(tiny)
-	if err != nil {
-		f.Fatal(err)
-	}
-	dev.Precondition(0.5, 0.5, 1)
-	var small bytes.Buffer
-	if err := dev.Checkpoint(&small); err != nil {
-		f.Fatal(err)
-	}
+	small := tinyCheckpoint(f)
 	f.Add(golden)
-	f.Add(small.Bytes())
-	f.Add(legacyFrame(f, small.Bytes(), `"MaxBacklog":4096`, 0))
+	f.Add(small)
+	f.Add(legacyFrame(f, small, `"MaxBacklog":4096`, 0))
+	f.Add(legacyFrame(f, small, hugeBlocks, 0))
+	f.Add(legacyFrame(f, small, hugePages, 0))
 	f.Fuzz(func(t *testing.T, file []byte) {
 		read := func(file []byte) *sprinkler.DeviceSnapshot {
 			snap, err := sprinkler.ReadSnapshot(bytes.NewReader(file))
@@ -387,6 +405,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	if err := dev.Checkpoint(&series); err != nil {
 		t.Fatal(err)
 	}
+	tiny := tinyCheckpoint(t)
 
 	cases := []struct {
 		name string
@@ -430,6 +449,8 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		{"config names more blocks", legacyFrame(t, raw, `"BlocksPerPlane":48`, 0), "blocks, config has"},
 		{"config adds fault streams", legacyFrame(t, raw, `"Faults":{"readFailProb":0.1}`, 0), "fault stream"},
 		{"config shrinks series window", legacyFrame(t, series.Bytes(), `"SeriesWindow":10`, 0), "series holds"},
+		{"config names huge blocks", legacyFrame(t, tiny, hugeBlocks, 0), "PagesPerBlock"},
+		{"config names huge pages", legacyFrame(t, tiny, hugePages, 0), "PageSize"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
