@@ -11,13 +11,13 @@ import (
 )
 
 // TestFAROIncrementalMatchesRebuilt is the randomized equivalence suite
-// for the incremental FARO grouping: one long-lived Sprinkler carries its
-// per-chip grouping caches across many admit/commit/readdress rounds,
-// while every round a brand-new Sprinkler rebuilds selection from scratch
-// over the scan path. Picks must be pointer-exact at every round — the
-// memoized grouping is an acceleration structure, never a behavior
-// change. It extends TestIndexSelectMatchesScan, which covers a single
-// fresh Select, to the stateful lifetime of a simulation.
+// for index-driven selection over a simulation's lifetime: one long-lived
+// Sprinkler reuses its scratch buffers across many admit/commit/readdress
+// rounds against a ready index the rounds keep mutating, while every round
+// a brand-new Sprinkler selects from scratch over the scan path. Picks must
+// be pointer-exact at every round — nothing a Select leaves behind may
+// change the next one. It extends TestIndexSelectMatchesScan, which covers
+// a single fresh Select, to the stateful lifetime of a simulation.
 func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 	for _, mk := range []func() *Sprinkler{NewSPK1, NewSPK2, NewSPK3} {
 		name := mk().Name()
@@ -29,7 +29,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 				scanFab := newFakeFabric()
 				q := nvmhc.NewQueue(64)
 
-				inc := mk() // persistent: caches survive across rounds
+				inc := mk() // persistent: scratch survives across rounds
 				nextID := int64(trial * 10_000)
 				var queued []*req.IO
 
@@ -85,8 +85,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 					}
 
 					// Commit a random prefix of the picks: states advance
-					// and the ready index drops them — the mutation the
-					// incremental caches must notice.
+					// and the ready index drops them.
 					if len(gotInc) > 0 {
 						k := 1 + rng.Intn(len(gotInc))
 						for _, m := range gotInc[:k] {
@@ -98,7 +97,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 					// Occasionally readdress one still-queued request
 					// (live-data migration, which stays on the request's
 					// chip): both paths must see the new address, the
-					// incremental one via the index hook.
+					// index-driven one via the index hook.
 					if rng.Bool(0.3) {
 						var cand []*req.Mem
 						for _, io := range queued {

@@ -72,44 +72,6 @@ type Sprinkler struct {
 	dies      []dieGroupState // per-die occupancy scratch for buildGroup
 	chipOrder []flash.ChipID  // RIOS traversal order, cached per geometry
 	chipKeys  []chipKey       // non-RIOS chip ordering scratch
-
-	// groupSizes and readFirstMoved describe the last faroOrder run: the
-	// greedy group sizes in output order, and whether the §4.4 read-first
-	// pass reordered anything (which misaligns the output from the group
-	// boundaries). selectChip copies them into the chip's memo to enable
-	// the partial-invalidation fast path.
-	groupSizes     []int32
-	readFirstMoved bool
-
-	// caches holds the per-chip incremental FARO grouping state: the
-	// memoized selection order, keyed by the ready index's membership
-	// version. A chip whose candidate set did not change since the last
-	// Select (the common case — each pump touches a handful of chips)
-	// reuses its cached order instead of rebuilding the O(GroupCap²)
-	// grouping, which was the dominant SPK3 scheduling cost. Because the
-	// version covers every admit/commit/readdress, the cached order is
-	// bit-identical to what a rebuild would produce.
-	caches  []faroCache
-	cacheRx *sched.ReadyIndex // index the caches were built against
-}
-
-// faroCache is one chip's memoized selection order.
-type faroCache struct {
-	version uint64
-	maxSeq  uint64
-	valid   bool
-	order   []*req.Mem
-
-	// addVer/readdrVer snapshot the index's per-cause counters at memo
-	// time: if only removals happened since, the candidate set shrank but
-	// nothing entered or moved — the partial-invalidation precondition.
-	addVer    uint64
-	readdrVer uint64
-
-	// groups holds the greedy group sizes of order, in order. Empty when
-	// the boundaries are unusable (the read-first pass reordered output),
-	// which disables the fast path until the next full rebuild.
-	groups []int32
 }
 
 // chipKey orders chips by their earliest candidate's admission position.
@@ -153,20 +115,12 @@ func (s *Sprinkler) Name() string {
 // (§4.3) and always sees post-migration physical addresses.
 func (s *Sprinkler) NeedsReaddressing() bool { return true }
 
-// ResetState implements sched.StateResetter: the memoized FARO orders and
-// every scratch buffer are dropped so a reused scheduler neither replays
-// stale selection state nor pins the previous run's request objects.
-// Grown buffer capacities (and the geometry-keyed chip order) survive, so
-// reuse stays allocation-free; buffer capacity never influences selection.
+// ResetState implements sched.StateResetter: every scratch buffer is
+// emptied so a reused scheduler does not pin the previous run's request
+// objects. Grown buffer capacities (and the geometry-keyed chip order)
+// survive, so reuse stays allocation-free; buffer capacity never
+// influences selection.
 func (s *Sprinkler) ResetState() {
-	for i := range s.caches {
-		cc := &s.caches[i]
-		for j := range cc.order {
-			cc.order[j] = nil
-		}
-		s.caches[i] = faroCache{order: cc.order[:0], groups: cc.groups[:0]}
-	}
-	s.cacheRx = nil
 	clear := func(ms []*req.Mem) []*req.Mem {
 		for i := range ms {
 			ms[i] = nil
@@ -190,42 +144,6 @@ func (s *Sprinkler) Select(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) []*re
 		return s.selectScan(now, q, fab)
 	}
 	g := fab.Geo()
-	if s.cacheRx != rx || len(s.caches) != rx.NumChips() {
-		// New device/index: every memoized order is meaningless (version
-		// counters restart per index), so start from scratch.
-		s.cacheRx = rx
-		if len(s.caches) != rx.NumChips() {
-			s.caches = make([]faroCache, rx.NumChips())
-			if s.GroupCap > 0 {
-				// One slab backs every cache's group-size storage: group
-				// counts never exceed GroupCap (Gather is capped by it),
-				// so fixed per-cache capacity avoids per-chip growth
-				// reallocations on the hot rebuild path. The three-index
-				// slice expression walls the caches off from each other.
-				slab := make([]int32, len(s.caches)*s.GroupCap)
-				for i := range s.caches {
-					lo, hi := i*s.GroupCap, (i+1)*s.GroupCap
-					s.caches[i].groups = slab[lo:lo:hi]
-				}
-				if cap(s.groupSizes) < s.GroupCap {
-					s.groupSizes = make([]int32, 0, s.GroupCap)
-				}
-			}
-		} else {
-			// Same chip count, new index (a recycled device after Reset):
-			// invalidate every memo but keep the grown order/group storage —
-			// re-growing it from nil cost ~35 allocations per sweep cell,
-			// the dominant residual alloc in pooled sweeps. Stale request
-			// pointers are cleared so the dead run's objects are not pinned.
-			for i := range s.caches {
-				cc := &s.caches[i]
-				for j := range cc.order {
-					cc.order[j] = nil
-				}
-				s.caches[i] = faroCache{order: cc.order[:0], groups: cc.groups[:0]}
-			}
-		}
-	}
 
 	// Non-RIOS composition is bounded to the Window oldest queue entries:
 	// cap candidates by the admission sequence of the window's last entry.
@@ -282,14 +200,9 @@ func (s *Sprinkler) Select(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) []*re
 }
 
 // selectChip commits chip c's candidates up to the free budget, in FARO
-// priority order when enabled.
-//
-// With FARO the ordering is memoized per chip and reused verbatim while
-// the chip's ready-index version (and SPK1's window bound) are
-// unchanged; only chips whose candidate set actually changed since
-// their last selection pay the grouping cost. Without FARO (SPK2) the
-// order is just the gathered admission order — linear anyway — so the
-// memo would only add a copy and is skipped.
+// priority order when enabled. The order is rebuilt on every call: Select
+// runs only after an admission, commit or readdress, so an order kept from
+// the previous call would almost never still be current.
 func (s *Sprinkler) selectChip(g flash.Geometry, fab sched.Fabric, rx *sched.ReadyIndex, c flash.ChipID, maxSeq uint64, out []*req.Mem) []*req.Mem {
 	if rx.Live(c) == 0 {
 		return out
@@ -298,31 +211,10 @@ func (s *Sprinkler) selectChip(g flash.Geometry, fab sched.Fabric, rx *sched.Rea
 	if free <= 0 {
 		return out
 	}
-	var list []*req.Mem
+	s.chipBuf = rx.Gather(c, s.chipBuf[:0], s.GroupCap, maxSeq)
+	list := s.chipBuf
 	if s.UseFARO {
-		cc := &s.caches[c]
-		if cc.valid && cc.maxSeq == maxSeq && cc.version != rx.Version(c) {
-			s.tryAdvance(rx, c, cc)
-		}
-		if !cc.valid || cc.version != rx.Version(c) || cc.maxSeq != maxSeq {
-			s.chipBuf = rx.Gather(c, s.chipBuf[:0], s.GroupCap, maxSeq)
-			ordered := s.faroOrder(g, s.chipBuf)
-			cc.order = append(cc.order[:0], ordered...)
-			cc.version = rx.Version(c)
-			cc.addVer = rx.AddVersion(c)
-			cc.readdrVer = rx.ReaddrVersion(c)
-			cc.maxSeq = maxSeq
-			cc.valid = true
-			if s.readFirstMoved {
-				cc.groups = cc.groups[:0]
-			} else {
-				cc.groups = append(cc.groups[:0], s.groupSizes...)
-			}
-		}
-		list = cc.order
-	} else {
-		s.chipBuf = rx.Gather(c, s.chipBuf[:0], s.GroupCap, maxSeq)
-		list = s.chipBuf
+		list = s.faroOrder(g, list)
 	}
 	if len(list) == 0 {
 		return out
@@ -331,72 +223,6 @@ func (s *Sprinkler) selectChip(g flash.Geometry, fab sched.Fabric, rx *sched.Rea
 		list = list[:free]
 	}
 	return append(out, list...)
-}
-
-// tryAdvance is the FARO partial-invalidation fast path: when the only
-// changes to chip c since the memo are removals of a whole-group prefix of
-// the cached order, the surviving suffix is exactly what a rebuild would
-// produce, so the memo advances in place instead of paying the
-// O(GroupCap²) regrouping — the common case, since Select returns (and the
-// device then commits) a prefix of the cached order.
-//
-// Soundness: greedy grouping consumes its working set in rounds, each
-// emitting one group; round k+1's input is the admission-ordered candidate
-// list minus the members of groups 1..k — which is exactly what Gather
-// would return after those members' removal (removal preserves the order
-// of the rest). So dropping whole leading groups leaves the remaining
-// rounds' output — the cached suffix — unchanged. The guards below
-// re-establish that equivalence from the live index:
-//
-//   - addVer/readdrVer unchanged: nothing entered the list and no address
-//     moved, so the candidate universe only shrank;
-//   - the removed entries form a prefix of the cached order ending on a
-//     group boundary (a split group's leftovers regroup differently);
-//   - every surviving entry is still in the chip's list, verified by slot
-//     identity — a recycled request object re-admitted elsewhere fails
-//     list[m.ReadySlot] == m even if it looks StateQueued;
-//   - the suffix covers the chip's whole live set: a Gather capped by
-//     GroupCap (or an SPK1 window) hid candidates a rebuild would now
-//     surface, so a count mismatch forces the rebuild.
-//
-// On success the memo's version catches up to the index; otherwise the
-// caller's staleness check triggers the full rebuild.
-func (s *Sprinkler) tryAdvance(rx *sched.ReadyIndex, c flash.ChipID, cc *faroCache) {
-	if len(cc.groups) == 0 ||
-		cc.addVer != rx.AddVersion(c) || cc.readdrVer != rx.ReaddrVersion(c) {
-		return
-	}
-	list := rx.List(c)
-	indexed := func(m *req.Mem) bool {
-		return m.State == req.StateQueued && m.ReadySlot >= 0 &&
-			int(m.ReadySlot) < len(list) && list[m.ReadySlot] == m
-	}
-	cut := 0
-	for cut < len(cc.order) && !indexed(cc.order[cut]) {
-		cut++
-	}
-	if cut == 0 {
-		return
-	}
-	gi, rem := 0, cut
-	for gi < len(cc.groups) && rem > 0 {
-		rem -= int(cc.groups[gi])
-		gi++
-	}
-	if rem != 0 {
-		return
-	}
-	for i := cut; i < len(cc.order); i++ {
-		if !indexed(cc.order[i]) {
-			return
-		}
-	}
-	if len(cc.order)-cut != rx.Live(c) {
-		return
-	}
-	cc.order = cc.order[:copy(cc.order, cc.order[cut:])]
-	cc.groups = cc.groups[:copy(cc.groups, cc.groups[gi:])]
-	cc.version = rx.Version(c)
 }
 
 // ensureChipOrder caches the RIOS traversal: offset-major, channel-minor.
@@ -473,11 +299,9 @@ func (s *Sprinkler) selectScan(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) [
 func (s *Sprinkler) faroOrder(g flash.Geometry, cands []*req.Mem) []*req.Mem {
 	remaining := append(s.remaining[:0], cands...)
 	out := s.ordered[:0]
-	s.groupSizes = s.groupSizes[:0]
 	for len(remaining) > 0 {
 		s.bestGroup(g, remaining)
 		out = append(out, s.groupBest...)
-		s.groupSizes = append(s.groupSizes, int32(len(s.groupBest)))
 		// Remove the chosen members, preserving order.
 		keep := remaining[:0]
 		for _, m := range remaining {
@@ -496,7 +320,7 @@ func (s *Sprinkler) faroOrder(g flash.Geometry, cands []*req.Mem) []*req.Mem {
 	}
 	s.remaining = remaining[:0]
 	s.ordered = out
-	s.readFirstMoved = enforceReadFirst(out)
+	enforceReadFirst(out)
 	return out
 }
 
@@ -593,10 +417,8 @@ func (s *Sprinkler) buildGroup(g flash.Geometry, remaining []*req.Mem, seed int)
 // enforceReadFirst stable-reorders so that a read of an LPN issued by an
 // older I/O precedes any newer write of the same LPN (§4.4 hazard control:
 // serve the read memory requests first in the write-after-read case). The
-// pass is quadratic but bounded by GroupCap. It reports whether anything
-// moved — a moved read crosses group boundaries, which invalidates the
-// partial-invalidation bookkeeping for this order.
-func enforceReadFirst(ms []*req.Mem) (moved bool) {
+// pass is quadratic but bounded by GroupCap.
+func enforceReadFirst(ms []*req.Mem) {
 	for i := 0; i < len(ms); i++ {
 		w := ms[i]
 		if w.IO.Kind != req.Write {
@@ -611,9 +433,7 @@ func enforceReadFirst(ms []*req.Mem) (moved bool) {
 			// read to sit just before the write, shifting the rest right.
 			copy(ms[i+1:j+1], ms[i:j])
 			ms[i] = r
-			moved = true
 			break
 		}
 	}
-	return moved
 }

@@ -707,10 +707,14 @@ func (f *FTL) retireBlock(ps *planeState, block int) {
 	}
 }
 
-// Degraded reports whether a block retirement found the spare pool empty:
-// the drive can no longer guarantee its usable capacity and should be
-// treated as read-only. The flag is sticky until Reset.
+// Degraded reports whether a block retirement found the spare pool empty
+// or the device found no space for a write: the drive can no longer
+// guarantee its usable capacity and should be treated as read-only. The
+// flag is sticky until Reset.
 func (f *FTL) Degraded() bool { return f.degraded }
+
+// Degrade enters the read-only mode Degraded reports.
+func (f *FTL) Degrade() { f.degraded = true }
 
 // RemapProgramFail recovers a host write whose program operation reported
 // failure: the failed physical page is abandoned (invalidated — it holds

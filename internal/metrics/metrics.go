@@ -116,7 +116,8 @@ type Result struct {
 
 	// Fault-injection outcomes: chip-level counters summed over the
 	// platform plus the host-visible failed-I/O count. DegradedMode
-	// mirrors the FTL's spare-exhaustion flag.
+	// mirrors the FTL's read-only flag (spare pool exhausted, or no space
+	// left for a write).
 	ReadRetries       int64
 	ReadUncorrectable int64
 	ProgramFails      int64

@@ -56,7 +56,7 @@ type Scheduler interface {
 
 // ReadyIndex is the incremental per-chip index of still-queued memory
 // requests. The device feeds it on every queue transition — admission
-// appends, commitment removes, readdressing moves — so schedulers can
+// appends, commitment removes, readdressing re-points — so schedulers can
 // enumerate each chip's candidates directly instead of rescanning every
 // queued I/O's member list on every pump.
 //
@@ -68,43 +68,18 @@ type Scheduler interface {
 type ReadyIndex struct {
 	lists [][]*req.Mem
 	live  []int32
-
-	// version counts membership/address changes per chip: admission,
-	// removal, and readdressing all bump it (housekeeping like hole
-	// compaction does not). Schedulers key incremental per-chip state —
-	// Sprinkler's memoized FARO grouping — on it: an unchanged version
-	// guarantees the chip's candidate set, order and physical addresses
-	// are exactly as they were, so cached selection output stays
-	// bit-identical to a recomputation.
-	version []uint64
-
-	// addVer and readdrVer split version by cause: addVer counts entries
-	// entering a chip's list (admission), readdrVer counts physical-address
-	// rewrites touching it. A version bump with both unchanged is
-	// therefore removal-only — the precondition for Sprinkler's FARO
-	// partial invalidation, which advances a memoized order past removed
-	// groups instead of regrouping from scratch.
-	addVer    []uint64
-	readdrVer []uint64
 }
 
 // NewReadyIndex returns an empty index over numChips chips.
 func NewReadyIndex(numChips int) *ReadyIndex {
-	vers := make([]uint64, 3*numChips)
 	return &ReadyIndex{
-		lists:     make([][]*req.Mem, numChips),
-		live:      make([]int32, numChips),
-		version:   vers[:numChips:numChips],
-		addVer:    vers[numChips : 2*numChips : 2*numChips],
-		readdrVer: vers[2*numChips:],
+		lists: make([][]*req.Mem, numChips),
+		live:  make([]int32, numChips),
 	}
 }
 
 // Reset empties the index for a new run, retaining per-chip list storage.
-// Slots are nilled so the previous run's requests are not pinned, and
-// every chip's version is bumped — not zeroed — so any selection state a
-// scheduler memoized against the old contents reads as stale rather than
-// accidentally current.
+// Slots are nilled so the previous run's requests are not pinned.
 func (x *ReadyIndex) Reset() {
 	for c := range x.lists {
 		l := x.lists[c]
@@ -113,20 +88,8 @@ func (x *ReadyIndex) Reset() {
 		}
 		x.lists[c] = l[:0]
 		x.live[c] = 0
-		x.version[c]++
-		x.addVer[c]++
-		x.readdrVer[c]++
 	}
 }
-
-// Version returns chip c's membership version (see the field comment).
-func (x *ReadyIndex) Version(c flash.ChipID) uint64 { return x.version[c] }
-
-// AddVersion returns chip c's entry-insertion counter (see addVer).
-func (x *ReadyIndex) AddVersion(c flash.ChipID) uint64 { return x.addVer[c] }
-
-// ReaddrVersion returns chip c's address-rewrite counter (see readdrVer).
-func (x *ReadyIndex) ReaddrVersion(c flash.ChipID) uint64 { return x.readdrVer[c] }
 
 // NumChips returns the number of chips the index covers.
 func (x *ReadyIndex) NumChips() int { return len(x.lists) }
@@ -141,8 +104,6 @@ func (x *ReadyIndex) Add(m *req.Mem) {
 	m.ReadySlot = int32(len(x.lists[c]))
 	x.lists[c] = append(x.lists[c], m)
 	x.live[c]++
-	x.version[c]++
-	x.addVer[c]++
 }
 
 // Remove unindexes m in O(1), leaving a hole. Gather compacts holes on
@@ -155,23 +116,19 @@ func (x *ReadyIndex) Remove(m *req.Mem) {
 	x.lists[c][m.ReadySlot] = nil
 	m.ReadySlot = -1
 	x.live[c]--
-	x.version[c]++
 	if l := x.lists[c]; len(l) >= 64 && int(x.live[c])*2 < len(l) {
 		x.lists[c] = compactList(l)
 	}
 }
 
 // Readdress re-points m at dst (live-data migration, §4.3). GC migrates
-// live pages only between planes of the victim's chip, so membership and
-// order are untouched; the address feeds FARO grouping, though, so cached
-// selection state must still be invalidated. A dst on another chip is an
-// internal invariant violation and panics.
+// live pages only between planes of the victim's chip, so m keeps its
+// list, slot and admission order; only its address changes.
+// A dst on another chip is an internal invariant violation and panics.
 func (x *ReadyIndex) Readdress(m *req.Mem, dst flash.Addr) {
 	if m.Addr.Chip != dst.Chip {
 		panic(fmt.Sprintf("sched: readdress of %v to another chip %v", m.Addr, dst))
 	}
-	x.version[dst.Chip]++
-	x.readdrVer[dst.Chip]++
 	m.Addr = dst
 }
 
@@ -266,8 +223,8 @@ func CandidateWindow(q *nvmhc.Queue, window int) []*req.Mem {
 // state can be dropped in place, so one scheduler value can serve
 // consecutive runs on a reused device. ResetState must leave the
 // scheduler behaving exactly like a freshly constructed one (grown
-// scratch capacity may be retained; cached orderings and references to
-// the previous run's requests may not).
+// scratch capacity may be retained; references to the previous run's
+// requests may not).
 type StateResetter interface {
 	ResetState()
 }

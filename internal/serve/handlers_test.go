@@ -248,6 +248,46 @@ func TestOversizedRequestRejected(t *testing.T) {
 	}
 }
 
+// TestFullDriveSessionSurvives: one write larger than the whole drive
+// fills a gcStress session past its physical capacity. The drive must
+// degrade to read-only mode and fail the write instead of panicking under
+// the advance or the drain at Close, and the server keeps serving.
+func TestFullDriveSessionSurvives(t *testing.T) {
+	srv, ts := newTestServer(t, testOptions())
+	openSession(t, ts, OpenRequest{Name: "full", Chips: 4, GCStress: true})
+
+	fill := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 65536, Write: true}}}
+	if r := postJSON(t, ts.URL+"/v1/sessions/full/submit", fill, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", r.StatusCode)
+	}
+	var snap sprinkler.Snapshot
+	if r := postJSON(t, ts.URL+"/v1/sessions/full/advance", AdvanceRequest{DNS: int64(time.Second)}, &snap); r.StatusCode != http.StatusOK {
+		t.Fatalf("advance: status %d", r.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the fill: status %d", resp.StatusCode)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	res, rerr, ok := srv.Result("full")
+	if !ok || rerr != nil || res == nil {
+		t.Fatalf("no drained Result (ok=%v err=%v)", ok, rerr)
+	}
+	if res.FailedIOs != 1 || !res.DegradedMode {
+		t.Fatalf("drained %d failed I/Os, degraded=%v; want the fill failed in degraded mode",
+			res.FailedIOs, res.DegradedMode)
+	}
+}
+
 // TestFeedClampsToBacklogBudget: a bounded feed larger than the budget
 // admits exactly the headroom and reports it, so clients make progress
 // under backpressure instead of failing.

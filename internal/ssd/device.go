@@ -516,7 +516,9 @@ func (d *Device) popBacklog() {
 //
 // Admission stalls when the allocator cannot place a write even after
 // emergency collection (every chip mid-GC); the I/O stays at the backlog
-// head and admission retries when a GC job or an I/O completes.
+// head and admission retries when a GC job or an I/O completes. When no
+// collection can free space, the drive enters degraded mode and the write
+// is refused like any later one.
 func (d *Device) drainBacklog(now sim.Time) {
 	admitted := false
 	for d.backlogLen() > 0 && !d.queue.Full() {
@@ -542,6 +544,9 @@ func (d *Device) drainBacklog(now sim.Time) {
 			}
 		}
 		if !ok {
+			if d.fl.Degraded() {
+				continue // the degraded branch above refuses the write
+			}
 			break
 		}
 		d.popBacklog()
@@ -579,8 +584,10 @@ func (d *Device) refuseIO(now sim.Time, io *req.IO) {
 // preprocess resolves a memory request's physical address, falling back to
 // emergency mapping-level GC passes when the allocator runs dry (the
 // background GC normally prevents this). It reports whether the request
-// was resolved; false means every reclaimable chip is mid-GC and the
-// caller must retry after a completion.
+// was resolved. False means either that every reclaimable chip is mid-GC
+// and the caller must retry after a completion, or that the flash is full
+// with nothing left to reclaim, in which case the FTL is now degraded and
+// the write must be refused.
 func (d *Device) preprocess(m *req.Mem) bool {
 	err := d.fl.Preprocess(m)
 	if err == nil {
@@ -616,10 +623,11 @@ func (d *Device) preprocess(m *req.Mem) bool {
 			if d.gcActiveCount > 0 {
 				return false // wait for background GC to finish
 			}
-			panic(fmt.Sprintf("ssd: out of flash space with no GC in flight: %v", err))
+			break
 		}
 	}
-	panic(fmt.Sprintf("ssd: out of flash space even after emergency GC: %v", err))
+	d.fl.Degrade()
+	return false
 }
 
 // pump asks the scheduler for the next commitments until it has none.

@@ -366,6 +366,63 @@ func TestDeviceGCUnderWritePressure(t *testing.T) {
 	}
 }
 
+// TestDeviceFullDriveDegrades fills a tiny drive past its physical
+// capacity with sequential 8-page writes, a read of an already-written
+// page after every third write. Once no collection can free space the
+// drive must enter degraded read-only mode: the writes that no longer fit
+// fail, the reads queued behind them are still served, and the mapping
+// stays sound.
+func TestDeviceFullDriveDegrades(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geo.Channels = 2
+	cfg.Geo.ChipsPerChan = 2
+	cfg.Geo.DiesPerChip = 2
+	cfg.Geo.PlanesPerDie = 2
+	cfg.Geo.BlocksPerPlane = 8
+	cfg.Geo.PagesPerBlock = 16
+	cfg.GCFreeTarget = 2
+	// Physical = 2048 pages; the writes cover 3200 distinct LPNs.
+	cfg.LogicalPages = 1740
+
+	for _, s := range allSchedulers() {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			d, err := New(cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ios, reads []*req.IO
+			for i := 0; i < 400; i++ {
+				ios = append(ios, req.NewIO(int64(len(ios)), req.Write, req.LPN(i*8), 8, 0))
+				if i%3 == 2 {
+					r := req.NewIO(int64(len(ios)), req.Read, req.LPN(i*4), 1, 0)
+					ios = append(ios, r)
+					reads = append(reads, r)
+				}
+			}
+			res, err := d.Run(&SliceSource{IOs: ios})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.IOsCompleted != int64(len(ios)) {
+				t.Fatalf("completed %d/%d", res.IOsCompleted, len(ios))
+			}
+			if res.FailedIOs == 0 || !res.DegradedMode {
+				t.Fatalf("full drive: %d failed I/Os, degraded=%v; want failures in degraded mode",
+					res.FailedIOs, res.DegradedMode)
+			}
+			for _, r := range reads {
+				if r.Failed || r.Done == 0 {
+					t.Fatalf("read %v not served (failed=%v done=%v)", r, r.Failed, r.Done)
+				}
+			}
+			if err := d.FTL().CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestDeviceReaddressingBeatsStaleOnGC(t *testing.T) {
 	// With GC churn, SPK3 (readdressing) should not pay retranslations;
 	// PAS should record some when reads chase migrated pages.

@@ -110,14 +110,14 @@ func TestDeviceResetMatchesFresh(t *testing.T) {
 }
 
 // TestDeviceResetReusesScheduler pins scheduler-instance reuse: the same
-// Sprinkler value serves two consecutive runs (its memoized FARO state
-// dropped through sched.StateResetter) with results identical to fresh
+// Sprinkler value serves two consecutive runs (its scratch buffers
+// emptied through sched.StateResetter) with results identical to fresh
 // construction each time.
 func TestDeviceResetReusesScheduler(t *testing.T) {
 	cfg := smallConfig()
 	ios := genIOs(t, cfg, 200, 3)
 
-	s := allSchedulers()[4] // SPK3: the variant with memoized state
+	s := allSchedulers()[4] // SPK3: the variant with the most scratch state
 	dev, err := New(cfg, s)
 	if err != nil {
 		t.Fatal(err)

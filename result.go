@@ -112,10 +112,11 @@ type Result struct {
 
 	// Fault-injection outcomes, all zero (and omitted from the wire
 	// encoding, so pre-fault clients are unaffected) when Config.Faults is
-	// the zero value: read-retry ladder entries, uncorrectable reads,
-	// program and erase failures at the chips, blocks retired to the spare
-	// pool, host I/Os failed unrecoverably, and whether the drive ended
-	// the run degraded to read-only mode (spare pool exhausted).
+	// the zero value and the drive never fills up: read-retry ladder
+	// entries, uncorrectable reads, program and erase failures at the
+	// chips, blocks retired to the spare pool, host I/Os failed
+	// unrecoverably, and whether the drive ended the run degraded to
+	// read-only mode (spare pool exhausted, or no space left for a write).
 	ReadRetries       int64 `json:"readRetries,omitempty"`
 	ReadUncorrectable int64 `json:"readUncorrectable,omitempty"`
 	ProgramFails      int64 `json:"programFails,omitempty"`

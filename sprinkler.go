@@ -386,7 +386,7 @@ type Device struct {
 
 	// scheds caches one scheduler instance per kind ever run on this
 	// device, so a sweep alternating schedulers on a recycled device
-	// reuses them (per-run selection state is dropped through
+	// reuses them (per-run scratch is dropped through
 	// sched.StateResetter on every Reset) instead of rebuilding.
 	scheds map[SchedulerKind]sched.Scheduler
 }
