@@ -56,10 +56,22 @@ type SeriesPoint struct {
 	Latency sim.Time
 }
 
+// Latency summarizes the device-level response time per I/O request
+// (§5.2), read off the device's latency histogram when the Result is
+// rendered.
+type Latency struct {
+	Count         int64
+	Sum, Mean     float64
+	P50, P99, Max float64
+	// Estimated reports that the histogram spilled into its bucketed
+	// estimator, so P50 and P99 are estimates; the other fields stay
+	// exact.
+	Estimated bool
+}
+
 // Result aggregates everything a run measures.
 type Result struct {
 	Scheduler string
-	Workload  string
 
 	Duration     sim.Time
 	IOsCompleted int64
@@ -67,7 +79,7 @@ type Result struct {
 	BytesWritten int64
 
 	// Latency is the device-level response time per I/O request (§5.2).
-	Latency sim.Histogram
+	Latency Latency
 
 	// QueueFullTime is how long the device-level queue was full with the
 	// host blocked behind it.
@@ -111,7 +123,6 @@ type Result struct {
 	AvgFLPDegree float64
 
 	StaleRetranslations int64
-	EmergencyGCs        int64
 	GC                  ftl.Stats
 
 	// Fault-injection outcomes: chip-level counters summed over the
@@ -147,7 +158,7 @@ func (r *Result) IOPS() float64 {
 
 // AvgLatency returns the mean device-level latency.
 func (r *Result) AvgLatency() sim.Time {
-	return sim.Time(r.Latency.Mean())
+	return sim.Time(r.Latency.Mean)
 }
 
 // QueueStallFraction returns queue-full time over run duration.
@@ -224,14 +235,6 @@ func (r *Result) Compute(geo flash.Geometry, chips []ChipSample, busyChipIntegra
 			r.FLP.Share[i] = float64(v) / float64(r.Requests)
 		}
 	}
-}
-
-// String renders a one-line summary.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s/%s: bw=%.0fKB/s iops=%.0f lat=%v util=%.1f%% inter=%.1f%% intra=%.1f%% txns=%d (deg %.2f)",
-		r.Scheduler, r.Workload, r.BandwidthKBps(), r.IOPS(), r.AvgLatency(),
-		100*r.ChipUtilization, 100*r.InterChipIdleness, 100*r.IntraChipIdleness,
-		r.Transactions, r.AvgFLPDegree)
 }
 
 // Table formats rows of results as an aligned text table with the given

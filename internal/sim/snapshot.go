@@ -67,7 +67,7 @@ type HistogramState struct {
 }
 
 // ExportState captures the histogram. Exact-mode sample storage is
-// sorted in place first (PreSort) so the export is canonical: two
+// sorted in place first so the export is canonical: two
 // histograms that observed the same multiset export identical state.
 // The returned slices alias the histogram's storage — callers that
 // retain the state across further Observes must copy.
@@ -94,7 +94,6 @@ func (h *Histogram) ImportState(st HistogramState) {
 	h.samples = append(h.samples[:0:0], st.Samples...)
 	h.sum, h.sumsq = st.Sum, st.SumSq
 	h.cap = st.Cap
-	h.shared = false
 	h.buckets = nil
 	if st.Buckets != nil {
 		h.buckets = append([]uint64(nil), st.Buckets...)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -124,10 +123,6 @@ type Histogram struct {
 	// cap is the exact-mode retention limit; 0 means DefaultHistogramCap.
 	cap int
 
-	// shared marks a Clone whose sample storage aliases the original's:
-	// sorting must copy first so sibling clones stay isolated.
-	shared bool
-
 	// Bucketed-mode state. buckets is nil while exact; count/min/max are
 	// maintained in both modes so the switch loses no exact scalar.
 	buckets  []uint64
@@ -147,19 +142,10 @@ func (h *Histogram) SetCap(cap int) {
 }
 
 // Reset empties the histogram for a new run with the given exact-sample
-// cap (same semantics as SetCap). Sample storage is reused when no Clone
-// aliases it; otherwise — snapshots taken from the previous run must stay
-// frozen — fresh storage is grown lazily by the next Observes. The bucket
+// cap (same semantics as SetCap), reusing its sample storage. The bucket
 // array is dropped: a reset histogram starts in exact mode like a new one.
 func (h *Histogram) Reset(cap int) {
-	if h.shared {
-		// Clones alias h.samples; truncating and re-appending in place
-		// would rewrite values under them.
-		h.samples = nil
-		h.shared = false
-	} else {
-		h.samples = h.samples[:0]
-	}
+	h.samples = h.samples[:0]
 	h.sum, h.sumsq = 0, 0
 	h.sorted = false
 	h.cap = cap
@@ -357,12 +343,6 @@ func (h *Histogram) ensureSorted() {
 	if h.sorted {
 		return
 	}
-	if h.shared {
-		// Clone storage aliases the live histogram (and possibly other
-		// clones): sorting in place would reorder values under them.
-		h.samples = append([]float64(nil), h.samples...)
-		h.shared = false
-	}
 	sort.Float64s(h.samples)
 	h.sorted = true
 }
@@ -371,50 +351,4 @@ func (h *Histogram) ensureSorted() {
 // quantity the long-run soak test asserts is bounded.
 func (h *Histogram) MemFootprint() int {
 	return 8 * (cap(h.samples) + len(h.buckets))
-}
-
-// PreSort sorts exact-mode sample storage in place, ahead of a Clone: the
-// snapshot then inherits sorted storage, so its percentile reads skip the
-// copy-on-sort (the dominant result-rendering allocation — a full copy of
-// the retained sample slice). No-op when already sorted or bucketed.
-func (h *Histogram) PreSort() { h.ensureSorted() }
-
-// Clone returns a snapshot that stays fixed while the original keeps
-// observing. Exact-mode sample storage is shared until the clone first
-// needs to sort (copy-on-sort — appends beyond the snapshot's length are
-// invisible to it, and a clone's sort must not reorder values under the
-// original or sibling clones); bucketed counters are copied eagerly,
-// since the live histogram mutates them in place.
-func (h *Histogram) Clone() Histogram {
-	c := *h
-	if h.buckets != nil {
-		c.buckets = append([]uint64(nil), h.buckets...)
-	}
-	// Both sides now alias the sample storage: whichever sorts first
-	// must copy. (Appending is safe — it never reorders the prefix.)
-	h.shared = true
-	c.shared = true
-	return c
-}
-
-// Borrow returns a transient read-only snapshot that aliases the live
-// sample AND bucket storage without marking the live histogram shared.
-// Unlike Clone, the live histogram's next Reset reuses its grown storage
-// — the point of borrowing: result rendering that flattens the snapshot
-// immediately pays no storage churn on recycled devices. The borrow must
-// be discarded before the histogram next observes or resets; retaining
-// it would read mutated bucket counters or freed sample storage. The
-// borrow itself is marked shared, so a sort on an unsorted borrow copies
-// rather than reordering values under the live histogram (PreSort first
-// and even that copy is skipped).
-func (h *Histogram) Borrow() Histogram {
-	c := *h
-	c.shared = true
-	return c
-}
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Max())
 }

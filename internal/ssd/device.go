@@ -111,26 +111,7 @@ type Device struct {
 	// without retaining the slice, so rendering a Result (the per-sweep-cell
 	// hot path) does not allocate per chip.
 	sampleBuf []metrics.ChipSample
-
-	// transientResults marks every Result this device renders as
-	// flatten-and-discard: the caller promises not to retain the
-	// metrics.Result (or read its Latency histogram) past the next
-	// Observe/Reset, so resultAt borrows the live latency storage
-	// instead of Clone-sharing it, and the device's next Reset reuses
-	// the grown sample array rather than re-growing from nil. The public
-	// API layer sets this — its Run/Drain/Snapshot paths all flatten the
-	// internal result immediately — while internal callers keeping
-	// self-contained Results leave it off.
-	transientResults bool
 }
-
-// SetTransientResults declares that every metrics.Result this device
-// renders is flattened and discarded before the device next observes a
-// sample or resets — the public API's contract. Rendering then borrows
-// the live latency storage instead of Clone-sharing it, so recycled
-// devices keep their grown sample arrays across runs. Callers that
-// retain Results (or read Latency later) must leave this off.
-func (d *Device) SetTransientResults(on bool) { d.transientResults = on }
 
 // New builds a Device with the given scheduler.
 func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
@@ -882,27 +863,26 @@ func (d *Device) seriesSnapshot() []metrics.SeriesPoint {
 }
 
 func (d *Device) resultAt(end sim.Time) *metrics.Result {
-	// Pre-sorting the live histogram lets the clone below inherit sorted
-	// storage: the Result's percentile reads then skip the copy-on-sort.
-	// Appends after this snapshot don't reorder the sorted prefix, so the
-	// clone stays consistent even while the run continues.
-	d.latency.PreSort()
-	var lat sim.Histogram
-	if d.transientResults {
-		lat = d.latency.Borrow()
-	} else {
-		lat = d.latency.Clone()
-	}
+	// The percentile reads sort the live samples in place; later appends
+	// keep the histogram's sorted flag honest, so the run may continue.
+	h := &d.latency
 	r := &metrics.Result{
-		Scheduler:           d.sch.Name(),
-		Duration:            end,
-		IOsCompleted:        d.iosDone,
-		BytesRead:           d.bytesRead,
-		BytesWritten:        d.bytesWritten,
-		Latency:             lat,
+		Scheduler:    d.sch.Name(),
+		Duration:     end,
+		IOsCompleted: d.iosDone,
+		BytesRead:    d.bytesRead,
+		BytesWritten: d.bytesWritten,
+		Latency: metrics.Latency{
+			Count:     int64(h.Count()),
+			Sum:       h.Sum(),
+			Mean:      h.Mean(),
+			P50:       h.Percentile(50),
+			P99:       h.Percentile(99),
+			Max:       h.Max(),
+			Estimated: h.Bucketed(),
+		},
 		QueueFullTime:       d.queue.FullTime(end),
 		StaleRetranslations: d.staleFixes,
-		EmergencyGCs:        d.emergencyGCs,
 		GC:                  d.fl.Stats(),
 		FailedIOs:           d.failedIOs,
 		DegradedMode:        d.fl.Degraded(),

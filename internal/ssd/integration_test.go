@@ -112,7 +112,7 @@ func TestSchedulersCompleteRandomWorkloads(t *testing.T) {
 			if res.IOsCompleted != int64(n) {
 				return false
 			}
-			if res.Latency.Count() != n {
+			if res.Latency.Count != int64(n) {
 				return false
 			}
 			if d.FTL().CheckInvariants() != nil {

@@ -45,7 +45,7 @@ func cloneIOsForReset(ios []*req.IO) []*req.IO {
 func fingerprint(r *metrics.Result) string {
 	return fmt.Sprintf("ios=%d br=%d bw=%d dur=%d latsum=%v p50=%v p99=%v max=%v txns=%d reqs=%d util=%v stall=%d gc=%+v stale=%d flp=%v",
 		r.IOsCompleted, r.BytesRead, r.BytesWritten, r.Duration,
-		r.Latency.Sum(), r.Latency.Percentile(50), r.Latency.Percentile(99), r.Latency.Max(),
+		r.Latency.Sum, r.Latency.P50, r.Latency.P99, r.Latency.Max,
 		r.Transactions, r.Requests, r.ChipUtilization, r.QueueFullTime, r.GC,
 		r.StaleRetranslations, r.FLP.Share)
 }

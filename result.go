@@ -140,10 +140,10 @@ func publicResult(r *metrics.Result) *Result {
 		BandwidthKBps:       r.BandwidthKBps(),
 		IOPS:                r.IOPS(),
 		AvgLatencyNS:        int64(r.AvgLatency()),
-		P50LatencyNS:        int64(r.Latency.Percentile(50)),
-		P99LatencyNS:        int64(r.Latency.Percentile(99)),
-		MaxLatencyNS:        int64(r.Latency.Max()),
-		LatencyEstimated:    r.Latency.Bucketed(),
+		P50LatencyNS:        int64(r.Latency.P50),
+		P99LatencyNS:        int64(r.Latency.P99),
+		MaxLatencyNS:        int64(r.Latency.Max),
+		LatencyEstimated:    r.Latency.Estimated,
 		QueueStallNS:        int64(r.QueueFullTime),
 		QueueStallFraction:  r.QueueStallFraction(),
 		ChipUtilization:     r.ChipUtilization,

@@ -138,8 +138,6 @@ func (s *Session) Drain(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	s.closed = true
-	// res borrows the device's live latency storage: flatten it before the
-	// device goes back to the arena, where another checkout may Reset it.
 	out := publicResult(res)
 	// The run drained: the device is pristine after its next Reset.
 	// Uninstall our retire hook before recycling so a pooled device does
@@ -233,7 +231,7 @@ func snapshotOf(r *metrics.Result, submitted int64, inflight int) Snapshot {
 		Inflight:           inflight,
 		BytesRead:          r.BytesRead,
 		BytesWritten:       r.BytesWritten,
-		TotalLatencyNS:     int64(r.Latency.Sum()),
+		TotalLatencyNS:     int64(r.Latency.Sum),
 		BandwidthKBps:      r.BandwidthKBps(),
 		IOPS:               r.IOPS(),
 		AvgLatencyNS:       int64(r.AvgLatency()),

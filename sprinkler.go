@@ -404,9 +404,6 @@ func New(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every public path (Run, Drain, Snapshot) flattens the internal
-	// result immediately, so rendering may borrow live metric storage.
-	inner.SetTransientResults(true)
 	return &Device{
 		inner:  inner,
 		cfg:    cfg,
