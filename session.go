@@ -23,6 +23,11 @@ type Session struct {
 	submitted int64
 	closed    bool
 
+	// final is the session's state when it closed. A drained device may
+	// already serve another session, so a closed session reports only
+	// this.
+	final Snapshot
+
 	// arena is where the device was checked out (nil without WithArena);
 	// Drain hands the device back to it.
 	arena *DeviceArena
@@ -103,7 +108,7 @@ func (s *Session) Feed(src Source, n int64) (int64, error) {
 
 // Advance runs the simulation for dNS more nanoseconds of simulated time,
 // then returns with later events still queued. The windowing primitive:
-// submit, advance, snapshot, repeat.
+// submit, advance, snapshot, repeat. The clock may not pass 2^62 ns.
 func (s *Session) Advance(dNS int64) error {
 	if s.closed {
 		return errClosed
@@ -111,16 +116,30 @@ func (s *Session) Advance(dNS int64) error {
 	if dNS < 0 {
 		return fmt.Errorf("sprinkler: Advance by negative duration %d", dNS)
 	}
-	s.dev.inner.Advance(s.dev.inner.Now() + simTime(dNS))
+	now := int64(s.dev.inner.Now())
+	if dNS > maxSimTimeNS-now {
+		return fmt.Errorf("sprinkler: Advance by %d ns from %d ns passes the simulated-time horizon of %d ns", dNS, now, int64(maxSimTimeNS))
+	}
+	s.dev.inner.Advance(simTime(now + dNS))
 	return nil
 }
 
 // NowNS returns the current simulation time in nanoseconds.
-func (s *Session) NowNS() int64 { return int64(s.dev.inner.Now()) }
+func (s *Session) NowNS() int64 {
+	if s.closed {
+		return s.final.SimTimeNS
+	}
+	return int64(s.dev.inner.Now())
+}
 
 // Inflight reports how many submitted I/Os have arrived but not yet
 // completed.
-func (s *Session) Inflight() int { return s.dev.inner.Inflight() }
+func (s *Session) Inflight() int {
+	if s.closed {
+		return s.final.Inflight
+	}
+	return s.dev.inner.Inflight()
+}
 
 // Drain runs every outstanding event to completion and returns the final
 // measurements. The session cannot be used afterwards. On context
@@ -137,12 +156,10 @@ func (s *Session) Drain(ctx context.Context) (*Result, error) {
 		}
 		return nil, err
 	}
-	s.closed = true
 	out := publicResult(res)
+	s.close()
 	// The run drained: the device is pristine after its next Reset.
-	// Uninstall our retire hook before recycling so a pooled device does
-	// not call into a dead session. Without an arena Put drops it.
-	s.dev.inner.SetIORetire(nil)
+	// Without an arena Put drops it.
 	s.arena.Put(s.dev)
 	return out, nil
 }
@@ -157,6 +174,13 @@ func (s *Session) Discard() {
 	if s.closed {
 		return
 	}
+	s.close()
+}
+
+// close keeps the final state and uninstalls the retire hook, so a device
+// recycled after the session never calls into it.
+func (s *Session) close() {
+	s.final = s.Snapshot()
 	s.closed = true
 	s.dev.inner.SetIORetire(nil)
 }
@@ -164,8 +188,11 @@ func (s *Session) Discard() {
 // Snapshot reports the measurements accumulated so far without advancing
 // the simulation. Successive snapshots are monotone in SimTimeNS,
 // IOsSubmitted, IOsCompleted and byte counts; windowed rates come from
-// Since.
+// Since. A closed session reports its state when it closed.
 func (s *Session) Snapshot() Snapshot {
+	if s.closed {
+		return s.final
+	}
 	r := s.dev.inner.Snapshot()
 	return snapshotOf(r, s.submitted, s.dev.inner.Inflight())
 }

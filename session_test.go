@@ -165,6 +165,50 @@ func TestSessionUseAfterDrain(t *testing.T) {
 	}
 }
 
+// TestSessionStateAfterDrain: a drained session keeps reporting its own
+// final state after its device, recycled through the arena, has served
+// another session.
+func TestSessionStateAfterDrain(t *testing.T) {
+	arena := sprinkler.NewDeviceArena()
+	drive := func(n int, advanceNS int64) *sprinkler.Session {
+		t.Helper()
+		sess, err := sprinkler.Open(smallConfig(sprinkler.SPK3), sprinkler.WithArena(arena))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := sess.Submit(sprinkler.Request{LPN: int64(8 * i), Pages: 4, Write: i%2 == 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Advance(advanceNS); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	first := drive(4, 0)
+	want := first.Snapshot()
+	if want.IOsCompleted != 4 || want.Inflight != 0 {
+		t.Fatalf("drained snapshot: %+v", want)
+	}
+	drive(9, 1e9)
+	if hits := arena.Stats().DeviceHits; hits != 1 {
+		t.Fatalf("%d arena device hits, want 1 (the second session must recycle the device)", hits)
+	}
+	if got := first.Snapshot(); got != want {
+		t.Errorf("drained session's snapshot changed after its device was recycled:\n want %+v\n got  %+v", want, got)
+	}
+	if got := first.NowNS(); got != want.SimTimeNS {
+		t.Errorf("drained session's clock reads %d ns, want %d", got, want.SimTimeNS)
+	}
+	if got := first.Inflight(); got != 0 {
+		t.Errorf("drained session reports %d in flight, want 0", got)
+	}
+}
+
 // TestSessionRejectsBadRequest validates requests at submission.
 func TestSessionRejectsBadRequest(t *testing.T) {
 	sess, err := sprinkler.Open(smallConfig(sprinkler.VAS))

@@ -313,6 +313,12 @@ const ioPoolMax = 4096
 // pages.
 const maxRequestPages = 1 << 16
 
+// maxSimTimeNS is the simulated-time horizon, 2^62 ns (~146 years).
+// Admission refuses arrivals past it and Session.Advance refuses to carry
+// the clock past it; with the fault caps in ssd bounding one flash
+// operation, no event time can then overflow the int64 clock.
+const maxSimTimeNS = 1 << 62
+
 // build converts one public request, validating it, recycling a retired
 // I/O when one is available.
 func (p *ioPool) build(id int64, r Request) (*req.IO, error) {
@@ -327,6 +333,9 @@ func (p *ioPool) build(id int64, r Request) (*req.IO, error) {
 	}
 	if r.ArrivalNS < 0 {
 		return nil, fmt.Errorf("sprinkler: request %d has negative arrival %d ns", id, r.ArrivalNS)
+	}
+	if r.ArrivalNS > maxSimTimeNS {
+		return nil, fmt.Errorf("sprinkler: request %d arrives at %d ns, past the simulated-time horizon of %d ns", id, r.ArrivalNS, int64(maxSimTimeNS))
 	}
 	kind := req.Read
 	if r.Write {

@@ -177,7 +177,7 @@ type FaultSpec struct {
 
 	// ReadRetryMax bounds the read-retry ladder (0 = a failing sense is
 	// immediately uncorrectable); retry r costs r × ReadRetryMult × the
-	// base sense time (values below 1 behave as 1).
+	// base sense time (values below 1 behave as 1). Both are at most 32.
 	ReadRetryMax  int `json:"readRetryMax,omitempty"`
 	ReadRetryMult int `json:"readRetryMult,omitempty"`
 
@@ -187,7 +187,7 @@ type FaultSpec struct {
 
 	// OutagePeriodNS/OutageDurNS define per-die transient outage windows:
 	// a flash operation that would start inside a die's window waits it
-	// out. Zero disables outages.
+	// out. Zero disables outages; the period is at most one second.
 	OutagePeriodNS int64 `json:"outagePeriodNS,omitempty"`
 	OutageDurNS    int64 `json:"outageDurNS,omitempty"`
 
@@ -235,8 +235,15 @@ func (f FaultSpec) check() error {
 	if f.ReadRetryMax < 0 || f.ReadRetryMult < 0 || f.RewriteMax < 0 {
 		return fmt.Errorf("sprinkler: Config.Faults retry and rewrite bounds must be non-negative")
 	}
+	if f.ReadRetryMax > ssd.MaxReadRetry || f.ReadRetryMult > ssd.MaxReadRetry {
+		return fmt.Errorf("sprinkler: Config.Faults.ReadRetryMax %d and ReadRetryMult %d must not exceed %d",
+			f.ReadRetryMax, f.ReadRetryMult, ssd.MaxReadRetry)
+	}
 	if f.OutagePeriodNS < 0 || f.OutageDurNS < 0 {
 		return fmt.Errorf("sprinkler: Config.Faults outage window must be non-negative")
+	}
+	if f.OutagePeriodNS > int64(ssd.MaxOutagePeriod) {
+		return fmt.Errorf("sprinkler: Config.Faults.OutagePeriodNS %d exceeds the limit of %d", f.OutagePeriodNS, int64(ssd.MaxOutagePeriod))
 	}
 	if f.OutageDurNS > 0 && f.OutagePeriodNS == 0 {
 		return fmt.Errorf("sprinkler: Config.Faults.OutageDurNS set without OutagePeriodNS")

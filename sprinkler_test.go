@@ -2,6 +2,7 @@ package sprinkler
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -72,9 +73,10 @@ func TestPublicAPIRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestRequestBoundsOnBothRunPaths: an oversized request or a negative
-// arrival is refused on admission, whether it arrives through Run or
-// through a Session, before it can cost memory or corrupt latencies.
+// TestRequestBoundsOnBothRunPaths: an oversized request, or an arrival
+// that is negative or past the simulated-time horizon, is refused on
+// admission, whether it arrives through Run or through a Session, before
+// it can cost memory, corrupt latencies or overflow the clock.
 func TestRequestBoundsOnBothRunPaths(t *testing.T) {
 	cfg := testConfig(SPK3)
 	bad := []struct {
@@ -85,6 +87,7 @@ func TestRequestBoundsOnBothRunPaths(t *testing.T) {
 		{"oversized", Request{Pages: maxRequestPages + 1}, "more than the limit"},
 		{"huge", Request{Write: true, Pages: 1 << 30}, "more than the limit"},
 		{"negative-arrival", Request{ArrivalNS: -1, Pages: 1}, "negative arrival"},
+		{"past-horizon", Request{ArrivalNS: math.MaxInt64 - 10, Pages: 1}, "horizon"},
 	}
 	for _, tc := range bad {
 		dev, err := New(cfg)
