@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -285,6 +286,30 @@ func TestFullDriveSessionSurvives(t *testing.T) {
 	if res.FailedIOs != 1 || !res.DegradedMode {
 		t.Fatalf("drained %d failed I/Os, degraded=%v; want the fill failed in degraded mode",
 			res.FailedIOs, res.DegradedMode)
+	}
+}
+
+// TestAdvancePastHorizonSessionSurvives: an advance that would carry the
+// clock past the simulated-time horizon is a 400, and the session still
+// drains its I/O when the server closes.
+func TestAdvancePastHorizonSessionSurvives(t *testing.T) {
+	srv, ts := newTestServer(t, testOptions())
+	openSession(t, ts, OpenRequest{Name: "far"})
+	write := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 4, Write: true}}}
+	if r := postJSON(t, ts.URL+"/v1/sessions/far/submit", write, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", r.StatusCode)
+	}
+	if r := postJSON(t, ts.URL+"/v1/sessions/far/advance", AdvanceRequest{DNS: math.MaxInt64}, nil); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("advance by MaxInt64: status %d, want 400", r.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	res, rerr, ok := srv.Result("far")
+	if !ok || rerr != nil || res == nil || res.IOsCompleted != 1 {
+		t.Fatalf("drained Result %+v (ok=%v err=%v), want 1 completed I/O", res, ok, rerr)
 	}
 }
 
@@ -774,6 +799,8 @@ func TestOpenRejectsInvalidFaultSpec(t *testing.T) {
 		{ReadRetryMax: -1},
 		{OutageDurNS: 100},                      // duration without a period
 		{OutagePeriodNS: 100, OutageDurNS: 100}, // window covers the whole period
+		{OutagePeriodNS: 9e18, OutageDurNS: 9e18 - 1},
+		{ReadFailProb: 1, ReadRetryMax: 1 << 30, ReadRetryMult: 1 << 30},
 		{SpareBlockFrac: 1},
 	} {
 		spec := spec

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -11,10 +12,11 @@ import (
 
 // FuzzSubmit decodes untrusted submit JSON the way the daemon does and
 // submits it into a gcStress session on the 4-chip platform, then
-// advances the session a bounded amount of simulated time: a request may
-// be refused, but no input may panic. The corpus under testdata/fuzz
-// holds a single write larger than the whole drive, which once panicked
-// the allocator.
+// advances the session a bounded amount of simulated time and drains it
+// under a 5 s bound: a request may be refused, but no input may panic.
+// The corpus under testdata/fuzz holds a single write larger than the
+// whole drive, which once panicked the allocator, and an arrival near
+// MaxInt64, which once overflowed the clock.
 func FuzzSubmit(f *testing.F) {
 	for _, seed := range []string{
 		`{"requests":[{"lpn":0,"pages":4}]}`,
@@ -54,6 +56,7 @@ func FuzzSubmit(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A drain cut off by its deadline leaves the session open.
 		defer sess.Discard()
 		for i, io := range sub.Requests {
 			if i == 16 {
@@ -70,5 +73,8 @@ func FuzzSubmit(f *testing.F) {
 		if err := sess.Advance(int64(2 * time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		sess.Drain(ctx)
 	})
 }
