@@ -57,16 +57,12 @@ type SeriesPoint struct {
 }
 
 // Latency summarizes the device-level response time per I/O request
-// (§5.2), read off the device's latency histogram when the Result is
-// rendered.
+// (§5.2) when the Result is rendered. Estimated marks P50 and P99 read
+// off the bucketed estimator; the other fields are always exact.
 type Latency struct {
-	Count         int64
-	Sum, Mean     float64
-	P50, P99, Max float64
-	// Estimated reports that the histogram spilled into its bucketed
-	// estimator, so P50 and P99 are estimates; the other fields stay
-	// exact.
-	Estimated bool
+	Count                    int64
+	Sum, Mean, P50, P99, Max float64
+	Estimated                bool
 }
 
 // Result aggregates everything a run measures.

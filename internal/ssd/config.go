@@ -173,14 +173,12 @@ func (fs *FaultSpec) flashConfig() flash.FaultConfig {
 	}
 }
 
-// Caps on the fault knobs that stretch simulated time, each at least 8×
-// every value the repo runs (outage periods ≤ 1 ms, retry ladders ≤ 4
-// rungs × 3). A full read-retry ladder then costs at most
-// Σ_{r=1..32} r·32·tR = 16,896 × 20 µs ≈ 0.34 s of simulated time, and an
-// outage delays a cell phase by less than one period, so one flash
-// operation stays under ~1.4 s. With host arrivals and the session clock
-// held below 2^62 ns on admission, the 2^62 ns of headroom left in an
-// int64 clock outlasts billions of such operations back to back.
+// Caps on the fault knobs that stretch simulated time, each ≥ 8× every
+// value the repo runs (outage periods ≤ 1 ms, retry ladders ≤ 4 × 3). A
+// full ladder costs Σ_{r=1..32} r·32·tR = 16,896 × 20 µs ≈ 0.34 s and an
+// outage wait < 1 s, so one flash operation stays under ~1.4 s: with the
+// public API holding arrivals and the clock below 2^62 ns, the int64
+// clock's remaining 2^62 ns outlast billions of such operations.
 const (
 	MaxOutagePeriod = sim.Second
 	MaxReadRetry    = 32 // caps ReadRetryMax and ReadRetryMult alike
@@ -199,20 +197,14 @@ func (fs *FaultSpec) validate() error {
 			return fmt.Errorf("ssd: fault %s %g outside [0, 1]", p.name, p.v)
 		}
 	}
-	if fs.ReadRetryMax < 0 || fs.ReadRetryMax > MaxReadRetry {
-		return fmt.Errorf("ssd: fault ReadRetryMax %d outside [0, %d]", fs.ReadRetryMax, MaxReadRetry)
-	}
-	if fs.ReadRetryMult < 0 || fs.ReadRetryMult > MaxReadRetry {
-		return fmt.Errorf("ssd: fault ReadRetryMult %d outside [0, %d]", fs.ReadRetryMult, MaxReadRetry)
+	if fs.ReadRetryMax < 0 || fs.ReadRetryMult < 0 || fs.ReadRetryMax > MaxReadRetry || fs.ReadRetryMult > MaxReadRetry {
+		return fmt.Errorf("ssd: fault ReadRetryMax %d and ReadRetryMult %d must lie in [0, %d]", fs.ReadRetryMax, fs.ReadRetryMult, MaxReadRetry)
 	}
 	if fs.RewriteMax < 0 {
 		return fmt.Errorf("ssd: negative fault RewriteMax")
 	}
-	if fs.OutagePeriod < 0 || fs.OutageDur < 0 {
-		return fmt.Errorf("ssd: negative fault outage window")
-	}
-	if fs.OutagePeriod > MaxOutagePeriod {
-		return fmt.Errorf("ssd: fault OutagePeriod %d exceeds the limit of %d", int64(fs.OutagePeriod), int64(MaxOutagePeriod))
+	if fs.OutagePeriod < 0 || fs.OutageDur < 0 || fs.OutagePeriod > MaxOutagePeriod {
+		return fmt.Errorf("ssd: fault outage window %d/%d outside [0, %d]", int64(fs.OutageDur), int64(fs.OutagePeriod), int64(MaxOutagePeriod))
 	}
 	if fs.OutageDur > 0 && fs.OutagePeriod == 0 {
 		return fmt.Errorf("ssd: fault OutageDur set without OutagePeriod")

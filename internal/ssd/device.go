@@ -863,9 +863,7 @@ func (d *Device) seriesSnapshot() []metrics.SeriesPoint {
 }
 
 func (d *Device) resultAt(end sim.Time) *metrics.Result {
-	// The percentile reads sort the live samples in place; later appends
-	// keep the histogram's sorted flag honest, so the run may continue.
-	h := &d.latency
+	h := &d.latency // percentile reads sort the live samples in place
 	r := &metrics.Result{
 		Scheduler:    d.sch.Name(),
 		Duration:     end,

@@ -23,9 +23,8 @@ type Session struct {
 	submitted int64
 	closed    bool
 
-	// final is the session's state when it closed. A drained device may
-	// already serve another session, so a closed session reports only
-	// this.
+	// final is the state at close: a closed session reports only this,
+	// since a drained device may already serve another session.
 	final Snapshot
 
 	// arena is where the device was checked out (nil without WithArena);

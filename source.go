@@ -313,10 +313,9 @@ const ioPoolMax = 4096
 // pages.
 const maxRequestPages = 1 << 16
 
-// maxSimTimeNS is the simulated-time horizon, 2^62 ns (~146 years).
-// Admission refuses arrivals past it and Session.Advance refuses to carry
-// the clock past it; with the fault caps in ssd bounding one flash
-// operation, no event time can then overflow the int64 clock.
+// maxSimTimeNS is the simulated-time horizon, 2^62 ns (~146 years). No
+// arrival or Session.Advance may pass it, so with ssd's fault caps
+// bounding one flash operation no event time can overflow the clock.
 const maxSimTimeNS = 1 << 62
 
 // build converts one public request, validating it, recycling a retired

@@ -236,14 +236,10 @@ func (f FaultSpec) check() error {
 		return fmt.Errorf("sprinkler: Config.Faults retry and rewrite bounds must be non-negative")
 	}
 	if f.ReadRetryMax > ssd.MaxReadRetry || f.ReadRetryMult > ssd.MaxReadRetry {
-		return fmt.Errorf("sprinkler: Config.Faults.ReadRetryMax %d and ReadRetryMult %d must not exceed %d",
-			f.ReadRetryMax, f.ReadRetryMult, ssd.MaxReadRetry)
+		return fmt.Errorf("sprinkler: Config.Faults.ReadRetryMax %d and ReadRetryMult %d must not exceed %d", f.ReadRetryMax, f.ReadRetryMult, ssd.MaxReadRetry)
 	}
-	if f.OutagePeriodNS < 0 || f.OutageDurNS < 0 {
-		return fmt.Errorf("sprinkler: Config.Faults outage window must be non-negative")
-	}
-	if f.OutagePeriodNS > int64(ssd.MaxOutagePeriod) {
-		return fmt.Errorf("sprinkler: Config.Faults.OutagePeriodNS %d exceeds the limit of %d", f.OutagePeriodNS, int64(ssd.MaxOutagePeriod))
+	if f.OutagePeriodNS < 0 || f.OutageDurNS < 0 || f.OutagePeriodNS > int64(ssd.MaxOutagePeriod) {
+		return fmt.Errorf("sprinkler: Config.Faults.OutagePeriodNS %d and OutageDurNS %d must lie in [0, %d]", f.OutagePeriodNS, f.OutageDurNS, int64(ssd.MaxOutagePeriod))
 	}
 	if f.OutageDurNS > 0 && f.OutagePeriodNS == 0 {
 		return fmt.Errorf("sprinkler: Config.Faults.OutageDurNS set without OutagePeriodNS")
