@@ -13,7 +13,8 @@ import (
 // carried an event time past it, panicking the event kernel at the next
 // Drain with "scheduling event at <negative> before now"; the daemon
 // accepts all of them as JSON. Each must now be refused with an error,
-// and the session must keep serving.
+// and the session must keep serving. The fourth such input, an arrival
+// near MaxInt64, is a case of TestRequestBoundsOnBothRunPaths.
 
 const horizonNS = 1 << 62
 
@@ -33,20 +34,6 @@ func driveAfter(t *testing.T, sess *sprinkler.Session) {
 	if res.IOsCompleted != 2 {
 		t.Fatalf("completed %d I/Os, want 2", res.IOsCompleted)
 	}
-}
-
-// TestArrivalPastHorizonRefused: an arrival near MaxInt64 is refused on
-// admission.
-func TestArrivalPastHorizonRefused(t *testing.T) {
-	sess, err := sprinkler.Open(sprinkler.Platform(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sess.Submit(sprinkler.Request{ArrivalNS: math.MaxInt64 - 10, LPN: 1, Pages: 4, Write: true})
-	if err == nil || !strings.Contains(err.Error(), "horizon") {
-		t.Errorf("Submit error %v, want a horizon refusal", err)
-	}
-	driveAfter(t, sess)
 }
 
 // TestAdvancePastHorizonRefused: an Advance that would carry the clock
