@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sprinkler"
 	"sprinkler/internal/core"
 	"sprinkler/internal/ftl"
 	"sprinkler/internal/metrics"
@@ -14,31 +15,10 @@ import (
 	"sprinkler/internal/trace"
 )
 
-// NewScheduler builds a fresh scheduler by evaluation name. The public
-// API selects schedulers by Config.Scheduler; this constructor exists for
-// studies (like the ablation below) that instantiate internal scheduler
-// variants directly.
-func NewScheduler(name string) (sched.Scheduler, error) {
-	switch name {
-	case "VAS":
-		return sched.NewVAS(), nil
-	case "PAS":
-		return sched.NewPAS(), nil
-	case "SPK1":
-		return core.NewSPK1(), nil
-	case "SPK2":
-		return core.NewSPK2(), nil
-	case "SPK3":
-		return core.NewSPK3(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheduler %q", name)
-	}
-}
-
-// internalPlatform mirrors Platform on the internal config type, for the
-// ablation's non-public scheduler knobs.
+// internalPlatform mirrors sprinkler.Platform on the internal config type,
+// for the ablation's non-public scheduler knobs.
 func internalPlatform(chips int) ssd.Config {
-	pub := Platform(chips)
+	pub := sprinkler.Platform(chips)
 	cfg := ssd.DefaultConfig()
 	cfg.Geo.Channels = pub.Channels
 	cfg.Geo.ChipsPerChan = pub.ChipsPerChan

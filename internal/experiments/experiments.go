@@ -88,13 +88,6 @@ func schedulerKinds(names []string) []sprinkler.SchedulerKind {
 	return out
 }
 
-// Platform builds the §5.1 SSD configuration for a total chip count,
-// spreading chips over channels the way the paper's platforms do
-// (64 chips = 8 channels × 8; 1024 chips = 32 × 32).
-func Platform(chips int) sprinkler.Config {
-	return sprinkler.Platform(chips)
-}
-
 // Evaluation holds the 5-scheduler × 16-workload sweep behind Figures 6,
 // 10, 11, 13 and 14.
 type Evaluation struct {
@@ -111,7 +104,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 	opts = opts.Defaults()
 	workloads := sprinkler.Workloads()
 	grid := sprinkler.Grid{
-		Base:       Platform(opts.Chips),
+		Base:       sprinkler.Platform(opts.Chips),
 		Schedulers: schedulerKinds(SchedulerNames),
 		Workloads:  workloads,
 		Requests:   opts.scaled(3000, 120),
@@ -149,7 +142,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 // it instead of replaying the warm-up per cell.
 func SaveWarmState(opts Options, path string) error {
 	opts = opts.Defaults()
-	dev, err := sprinkler.New(Platform(opts.Chips))
+	dev, err := sprinkler.New(sprinkler.Platform(opts.Chips))
 	if err != nil {
 		return err
 	}

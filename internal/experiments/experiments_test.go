@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"sprinkler"
 )
 
 // tinyOpts shrinks every experiment to seconds.
@@ -25,21 +27,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestNewSchedulerNames(t *testing.T) {
-	for _, n := range SchedulerNames {
-		s, err := NewScheduler(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name() != n {
-			t.Fatalf("scheduler %q reports name %q", n, s.Name())
-		}
-	}
-	if _, err := NewScheduler("bogus"); err == nil {
-		t.Fatal("accepted unknown scheduler")
-	}
-}
-
 func TestPlatformShapes(t *testing.T) {
 	cases := map[int][2]int{ // chips -> {channels, chipsPerChan}
 		64:   {8, 8},
@@ -48,13 +35,13 @@ func TestPlatformShapes(t *testing.T) {
 		1:    {1, 1},
 	}
 	for chips, want := range cases {
-		cfg := Platform(chips)
+		cfg := sprinkler.Platform(chips)
 		if cfg.Channels != want[0] || cfg.ChipsPerChan != want[1] {
-			t.Fatalf("Platform(%d) = %dx%d, want %dx%d",
+			t.Fatalf("sprinkler.Platform(%d) = %dx%d, want %dx%d",
 				chips, cfg.Channels, cfg.ChipsPerChan, want[0], want[1])
 		}
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("Platform(%d) invalid: %v", chips, err)
+			t.Fatalf("sprinkler.Platform(%d) invalid: %v", chips, err)
 		}
 	}
 }

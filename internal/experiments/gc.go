@@ -25,7 +25,7 @@ type Fig17Point struct {
 // runs shrink the per-plane capacity further: preconditioning cost is
 // linear in physical pages and dominates the figure's runtime.
 func fig17Platform(chips int, o Options) sprinkler.Config {
-	cfg := Platform(chips)
+	cfg := sprinkler.Platform(chips)
 	cfg.BlocksPerPlane = 24
 	cfg.PagesPerBlock = 64
 	if o.Scale < 0.5 {

@@ -63,7 +63,7 @@ func RunBurstiness(opts Options) ([]BurstPoint, error) {
 		})
 	}
 
-	cfg := Platform(opts.Chips)
+	cfg := sprinkler.Platform(opts.Chips)
 	cells := sprinkler.Grid{
 		Name:       "burst",
 		Base:       cfg,

@@ -24,7 +24,7 @@ type Fig1Point struct {
 // 32768-die point stays within memory; scheduling behaviour only depends
 // on the chip/die/plane topology.
 func fig1Platform(chips int) sprinkler.Config {
-	cfg := Platform(chips)
+	cfg := sprinkler.Platform(chips)
 	switch {
 	case chips >= 4096:
 		cfg.BlocksPerPlane = 8
@@ -215,7 +215,7 @@ func FormatFig1(points []Fig1Point) string {
 // renders the VAS vs PAS and VAS vs SPK3 latency time series (§5.4).
 func RunFig12(opts Options) (string, error) {
 	opts = opts.Defaults()
-	cfg := Platform(opts.Chips)
+	cfg := sprinkler.Platform(opts.Chips)
 	cfg.CollectSeries = true
 	n := opts.scaled(3000, 150)
 
@@ -295,9 +295,9 @@ func RunFig15(opts Options) ([]Fig15Point, error) {
 	chipLabel := func(chips int) string { return fmt.Sprintf("%dc", chips) }
 	cells := sprinkler.Grid{
 		Name:       "fig15",
-		Base:       Platform(chipCounts[0]),
+		Base:       sprinkler.Platform(chipCounts[0]),
 		Schedulers: schedulerKinds(schedulers),
-		Vary:       []sprinkler.Axis{platformAxis("chips", chipCounts, chipLabel, Platform)},
+		Vary:       []sprinkler.Axis{platformAxis("chips", chipCounts, chipLabel, sprinkler.Platform)},
 		Sources:    fixedSources(sizesKB, opts.Seed, false, false, volumeCount(totalKB)),
 	}.Cells()
 

@@ -1,6 +1,10 @@
 package flash
 
-import "sprinkler/internal/sim"
+import (
+	"fmt"
+
+	"sprinkler/internal/sim"
+)
 
 // FaultConfig parameterizes the deterministic fault model a chip applies to
 // its own operations. All outcomes are drawn from a per-chip RNG stream in
@@ -39,8 +43,61 @@ type FaultConfig struct {
 	OutagePeriod sim.Time
 	OutageDur    sim.Time
 
+	// RewriteMax and SpareBlockFrac belong to the device and the FTL; the
+	// chip reads neither. RewriteMax bounds program-fail recovery: how
+	// many times one page write may be remapped and re-issued before the
+	// host I/O is failed. SpareBlockFrac reserves this fraction of every
+	// plane's blocks as bad-block replacement spares.
+	RewriteMax     int
+	SpareBlockFrac float64
+
 	// Seed is the base seed; each chip derives its own stream from it.
 	Seed uint64
+}
+
+// Caps on the fault knobs that stretch simulated time, each ≥ 8× every
+// value the repo runs (outage periods ≤ 1 ms, retry ladders ≤ 4 × 3). A
+// full ladder costs Σ_{r=1..32} r·32·tR = 16,896 × 20 µs ≈ 0.34 s and an
+// outage wait < 1 s, so one flash operation stays under ~1.4 s: with the
+// public API holding arrivals and the clock below sim.Horizon, the int64
+// clock's remaining 2^62 ns outlast billions of such operations.
+const (
+	MaxOutagePeriod = sim.Second
+	MaxReadRetry    = 32 // caps ReadRetryMax and ReadRetryMult alike
+)
+
+// Validate checks every fault knob the chip or the device reads except
+// SpareBlockFrac, which the FTL's Config.Validate checks against its
+// block budget. Errors name the public Config.Faults fields.
+func (fc FaultConfig) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"ReadFailProb", fc.ReadFailProb},
+		{"ProgramFailProb", fc.ProgramFailProb},
+		{"EraseFailProb", fc.EraseFailProb},
+	} {
+		if p.v < 0 || p.v > 1 {
+			return fmt.Errorf("flash: Faults.%s %g outside [0, 1]", p.name, p.v)
+		}
+	}
+	if fc.ReadRetryMax < 0 || fc.ReadRetryMult < 0 || fc.ReadRetryMax > MaxReadRetry || fc.ReadRetryMult > MaxReadRetry {
+		return fmt.Errorf("flash: Faults.ReadRetryMax %d and ReadRetryMult %d must lie in [0, %d]", fc.ReadRetryMax, fc.ReadRetryMult, MaxReadRetry)
+	}
+	if fc.RewriteMax < 0 {
+		return fmt.Errorf("flash: Faults.RewriteMax must be non-negative, got %d", fc.RewriteMax)
+	}
+	if fc.OutagePeriod < 0 || fc.OutageDur < 0 || fc.OutagePeriod > MaxOutagePeriod {
+		return fmt.Errorf("flash: Faults.OutagePeriodNS %d and OutageDurNS %d must lie in [0, %d]", int64(fc.OutagePeriod), int64(fc.OutageDur), int64(MaxOutagePeriod))
+	}
+	if fc.OutageDur > 0 && fc.OutagePeriod == 0 {
+		return fmt.Errorf("flash: Faults.OutageDurNS set without OutagePeriodNS")
+	}
+	if fc.OutagePeriod > 0 && fc.OutageDur >= fc.OutagePeriod {
+		return fmt.Errorf("flash: Faults.OutageDurNS %d must be shorter than OutagePeriodNS %d", int64(fc.OutageDur), int64(fc.OutagePeriod))
+	}
+	return nil
 }
 
 // Enabled reports whether any fault mechanism is active.

@@ -189,16 +189,10 @@ type FTL struct {
 
 // New builds an FTL with every block erased and the logical space unmapped.
 func New(cfg Config) (*FTL, error) {
-	if err := cfg.Geo.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.GCFreeTarget < 1 {
-		return nil, fmt.Errorf("ftl: GCFreeTarget %d < 1", cfg.GCFreeTarget)
-	}
-	nSpare, err := spareBlocks(cfg)
-	if err != nil {
-		return nil, err
-	}
+	nSpare := spareBlocks(cfg)
 	g := cfg.Geo
 	nPlanes := g.NumChips() * g.DiesPerChip * g.PlanesPerDie
 	logical := cfg.LogicalPages
@@ -244,19 +238,29 @@ func New(cfg Config) (*FTL, error) {
 	return f, nil
 }
 
-// spareBlocks returns the per-plane spare-pool size for cfg, or an error
-// when the fraction is out of range or would starve the usable block budget
-// the garbage collector needs.
-func spareBlocks(cfg Config) (int, error) {
-	if cfg.SpareBlockFrac < 0 || cfg.SpareBlockFrac >= 1 {
-		return 0, fmt.Errorf("ftl: SpareBlockFrac %g outside [0, 1)", cfg.SpareBlockFrac)
+// Validate checks the geometry, the GC free target and the spare pool:
+// the pool must leave every plane more usable blocks than the garbage
+// collector's GCFreeTarget+1.
+func (cfg Config) Validate() error {
+	if err := cfg.Geo.Validate(); err != nil {
+		return err
 	}
-	n := int(cfg.SpareBlockFrac * float64(cfg.Geo.BlocksPerPlane))
-	if n > 0 && cfg.Geo.BlocksPerPlane-n <= cfg.GCFreeTarget+1 {
-		return 0, fmt.Errorf("ftl: SpareBlockFrac %g leaves %d usable blocks per plane, need more than GCFreeTarget+1 = %d",
+	if cfg.GCFreeTarget < 1 {
+		return fmt.Errorf("ftl: GCFreeTarget %d < 1", cfg.GCFreeTarget)
+	}
+	if cfg.SpareBlockFrac < 0 || cfg.SpareBlockFrac >= 1 {
+		return fmt.Errorf("ftl: SpareBlockFrac %g outside [0, 1)", cfg.SpareBlockFrac)
+	}
+	if n := spareBlocks(cfg); n > 0 && cfg.Geo.BlocksPerPlane-n <= cfg.GCFreeTarget+1 {
+		return fmt.Errorf("ftl: SpareBlockFrac %g leaves %d usable blocks per plane, need more than GCFreeTarget+1 = %d",
 			cfg.SpareBlockFrac, cfg.Geo.BlocksPerPlane-n, cfg.GCFreeTarget+1)
 	}
-	return n, nil
+	return nil
+}
+
+// spareBlocks returns the per-plane spare-pool size for cfg.
+func spareBlocks(cfg Config) int {
+	return int(cfg.SpareBlockFrac * float64(cfg.Geo.BlocksPerPlane))
 }
 
 // Reset re-initializes the FTL in place for a new run on the same
@@ -275,13 +279,10 @@ func (f *FTL) Reset(cfg Config) error {
 	if cfg.Geo != f.geo {
 		return fmt.Errorf("ftl: Reset geometry mismatch (have %+v)", f.geo)
 	}
-	if cfg.GCFreeTarget < 1 {
-		return fmt.Errorf("ftl: GCFreeTarget %d < 1", cfg.GCFreeTarget)
-	}
-	nSpare, err := spareBlocks(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	nSpare := spareBlocks(cfg)
 	logical := cfg.LogicalPages
 	if logical <= 0 {
 		logical = f.geo.TotalPages()

@@ -130,7 +130,7 @@ func TestFTLResetMatchesNew(t *testing.T) {
 		retired += int(st.RetiredBlocks)
 
 		next := randomResetConfig(rng)
-		nSpare, _ := spareBlocks(next)
+		nSpare := spareBlocks(next)
 		if f.restored || nSpare != f.nSpare {
 			fullResets++
 		} else {

@@ -790,9 +790,10 @@ func TestDiscard(t *testing.T) {
 
 // TestOpenRejectsInvalidFaultSpec: fault knobs ride the open request
 // through Config.Validate, so malformed specs are a 400, not a panic or a
-// silently clamped session.
+// silently clamped session. A spare pool that would starve the gcStress
+// drive's garbage collector is refused before the arena builds a device.
 func TestOpenRejectsInvalidFaultSpec(t *testing.T) {
-	_, ts := newTestServer(t, testOptions())
+	srv, ts := newTestServer(t, testOptions())
 	for _, spec := range []sprinkler.FaultSpec{
 		{ReadFailProb: 2},
 		{ProgramFailProb: -0.1},
@@ -808,6 +809,13 @@ func TestOpenRejectsInvalidFaultSpec(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("open with fault spec %+v: status %d, want 400", spec, resp.StatusCode)
 		}
+	}
+	starved := OpenRequest{Chips: 4, GCStress: true, Faults: &sprinkler.FaultSpec{SpareBlockFrac: 0.9}}
+	if resp := postJSON(t, ts.URL+"/v1/sessions", starved, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("gcStress open with spareBlockFrac 0.9: status %d, want 400", resp.StatusCode)
+	}
+	if misses := srv.ArenaStats().DeviceMisses; misses != 0 {
+		t.Fatalf("refused opens built %d devices, want 0", misses)
 	}
 	// A valid spec on the same server still opens.
 	openSession(t, ts, OpenRequest{Name: "ok", Faults: &sprinkler.FaultSpec{ReadFailProb: 0.01, ReadRetryMax: 2}})

@@ -37,6 +37,12 @@ const (
 	Second           = 1000 * Millisecond
 )
 
+// Horizon is the simulated-time horizon, 2^62 ns (~146 years). The public
+// API keeps arrivals, advances and restored clocks at or below it, and
+// flash's fault caps bound one flash operation, so no event time can
+// overflow the int64 clock.
+const Horizon Time = 1 << 62
+
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {

@@ -56,16 +56,11 @@ type Device struct {
 	// DMA engine: memory request composition serializes here (§2.1). The
 	// compose queue is head-indexed like the backlog, and the in-flight
 	// composition uses a reusable timer (one composition at a time).
-	// When the configured compose latency is zero, consecutive queued
-	// compositions complete at the same instant; composeBatch (the
-	// default) folds them into one timer event instead of bouncing
-	// through the heap once per member.
 	composeQ     []*req.Mem
 	composeHead  int
 	composing    bool
 	composeM     *req.Mem
 	composeTimer *sim.Timer
-	composeBatch bool
 
 	// Host front end. The backlog is a head-indexed queue: popping is
 	// O(1) so admission stays linear even when a session submits
@@ -137,23 +132,11 @@ func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 		sampleBuf:   make([]metrics.ChipSample, 0, cfg.Geo.NumChips()),
 	}
 	d.latency.SetCap(cfg.MetricsSampleCap)
-	d.composeBatch = true
 	d.composeTimer = sim.NewTimer(func(t sim.Time) {
-		for {
-			m := d.composeM
-			d.composeM = nil
-			d.composing = false
-			d.finishCompose(t, m)
-			// With zero compose latency the next queued composition also
-			// completes at t: serve it within this event (one timer fire
-			// per batch instead of per member). Completion order and
-			// instants are identical to the chained path.
-			if !d.composeBatch || d.cfg.ComposeLatency != 0 || d.composeHead >= len(d.composeQ) {
-				break
-			}
-			d.composing = true
-			d.composeM = d.popCompose()
-		}
+		m := d.composeM
+		d.composeM = nil
+		d.composing = false
+		d.finishCompose(t, m)
 		d.kickComposer(t)
 	})
 	d.arrivalTimer = sim.NewTimer(func(now sim.Time) {
@@ -163,7 +146,7 @@ func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 	})
 	d.ctrls = make([]*controller, cfg.Geo.Channels)
 	for ch := range d.ctrls {
-		d.ctrls[ch] = newController(d.eng, d, cfg.Geo, cfg.Tim, cfg.Faults.flashConfig(), ch)
+		d.ctrls[ch] = newController(d.eng, d, cfg.Geo, cfg.Tim, cfg.Faults, ch)
 	}
 	return d, nil
 }
@@ -219,7 +202,7 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 		d.queue = nvmhc.NewQueue(cfg.QueueDepth)
 	}
 	for _, ctl := range d.ctrls {
-		ctl.reset(cfg.Tim, cfg.Faults.flashConfig())
+		ctl.reset(cfg.Tim, cfg.Faults)
 	}
 	if r, ok := scheduler.(sched.StateResetter); ok {
 		r.ResetState()
@@ -646,7 +629,7 @@ func (d *Device) kickComposer(now sim.Time) {
 	}
 	d.composing = true
 	d.composeM = d.popCompose()
-	d.eng.AfterTimer(d.cfg.ComposeLatency, d.composeTimer)
+	d.eng.AfterTimer(composeLatency, d.composeTimer)
 }
 
 // popCompose removes and returns the compose queue's head.
@@ -660,11 +643,6 @@ func (d *Device) popCompose() *req.Mem {
 	}
 	return m
 }
-
-// SetComposeBatching toggles same-instant composition batching (on by
-// default). The one-event-per-composition path is retained so parity
-// tests can pin the batched timeline against it.
-func (d *Device) SetComposeBatching(on bool) { d.composeBatch = on }
 
 // finishCompose commits a composed request to its flash controller,
 // handling stale physical addresses left by live-data migration for
@@ -680,7 +658,7 @@ func (d *Device) finishCompose(now sim.Time, m *req.Mem) {
 				// The scheduler planned against a stale layout: the core
 				// must re-translate before commitment.
 				d.staleFixes++
-				d.eng.After(d.cfg.RetranslatePenalty, func(t sim.Time) { d.commit(t, m) })
+				d.eng.After(retranslatePenalty, func(t sim.Time) { d.commit(t, m) })
 				return
 			}
 		}

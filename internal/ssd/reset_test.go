@@ -7,7 +7,6 @@ import (
 	"sprinkler/internal/metrics"
 	"sprinkler/internal/req"
 	"sprinkler/internal/sched"
-	"sprinkler/internal/sim"
 	"sprinkler/internal/trace"
 )
 
@@ -135,42 +134,5 @@ func TestDeviceResetReusesScheduler(t *testing.T) {
 	}
 	if fingerprint(res1) != fingerprint(res2) {
 		t.Fatalf("scheduler reuse diverged:\nrun1: %s\nrun2: %s", fingerprint(res1), fingerprint(res2))
-	}
-}
-
-// TestComposeBatchingParity pins the same-instant DMA batching against
-// the one-event-each path: with zero compose latency the batched run must
-// fire strictly fewer kernel events while producing an identical Result;
-// with the default latency the two paths must be event-for-event the same.
-func TestComposeBatchingParity(t *testing.T) {
-	for _, latency := range []sim.Time{0, 200} {
-		cfg := smallConfig()
-		cfg.ComposeLatency = latency
-		ios := genIOs(t, cfg, 300, 5)
-
-		run := func(batch bool) (uint64, string) {
-			d, err := New(cfg, sched.NewPAS())
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.SetComposeBatching(batch)
-			res, err := d.Run(&SliceSource{IOs: cloneIOsForReset(ios)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d.Engine().Fired(), fingerprint(res)
-		}
-
-		batchedEvents, batched := run(true)
-		chainedEvents, chained := run(false)
-		if batched != chained {
-			t.Fatalf("latency=%v: batched result diverged\nbatched: %s\nchained: %s", latency, batched, chained)
-		}
-		if latency == 0 && batchedEvents >= chainedEvents {
-			t.Fatalf("latency=0: batching saved no events (%d vs %d)", batchedEvents, chainedEvents)
-		}
-		if latency != 0 && batchedEvents != chainedEvents {
-			t.Fatalf("latency=%v: event counts differ (%d vs %d) though batching cannot apply", latency, batchedEvents, chainedEvents)
-		}
 	}
 }

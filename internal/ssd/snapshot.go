@@ -236,7 +236,7 @@ func (st *DeviceState) CheckShape(cfg Config) error {
 			return fmt.Errorf("ssd: snapshot plane %d has %d blocks, config has %d", i, n, g.BlocksPerPlane)
 		}
 	}
-	faults := cfg.Faults.flashConfig().Enabled()
+	faults := cfg.Faults.Enabled()
 	for i := range st.Chips {
 		if st.Chips[i].HasFRNG != faults {
 			return fmt.Errorf("ssd: snapshot chip %d fault stream (present=%v) does not match config (present=%v)",
@@ -580,6 +580,9 @@ func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
 	st := &DeviceState{}
 
 	st.Engine = sr.clock()
+	if now := st.Engine.Now; now < 0 || now > sim.Horizon {
+		sr.fail(fmt.Errorf("engine clock %d ns outside [0, %d]", int64(now), int64(sim.Horizon)))
+	}
 	// Earlier builds could record per-channel clocks here; the host clock
 	// subsumes them, so they are read and discarded.
 	for n := sr.count("channel clock", maxSnapshotChans); n > 0; n-- {

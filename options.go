@@ -1,64 +1,14 @@
 package sprinkler
 
-import (
-	"fmt"
-
-	"sprinkler/internal/flash"
-)
-
-// Validate checks the platform configuration, returning a descriptive
-// error for degenerate geometry or queue settings. New and Open validate
-// automatically; call it directly to vet configurations built elsewhere.
+// Validate checks the configuration against every rule New applies —
+// geometry, queue, logical space, series window, fault knobs and the
+// FTL's spare-block budget — so it rejects every config New would. Each
+// error starts "sprinkler: " and names the offending field or value. New
+// and Open validate automatically; call it directly to vet configurations
+// built elsewhere.
 func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-		max  int // 0: unbounded
-	}{
-		{"Channels", c.Channels, 0},
-		{"ChipsPerChan", c.ChipsPerChan, 0},
-		{"DiesPerChip", c.DiesPerChip, 0},
-		{"PlanesPerDie", c.PlanesPerDie, 0},
-		{"BlocksPerPlane", c.BlocksPerPlane, 0},
-		{"PagesPerBlock", c.PagesPerBlock, flash.MaxPagesPerBlock},
-		{"PageSize", c.PageSize, flash.MaxPageSize},
-	} {
-		if f.v <= 0 {
-			return fmt.Errorf("sprinkler: Config.%s must be positive, got %d", f.name, f.v)
-		}
-		if f.max > 0 && f.v > f.max {
-			return fmt.Errorf("sprinkler: Config.%s %d exceeds the limit of %d", f.name, f.v, f.max)
-		}
-	}
-	if c.QueueDepth <= 0 {
-		return fmt.Errorf("sprinkler: Config.QueueDepth must be positive, got %d (the device-level queue needs at least one tag)", c.QueueDepth)
-	}
-	if c.LogicalPages < 0 {
-		return fmt.Errorf("sprinkler: Config.LogicalPages must be non-negative, got %d", c.LogicalPages)
-	}
-	if c.GCFreeTarget < 0 {
-		return fmt.Errorf("sprinkler: Config.GCFreeTarget must be non-negative, got %d", c.GCFreeTarget)
-	}
-	if c.SeriesWindow < 0 {
-		return fmt.Errorf("sprinkler: Config.SeriesWindow must be non-negative, got %d", c.SeriesWindow)
-	}
-	switch c.Scheduler {
-	case VAS, PAS, SPK1, SPK2, SPK3, "":
-	default:
-		return fmt.Errorf("sprinkler: unknown scheduler %q (want one of %v)", c.Scheduler, Schedulers())
-	}
-	switch c.Allocation {
-	case ChannelFirst, WayFirst, PlaneFirst, "":
-	default:
-		return fmt.Errorf("sprinkler: unknown allocation scheme %q", c.Allocation)
-	}
-	if total := c.TotalPages(); c.LogicalPages > total {
-		return fmt.Errorf("sprinkler: Config.LogicalPages %d exceeds the %d physical pages", c.LogicalPages, total)
-	}
-	if err := c.Faults.check(); err != nil {
-		return err
-	}
-	return nil
+	_, err := c.internal()
+	return err
 }
 
 // options collects session/run knobs set by Option values.

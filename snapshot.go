@@ -190,16 +190,13 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 		return nil, fmt.Errorf("sprinkler: snapshot config: %w", err)
 	}
 	cfg := stored.Config
-	if err := cfg.Validate(); err != nil {
+	icfg, err := cfg.internal()
+	if err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot config invalid: %w", err)
 	}
 	st, err := ssd.DecodeDeviceState(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("sprinkler: %w", err)
-	}
-	icfg, err := cfg.internalConfig()
-	if err != nil {
-		return nil, fmt.Errorf("sprinkler: snapshot config invalid: %w", err)
 	}
 	if err := st.CheckShape(icfg); err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot payload does not match its config: %w", err)

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -263,6 +264,28 @@ func legacyFrame(t testing.TB, raw []byte, extraKeys string, clocks int) []byte 
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
+// withEngineClock re-frames a snapshot file with its engine clock, the
+// payload's first varint, set to now.
+func withEngineClock(t testing.TB, raw []byte, now int64) []byte {
+	t.Helper()
+	const header = 12 // magic + version
+	body := raw[header : len(raw)-4]
+	n, w := binary.Uvarint(body)
+	cfg, rest := body[:w+int(n)], body[w+int(n):]
+	n, w = binary.Uvarint(rest)
+	payload := rest[w : w+int(n)]
+	_, cw := binary.Varint(payload)
+	if cw <= 0 {
+		t.Fatal("withEngineClock: malformed engine clock")
+	}
+	clocked := append(binary.AppendVarint(nil, now), payload[cw:]...)
+
+	out := append(append([]byte(nil), raw[:header]...), cfg...)
+	out = binary.AppendUvarint(out, uint64(len(clocked)))
+	out = append(out, clocked...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
 // TestSnapshotLegacyParallelChannels pins that snapshot files from builds
 // that still had the ParallelChannels knob keep loading: the key and the
 // channel clocks those builds recorded are read and ignored, and the
@@ -451,6 +474,10 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		{"config shrinks series window", legacyFrame(t, series.Bytes(), `"SeriesWindow":10`, 0), "series holds"},
 		{"config names huge blocks", legacyFrame(t, tiny, hugeBlocks, 0), "PagesPerBlock"},
 		{"config names huge pages", legacyFrame(t, tiny, hugePages, 0), "PageSize"},
+		// A restored clock past the horizon would overflow the first
+		// event scheduled after it; a negative one would run time back.
+		{"engine clock past the horizon", withEngineClock(t, tiny, math.MaxInt64-10), "engine clock"},
+		{"negative engine clock", withEngineClock(t, tiny, -1000), "engine clock"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -167,10 +167,7 @@ func (c Config) NewWorkloadSource(spec WorkloadSpec) (Source, error) {
 	if !ok {
 		return nil, fmt.Errorf("sprinkler: unknown workload %q (see Workloads())", spec.Name)
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	icfg, err := c.internalConfig()
+	icfg, err := c.internal()
 	if err != nil {
 		return nil, err
 	}
@@ -313,10 +310,9 @@ const ioPoolMax = 4096
 // pages.
 const maxRequestPages = 1 << 16
 
-// maxSimTimeNS is the simulated-time horizon, 2^62 ns (~146 years). No
-// arrival or Session.Advance may pass it, so with ssd's fault caps
-// bounding one flash operation no event time can overflow the clock.
-const maxSimTimeNS = 1 << 62
+// maxSimTimeNS is sim.Horizon in nanoseconds: no arrival or
+// Session.Advance may pass it.
+const maxSimTimeNS = int64(sim.Horizon)
 
 // build converts one public request, validating it, recycling a retired
 // I/O when one is available.

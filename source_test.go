@@ -268,6 +268,19 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *sprinkler.Config) { c.LogicalPages = 1 << 60 }, "physical"},
 		{func(c *sprinkler.Config) { c.Scheduler = "nope" }, "scheduler"},
 		{func(c *sprinkler.Config) { c.Allocation = "nope" }, "allocation"},
+		{func(c *sprinkler.Config) { c.GCFreeTarget = -1 }, "GCFreeTarget"},
+		{func(c *sprinkler.Config) { c.SeriesWindow = -1 }, "SeriesWindow"},
+		{func(c *sprinkler.Config) { c.Faults.ReadFailProb = 1.5 }, "ReadFailProb"},
+		{func(c *sprinkler.Config) { c.Faults.RewriteMax = -1 }, "RewriteMax"},
+		{func(c *sprinkler.Config) { c.Faults.OutageDurNS = 100 }, "without OutagePeriodNS"},
+		{func(c *sprinkler.Config) { c.Faults.OutagePeriodNS, c.Faults.OutageDurNS = 100, 100 }, "shorter than"},
+		{func(c *sprinkler.Config) { c.Faults.SpareBlockFrac = 1 }, "SpareBlockFrac"},
+		// Spares that leave GC too few usable blocks: the FTL's own rule.
+		{func(c *sprinkler.Config) {
+			*c = sprinkler.Platform(4)
+			c.BlocksPerPlane = 24
+			c.Faults.SpareBlockFrac = 0.9
+		}, "leaves 3 usable blocks"},
 	}
 	for _, tc := range cases {
 		cfg := sprinkler.DefaultConfig()

@@ -66,6 +66,7 @@ import (
 	"math"
 
 	"sprinkler/internal/core"
+	"sprinkler/internal/flash"
 	"sprinkler/internal/ftl"
 	"sprinkler/internal/sched"
 	"sprinkler/internal/ssd"
@@ -203,8 +204,8 @@ type FaultSpec struct {
 }
 
 // internal maps the public fault spec onto the engine's.
-func (f FaultSpec) internal() ssd.FaultSpec {
-	return ssd.FaultSpec{
+func (f FaultSpec) internal() flash.FaultConfig {
+	return flash.FaultConfig{
 		ReadFailProb:    f.ReadFailProb,
 		ProgramFailProb: f.ProgramFailProb,
 		EraseFailProb:   f.EraseFailProb,
@@ -216,42 +217,6 @@ func (f FaultSpec) internal() ssd.FaultSpec {
 		SpareBlockFrac:  f.SpareBlockFrac,
 		Seed:            f.Seed,
 	}
-}
-
-// check validates the spec with public field names in the errors.
-func (f FaultSpec) check() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"ReadFailProb", f.ReadFailProb},
-		{"ProgramFailProb", f.ProgramFailProb},
-		{"EraseFailProb", f.EraseFailProb},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("sprinkler: Config.Faults.%s %g outside [0, 1]", p.name, p.v)
-		}
-	}
-	if f.ReadRetryMax < 0 || f.ReadRetryMult < 0 || f.RewriteMax < 0 {
-		return fmt.Errorf("sprinkler: Config.Faults retry and rewrite bounds must be non-negative")
-	}
-	if f.ReadRetryMax > ssd.MaxReadRetry || f.ReadRetryMult > ssd.MaxReadRetry {
-		return fmt.Errorf("sprinkler: Config.Faults.ReadRetryMax %d and ReadRetryMult %d must not exceed %d", f.ReadRetryMax, f.ReadRetryMult, ssd.MaxReadRetry)
-	}
-	if f.OutagePeriodNS < 0 || f.OutageDurNS < 0 || f.OutagePeriodNS > int64(ssd.MaxOutagePeriod) {
-		return fmt.Errorf("sprinkler: Config.Faults.OutagePeriodNS %d and OutageDurNS %d must lie in [0, %d]", f.OutagePeriodNS, f.OutageDurNS, int64(ssd.MaxOutagePeriod))
-	}
-	if f.OutageDurNS > 0 && f.OutagePeriodNS == 0 {
-		return fmt.Errorf("sprinkler: Config.Faults.OutageDurNS set without OutagePeriodNS")
-	}
-	if f.OutagePeriodNS > 0 && f.OutageDurNS >= f.OutagePeriodNS {
-		return fmt.Errorf("sprinkler: Config.Faults.OutageDurNS %d must be shorter than OutagePeriodNS %d",
-			f.OutageDurNS, f.OutagePeriodNS)
-	}
-	if f.SpareBlockFrac < 0 || f.SpareBlockFrac >= 1 {
-		return fmt.Errorf("sprinkler: Config.Faults.SpareBlockFrac %g outside [0, 1)", f.SpareBlockFrac)
-	}
-	return nil
 }
 
 // TotalPages returns the platform's physical page count.
@@ -286,38 +251,35 @@ func DefaultConfig() Config {
 	}
 }
 
-// toInternal converts the public config and builds its scheduler.
-func (c Config) toInternal() (ssd.Config, sched.Scheduler, error) {
-	cfg, err := c.internalConfig()
-	if err != nil {
-		return ssd.Config{}, nil, err
+// internal converts the public config to the engine's and validates it:
+// the scheduler and allocation names here, every other rule in
+// ssd.Config.Validate.
+func (c Config) internal() (ssd.Config, error) {
+	switch c.Scheduler {
+	case VAS, PAS, SPK1, SPK2, SPK3, "":
+	default:
+		return ssd.Config{}, fmt.Errorf("sprinkler: unknown scheduler %q (want one of %v)", c.Scheduler, Schedulers())
 	}
-	s, err := c.newScheduler()
-	if err != nil {
-		return ssd.Config{}, nil, err
+	cfg := ssd.Config{
+		Geo: flash.Geometry{
+			Channels:       c.Channels,
+			ChipsPerChan:   c.ChipsPerChan,
+			DiesPerChip:    c.DiesPerChip,
+			PlanesPerDie:   c.PlanesPerDie,
+			BlocksPerPlane: c.BlocksPerPlane,
+			PagesPerBlock:  c.PagesPerBlock,
+			PageSize:       c.PageSize,
+		},
+		Tim:              flash.DefaultTiming(),
+		QueueDepth:       c.QueueDepth,
+		LogicalPages:     c.LogicalPages,
+		GCFreeTarget:     c.GCFreeTarget,
+		MetricsSampleCap: c.MetricsSampleCap,
+		DisableGC:        c.DisableGC,
+		Faults:           c.Faults.internal(),
+		CollectSeries:    c.CollectSeries,
+		SeriesWindow:     c.SeriesWindow,
 	}
-	return cfg, s, nil
-}
-
-// internalConfig converts the public config (scheduler excluded).
-func (c Config) internalConfig() (ssd.Config, error) {
-	cfg := ssd.DefaultConfig()
-	cfg.Geo.Channels = c.Channels
-	cfg.Geo.ChipsPerChan = c.ChipsPerChan
-	cfg.Geo.DiesPerChip = c.DiesPerChip
-	cfg.Geo.PlanesPerDie = c.PlanesPerDie
-	cfg.Geo.BlocksPerPlane = c.BlocksPerPlane
-	cfg.Geo.PagesPerBlock = c.PagesPerBlock
-	cfg.Geo.PageSize = c.PageSize
-	cfg.QueueDepth = c.QueueDepth
-	cfg.LogicalPages = c.LogicalPages
-	cfg.GCFreeTarget = c.GCFreeTarget
-	cfg.MetricsSampleCap = c.MetricsSampleCap
-	cfg.DisableGC = c.DisableGC
-	cfg.Faults = c.Faults.internal()
-	cfg.CollectSeries = c.CollectSeries
-	cfg.SeriesWindow = c.SeriesWindow
-
 	switch c.Allocation {
 	case ChannelFirst, "":
 		cfg.Allocation = ftl.AllocChannelFirst
@@ -328,24 +290,25 @@ func (c Config) internalConfig() (ssd.Config, error) {
 	default:
 		return ssd.Config{}, fmt.Errorf("sprinkler: unknown allocation scheme %q", c.Allocation)
 	}
+	if err := cfg.Validate(); err != nil {
+		return ssd.Config{}, fmt.Errorf("sprinkler: invalid Config: %w", err)
+	}
 	return cfg, nil
 }
 
-// newScheduler builds a fresh scheduler for the configured kind.
-func (c Config) newScheduler() (sched.Scheduler, error) {
-	switch c.Scheduler {
+// newScheduler builds a fresh scheduler for a kind internal accepted.
+func newScheduler(k SchedulerKind) sched.Scheduler {
+	switch k {
 	case VAS:
-		return sched.NewVAS(), nil
+		return sched.NewVAS()
 	case PAS:
-		return sched.NewPAS(), nil
+		return sched.NewPAS()
 	case SPK1:
-		return core.NewSPK1(), nil
+		return core.NewSPK1()
 	case SPK2:
-		return core.NewSPK2(), nil
-	case SPK3, "":
-		return core.NewSPK3(), nil
+		return core.NewSPK2()
 	default:
-		return nil, fmt.Errorf("sprinkler: unknown scheduler %q", c.Scheduler)
+		return core.NewSPK3()
 	}
 }
 
@@ -396,13 +359,12 @@ type Device struct {
 
 // New builds a Device from the configuration, validating it first.
 func New(cfg Config) (*Device, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	icfg, s, err := cfg.toInternal()
+	icfg, err := cfg.internal()
 	if err != nil {
 		return nil, err
 	}
+	kind := resolveKind(cfg.Scheduler)
+	s := newScheduler(kind)
 	inner, err := ssd.New(icfg, s)
 	if err != nil {
 		return nil, err
@@ -410,7 +372,7 @@ func New(cfg Config) (*Device, error) {
 	return &Device{
 		inner:  inner,
 		cfg:    cfg,
-		scheds: map[SchedulerKind]sched.Scheduler{resolveKind(cfg.Scheduler): s},
+		scheds: map[SchedulerKind]sched.Scheduler{kind: s},
 	}, nil
 }
 
@@ -429,19 +391,14 @@ func New(cfg Config) (*Device, error) {
 // reuse-parity tests pin this for every scheduler. The previous run must
 // have completed (or never started); resetting mid-run is a caller bug.
 func (d *Device) Reset(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	icfg, err := cfg.internalConfig()
+	icfg, err := cfg.internal()
 	if err != nil {
 		return err
 	}
 	kind := resolveKind(cfg.Scheduler)
 	sch := d.scheds[kind]
 	if sch == nil {
-		if sch, err = cfg.newScheduler(); err != nil {
-			return err
-		}
+		sch = newScheduler(kind)
 		d.scheds[kind] = sch
 	}
 	if err := d.inner.Reset(icfg, sch); err != nil {
