@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -686,4 +687,77 @@ func TestCheckpointDrainedDevice(t *testing.T) {
 	checkpoint("preconditioned device")
 	_ = runWorkload(t, dev, "cfs0", 100, 9)
 	checkpoint("drained device")
+}
+
+// checkpointDigestFile pins the FNV-64a digest of the Checkpoint bytes
+// of one aged drive per payload branch.
+const checkpointDigestFile = "snapshot_digests.golden"
+
+// TestCheckpointDigests pins the writer: each drive is preconditioned,
+// runs a short seeded workload and is checkpointed, and the bytes must
+// hash to the committed digest. The golden fixture and the round-trip
+// tests pin only the reader, or a writer and reader that change
+// together. Regenerate with -update only for a deliberate model change.
+func TestCheckpointDigests(t *testing.T) {
+	plain := agedConfig(sprinkler.SPK3)
+	exact := plain
+	exact.CollectSeries = true
+	windowed := exact
+	windowed.SeriesWindow = 64
+	windowed.MetricsSampleCap = -1
+	faulty := plain
+	faulty.Faults = sprinkler.FaultSpec{
+		ReadFailProb: 0.05, ProgramFailProb: 0.01, EraseFailProb: 0.2,
+		ReadRetryMax: 3, ReadRetryMult: 2, RewriteMax: 2,
+		OutagePeriodNS: 1_000_000, OutageDurNS: 20_000,
+		SpareBlockFrac: 0.1, Seed: 5,
+	}
+	drives := []struct {
+		name string
+		cfg  sprinkler.Config
+		// check confirms the drive reaches the branch it is here for.
+		check func(sprinkler.SnapshotStats) bool
+	}{
+		{"plain", plain, func(s sprinkler.SnapshotStats) bool { return s.GCRuns > 0 }},
+		{"exact-series", exact, func(s sprinkler.SnapshotStats) bool { return s.SeriesPoints > 64 }},
+		{"windowed-series", windowed, func(s sprinkler.SnapshotStats) bool { return s.SeriesPoints == 64 }},
+		{"faults", faulty, func(s sprinkler.SnapshotStats) bool { return s.RetiredBlocks > 0 && s.SparesUsed > 0 }},
+	}
+	var got bytes.Buffer
+	for _, d := range drives {
+		dev, err := sprinkler.New(d.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Precondition(0.9, 0.4, 11)
+		_ = runWorkload(t, dev, "msnfs0", 400, 23)
+		var buf bytes.Buffer
+		if err := dev.Checkpoint(&buf); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		snap, err := sprinkler.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if st := snap.Stats(); !d.check(st) {
+			t.Fatalf("%s: the drive misses its payload branch: %+v", d.name, st)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		fmt.Fprintf(&got, "%s %d %016x\n", d.name, buf.Len(), h.Sum64())
+	}
+	path := filepath.Join("testdata", checkpointDigestFile)
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run TestCheckpointDigests -update` to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Checkpoint digests drifted from %s:\ngot:\n%s\nwant:\n%s", path, got.Bytes(), want)
+	}
 }
