@@ -100,10 +100,15 @@ func NewDeviceArena() *DeviceArena { return &DeviceArena{} }
 
 // Get checks a device out of the arena for cfg: a pooled device on the
 // same topology is Reset to cfg and returned; otherwise a fresh one is
-// built. On a nil arena Get always builds fresh.
+// built. On a nil arena Get always builds fresh. An invalid cfg is
+// refused before checkout, so it takes no pooled device and counts
+// neither a hit nor a miss.
 func (a *DeviceArena) Get(cfg Config) (*Device, error) {
 	if a == nil {
 		return New(cfg)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	key := topologyOf(cfg)
 	a.mu.Lock()
@@ -122,8 +127,8 @@ func (a *DeviceArena) Get(cfg Config) (*Device, error) {
 		return New(cfg)
 	}
 	if err := d.Reset(cfg); err != nil {
-		// An invalid config fails identically through New; a pooled
-		// device is never lost to a config it could serve.
+		// cfg passed Validate and the topology matches, so this is not
+		// a config error; the device is dropped.
 		return nil, err
 	}
 	return d, nil

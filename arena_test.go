@@ -224,3 +224,34 @@ func TestArenaMaxDevicesLRU(t *testing.T) {
 		t.Fatalf("LRU device not evicted (err=%v)", err)
 	}
 }
+
+// TestArenaGetKeepsDeviceOnInvalidConfig pins that an invalid config is
+// refused before checkout: the pooled device stays pooled, no hit is
+// counted, and the next valid Get reuses it.
+func TestArenaGetKeepsDeviceOnInvalidConfig(t *testing.T) {
+	cfg := sprinkler.Platform(4)
+	arena := sprinkler.NewDeviceArena()
+	dev, err := arena.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena.Put(dev)
+	bad := cfg
+	bad.QueueDepth = 0
+	if _, err := arena.Get(bad); err == nil {
+		t.Fatal("Get accepted QueueDepth 0")
+	}
+	if n := arena.Size(); n != 1 {
+		t.Fatalf("invalid Get left %d pooled devices, want 1", n)
+	}
+	if st := arena.Stats(); st.DeviceHits != 0 || st.DeviceMisses != 1 {
+		t.Fatalf("invalid Get counted: %+v", st)
+	}
+	got, err := arena.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != dev || arena.Stats().DeviceHits != 1 {
+		t.Fatalf("valid Get after an invalid one missed the pool: %+v", arena.Stats())
+	}
+}

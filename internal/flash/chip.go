@@ -28,7 +28,8 @@ type Callbacks struct {
 
 // ChipStats aggregates per-chip occupancy accounting used by the metrics
 // layer: cell-active time, bus-active time, bus-wait (contention) time, and
-// the plane-use integral for intra-chip idleness.
+// the plane-use integral for intra-chip idleness. It must stay
+// pointer-free: the warm-state snapshot copies it whole.
 type ChipStats struct {
 	CellActive  sim.TimedCounter
 	BusActive   sim.TimedCounter

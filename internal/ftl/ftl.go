@@ -175,16 +175,9 @@ type FTL struct {
 	nSpare      int  // per-plane spare-pool size the pools are laid out for
 	restored    bool // RestoreState ran since the last New/Reset
 
-	// Counters.
-	hostWrites    int64
-	gcWrites      int64
-	gcReads       int64
-	gcErases      int64
-	gcRuns        int64
-	invalidated   int64
-	retiredBlocks int64
-	sparesUsed    int64
-	degraded      bool
+	// stats holds the activity counters; MappedPages stays zero here
+	// (Stats derives it from the map).
+	stats Stats
 }
 
 // New builds an FTL with every block erased and the logical space unmapped.
@@ -317,8 +310,7 @@ func (f *FTL) Reset(cfg Config) error {
 	f.cfg = cfg
 	f.cursor = 0
 	f.onMigrate = nil
-	f.hostWrites, f.gcWrites, f.gcReads, f.gcErases, f.gcRuns = 0, 0, 0, 0, 0
-	f.invalidated, f.retiredBlocks, f.sparesUsed, f.degraded = 0, 0, 0, false
+	f.stats = Stats{}
 	return nil
 }
 
@@ -446,7 +438,7 @@ func (f *FTL) invalidate(a flash.Addr) {
 	blk.valid.Clear(a.Page)
 	blk.validCount--
 	f.p2l.del(int64(f.geo.ToPPN(a)))
-	f.invalidated++
+	f.stats.Invalidated++
 }
 
 // Lookup returns the physical address currently mapped for lpn.
@@ -513,7 +505,7 @@ func (f *FTL) Preprocess(m *req.Mem) error {
 			f.invalidate(old)
 		}
 		f.markValid(a, m.LPN)
-		f.hostWrites++
+		f.stats.HostWrites++
 		m.Addr = a
 		return nil
 	default:
@@ -649,7 +641,7 @@ func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 		panic("ftl: GC job committed twice")
 	}
 	job.committed = true
-	f.gcRuns++
+	f.stats.GCRuns++
 	var applied []Migration
 	for _, mg := range job.Migrations {
 		cur, ok := f.l2p.get(int64(mg.LPN))
@@ -661,8 +653,8 @@ func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 		}
 		f.invalidate(mg.Src)
 		f.markValid(mg.Dst, mg.LPN)
-		f.gcReads++
-		f.gcWrites++
+		f.stats.GCReads++
+		f.stats.GCWrites++
 		applied = append(applied, mg)
 		if f.onMigrate != nil {
 			f.onMigrate(mg.LPN, mg.Src, mg.Dst)
@@ -685,7 +677,7 @@ func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 	} else {
 		ps.free = append(ps.free, job.Victim.Block)
 	}
-	f.gcErases++
+	f.stats.GCErases++
 	return applied
 }
 
@@ -697,14 +689,14 @@ func (f *FTL) retireBlock(ps *planeState, block int) {
 	blk := &ps.blocks[block]
 	blk.bad = true
 	blk.full = true // never allocatable again
-	f.retiredBlocks++
+	f.stats.RetiredBlocks++
 	if n := len(ps.spare); n > 0 {
 		sp := ps.spare[n-1]
 		ps.spare = ps.spare[:n-1]
 		ps.free = append(ps.free, sp)
-		f.sparesUsed++
+		f.stats.SparesUsed++
 	} else {
-		f.degraded = true
+		f.stats.Degraded = true
 	}
 }
 
@@ -712,10 +704,10 @@ func (f *FTL) retireBlock(ps *planeState, block int) {
 // or the device found no space for a write: the drive can no longer
 // guarantee its usable capacity and should be treated as read-only. The
 // flag is sticky until Reset.
-func (f *FTL) Degraded() bool { return f.degraded }
+func (f *FTL) Degraded() bool { return f.stats.Degraded }
 
 // Degrade enters the read-only mode Degraded reports.
-func (f *FTL) Degrade() { f.degraded = true }
+func (f *FTL) Degrade() { f.stats.Degraded = true }
 
 // RemapProgramFail recovers a host write whose program operation reported
 // failure: the failed physical page is abandoned (invalidated — it holds
@@ -757,32 +749,24 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (f *FTL) Stats() Stats {
-	return Stats{
-		HostWrites:    f.hostWrites,
-		GCWrites:      f.gcWrites,
-		GCReads:       f.gcReads,
-		GCErases:      f.gcErases,
-		GCRuns:        f.gcRuns,
-		Invalidated:   f.invalidated,
-		MappedPages:   int64(f.l2p.len()),
-		RetiredBlocks: f.retiredBlocks,
-		SparesUsed:    f.sparesUsed,
-		Degraded:      f.degraded,
-	}
+	st := f.stats
+	st.MappedPages = int64(f.l2p.len())
+	return st
 }
 
 // ResetStats zeroes the activity counters (mappings are untouched). Used
 // after preconditioning so measurements cover only the workload itself.
 func (f *FTL) ResetStats() {
-	f.hostWrites, f.gcWrites, f.gcReads, f.gcErases, f.gcRuns, f.invalidated = 0, 0, 0, 0, 0, 0
+	s := &f.stats
+	s.HostWrites, s.GCWrites, s.GCReads, s.GCErases, s.GCRuns, s.Invalidated = 0, 0, 0, 0, 0, 0
 }
 
 // WriteAmplification returns (host+gc)/host writes, the standard WA metric.
 func (f *FTL) WriteAmplification() float64 {
-	if f.hostWrites == 0 {
+	if f.stats.HostWrites == 0 {
 		return 1
 	}
-	return float64(f.hostWrites+f.gcWrites) / float64(f.hostWrites)
+	return float64(f.stats.HostWrites+f.stats.GCWrites) / float64(f.stats.HostWrites)
 }
 
 // CheckInvariants verifies internal consistency; tests call it after

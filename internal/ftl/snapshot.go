@@ -8,17 +8,17 @@ import (
 	"sprinkler/internal/flash"
 )
 
-// This file implements warm-state capture/restore for the FTL: the
-// serializable State mirrors everything that survives a drained run —
-// the logical-to-physical map, per-block wear/occupancy metadata, the
-// per-plane free/spare pools in their exact LIFO order, the write-stripe
-// cursor, and every activity counter (including the sticky degraded-mode
-// ones from bad-block retirement). The validity bitmaps, their per-block
+// This file implements warm-state capture/restore for the FTL. State
+// holds everything that survives a drained run: the logical-to-physical
+// map, per-block wear/occupancy metadata, the per-plane free/spare pools
+// in their exact LIFO order, the write-stripe cursor, and the FTL's own
+// Stats value, copied whole (the sticky degraded-mode counters from
+// bad-block retirement included). The validity bitmaps, their per-block
 // population counts and the reverse (PPN→LPN) table are deliberately NOT
 // part of the state: the L2P map determines all three (CheckInvariants
 // pins the bijection), so RestoreState rebuilds them — halving the
 // snapshot and removing a whole class of internally-inconsistent snapshot
-// inputs.
+// inputs. The byte layout is internal/ssd's DeviceState.code.
 
 // MapPair is one L2P entry.
 type MapPair struct {
@@ -34,10 +34,10 @@ type BlockState struct {
 	Bad     bool
 }
 
-// PlaneState2 is the persistent per-plane allocation state. Free and
+// PlaneState is the persistent per-plane allocation state. Free and
 // Spare preserve LIFO order — the allocator pops from the tail, so the
 // order is behaviour, not an implementation detail.
-type PlaneState2 struct {
+type PlaneState struct {
 	Blocks []BlockState
 	Free   []int
 	Spare  []int
@@ -48,17 +48,11 @@ type PlaneState2 struct {
 type State struct {
 	L2P    []MapPair // sorted by LPN (canonical form)
 	Cursor int64
-	Planes []PlaneState2
+	Planes []PlaneState
 
-	HostWrites    int64
-	GCWrites      int64
-	GCReads       int64
-	GCErases      int64
-	GCRuns        int64
-	Invalidated   int64
-	RetiredBlocks int64
-	SparesUsed    int64
-	Degraded      bool
+	// Stats carries the activity counters; MappedPages is derived from
+	// L2P and always zero here.
+	Stats
 }
 
 // CaptureState snapshots the FTL's persistent state. The returned
@@ -66,17 +60,9 @@ type State struct {
 // safe to retain after the FTL keeps running.
 func (f *FTL) CaptureState() State {
 	st := State{
-		Cursor:        f.cursor,
-		Planes:        make([]PlaneState2, len(f.planes)),
-		HostWrites:    f.hostWrites,
-		GCWrites:      f.gcWrites,
-		GCReads:       f.gcReads,
-		GCErases:      f.gcErases,
-		GCRuns:        f.gcRuns,
-		Invalidated:   f.invalidated,
-		RetiredBlocks: f.retiredBlocks,
-		SparesUsed:    f.sparesUsed,
-		Degraded:      f.degraded,
+		Cursor: f.cursor,
+		Planes: make([]PlaneState, len(f.planes)),
+		Stats:  f.stats,
 	}
 	st.L2P = make([]MapPair, 0, f.l2p.len())
 	f.l2p.forEach(func(k, v int64) bool {
@@ -178,15 +164,8 @@ func (f *FTL) RestoreState(st State) error {
 		f.p2l.set(e.PPN, e.LPN)
 	}
 	f.cursor = st.Cursor
-	f.hostWrites = st.HostWrites
-	f.gcWrites = st.GCWrites
-	f.gcReads = st.GCReads
-	f.gcErases = st.GCErases
-	f.gcRuns = st.GCRuns
-	f.invalidated = st.Invalidated
-	f.retiredBlocks = st.RetiredBlocks
-	f.sparesUsed = st.SparesUsed
-	f.degraded = st.Degraded
+	f.stats = st.Stats
+	f.stats.MappedPages = 0
 	if err := f.CheckInvariants(); err != nil {
 		return fmt.Errorf("ftl: snapshot fails invariants: %w", err)
 	}

@@ -181,7 +181,7 @@ func (s *Session) path(op string) string {
 }
 
 // Submit admits one or more I/Os.
-func (s *Session) Submit(ctx context.Context, reqs ...serve.IORequest) (serve.SubmitResponse, error) {
+func (s *Session) Submit(ctx context.Context, reqs ...sprinkler.Request) (serve.SubmitResponse, error) {
 	var resp serve.SubmitResponse
 	err := s.c.do(ctx, http.MethodPost, s.path("submit"), serve.SubmitRequest{Requests: reqs}, &resp)
 	return resp, err

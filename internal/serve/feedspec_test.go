@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sprinkler"
@@ -30,13 +32,13 @@ func feedCases() []feedCase {
 		{"workload", FeedSpec{Workload: wl(0)}, false},
 		{"workload-pinned", FeedSpec{Workload: wl(7)}, true},
 		{"workload-infinite-limit", FeedSpec{Workload: &WorkloadSpec{Name: "hm0"}, Limit: 90}, false},
-		{"fixed-random", FeedSpec{Fixed: &FixedSpec{Requests: 100, Pages: 4, Write: true}}, false},
-		{"fixed-sequential", FeedSpec{Fixed: &FixedSpec{Requests: 100, Pages: 8, Sequential: true}}, false},
-		{"fixed-pinned", FeedSpec{Fixed: &FixedSpec{Requests: 100, Pages: 2, Seed: 11}}, true},
+		{"fixed-random", FeedSpec{Fixed: &sprinkler.FixedSpec{Requests: 100, Pages: 4, Write: true}}, false},
+		{"fixed-sequential", FeedSpec{Fixed: &sprinkler.FixedSpec{Requests: 100, Pages: 8, Sequential: true}}, false},
+		{"fixed-pinned", FeedSpec{Fixed: &sprinkler.FixedSpec{Requests: 100, Pages: 2, Seed: 11}}, true},
 		{"poisson", FeedSpec{Workload: wl(0), PoissonRate: 150_000}, false},
 		{"zipf", FeedSpec{Workload: wl(0), ZipfTheta: 0.99}, false},
 		{"read-ratio", FeedSpec{Workload: wl(0), ReadRatio: ratio(0.3)}, false},
-		{"resize", FeedSpec{Fixed: &FixedSpec{Requests: 100, Pages: 1}, MinPages: 2, MaxPages: 16}, false},
+		{"resize", FeedSpec{Fixed: &sprinkler.FixedSpec{Requests: 100, Pages: 1}, MinPages: 2, MaxPages: 16}, false},
 		{"burst", FeedSpec{Workload: wl(0), BurstOnNS: 1_000_000, BurstOffNS: 3_000_000}, false},
 		{"limit", FeedSpec{Workload: wl(0), Limit: 40}, false},
 		{"feed-seed", FeedSpec{Workload: wl(0), ZipfTheta: 0.8, Seed: 99}, false},
@@ -173,4 +175,45 @@ func FuzzFeedSpec(f *testing.F) {
 			t.Fatalf("fed %d requests, asked for at most 64", fed)
 		}
 	})
+}
+
+// TestRequestWireNames pins the JSON names of the root types the daemon
+// decodes submit and feed bodies into: each literal sets every field,
+// must decode (unknown keys refused) to the listed value, and that value
+// must encode back to the literal's exact bytes.
+func TestRequestWireNames(t *testing.T) {
+	cases := []struct {
+		body string
+		into any
+		want any
+	}{
+		{
+			`{"requests":[{"arrivalNS":5,"write":true,"lpn":7,"pages":3,"fua":true}]}`,
+			&SubmitRequest{},
+			&SubmitRequest{Requests: []sprinkler.Request{{ArrivalNS: 5, Write: true, LPN: 7, Pages: 3, FUA: true}}},
+		},
+		{
+			`{"workload":{"name":"cfs0","requests":10,"maxPages":8,"seed":3}}`,
+			&FeedSpec{},
+			&FeedSpec{Workload: &sprinkler.WorkloadSpec{Name: "cfs0", Requests: 10, MaxPages: 8, Seed: 3}},
+		},
+		{
+			`{"fixed":{"requests":4,"pages":2,"write":true,"sequential":true,"seed":9}}`,
+			&FeedSpec{},
+			&FeedSpec{Fixed: &sprinkler.FixedSpec{Requests: 4, Pages: 2, Write: true, Sequential: true, Seed: 9}},
+		},
+	}
+	for _, tc := range cases {
+		dec := json.NewDecoder(strings.NewReader(tc.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(tc.into); err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if !reflect.DeepEqual(tc.into, tc.want) {
+			t.Errorf("%s decodes to %+v, want %+v", tc.body, tc.into, tc.want)
+		}
+		if b, err := json.Marshal(tc.want); err != nil || string(b) != tc.body {
+			t.Errorf("%+v encodes to %s (err %v), want %s", tc.want, b, err, tc.body)
+		}
+	}
 }

@@ -10,8 +10,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
-
-	"sprinkler"
 )
 
 // maxBodyBytes bounds a request body; batched submits dominate sizing.
@@ -199,14 +197,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *sess
 		return
 	}
 	for i, io := range req.Requests {
-		err := sess.sess.Submit(sprinkler.Request{
-			ArrivalNS: io.ArrivalNS,
-			Write:     io.Write,
-			LPN:       io.LPN,
-			Pages:     io.Pages,
-			FUA:       io.FUA,
-		})
-		if err != nil {
+		if err := sess.sess.Submit(io); err != nil {
 			// Partial admission: report what made it in before failing.
 			sess.publish(sess.sess.Snapshot())
 			writeError(w, fmt.Errorf("request %d: %w", i, err))

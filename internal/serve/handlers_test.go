@@ -182,9 +182,9 @@ func TestSubmitBacklogBudget(t *testing.T) {
 	srv, ts := newTestServer(t, opts)
 	openSession(t, ts, OpenRequest{Name: "s"})
 
-	reqs := make([]IORequest, 8)
+	reqs := make([]sprinkler.Request, 8)
 	for i := range reqs {
-		reqs[i] = IORequest{LPN: int64(i * 8), Pages: 1}
+		reqs[i] = sprinkler.Request{LPN: int64(i * 8), Pages: 1}
 	}
 	var sub SubmitResponse
 	if r := postJSON(t, ts.URL+"/v1/sessions/s/submit", SubmitRequest{Requests: reqs}, &sub); r.StatusCode != http.StatusOK {
@@ -195,7 +195,7 @@ func TestSubmitBacklogBudget(t *testing.T) {
 	}
 
 	resp := postJSON(t, ts.URL+"/v1/sessions/s/submit",
-		SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 1}}}, nil)
+		SubmitRequest{Requests: []sprinkler.Request{{LPN: 0, Pages: 1}}}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget submit: status %d, want 429", resp.StatusCode)
 	}
@@ -215,7 +215,7 @@ func TestSubmitBacklogBudget(t *testing.T) {
 		t.Fatalf("advance completed %d I/Os, want 8", snap.IOsCompleted)
 	}
 	if r := postJSON(t, ts.URL+"/v1/sessions/s/submit",
-		SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 1}}}, nil); r.StatusCode != http.StatusOK {
+		SubmitRequest{Requests: []sprinkler.Request{{LPN: 0, Pages: 1}}}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("post-advance submit: status %d", r.StatusCode)
 	}
 }
@@ -227,15 +227,15 @@ func TestOversizedRequestRejected(t *testing.T) {
 	_, ts := newTestServer(t, testOptions())
 	openSession(t, ts, OpenRequest{Name: "big"})
 
-	huge := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 1 << 30}}}
+	huge := SubmitRequest{Requests: []sprinkler.Request{{LPN: 0, Pages: 1 << 30}}}
 	if r := postJSON(t, ts.URL+"/v1/sessions/big/submit", huge, nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized submit: status %d, want 400", r.StatusCode)
 	}
-	feed := FeedSpec{Fixed: &FixedSpec{Requests: 4, Pages: 1 << 30, Sequential: true}}
+	feed := FeedSpec{Fixed: &sprinkler.FixedSpec{Requests: 4, Pages: 1 << 30, Sequential: true}}
 	if r := postJSON(t, ts.URL+"/v1/sessions/big/feed", feed, nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized feed: status %d, want 400", r.StatusCode)
 	}
-	ok := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 4}}}
+	ok := SubmitRequest{Requests: []sprinkler.Request{{LPN: 0, Pages: 4}}}
 	if r := postJSON(t, ts.URL+"/v1/sessions/big/submit", ok, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("valid submit after rejection: status %d", r.StatusCode)
 	}
@@ -257,7 +257,7 @@ func TestFullDriveSessionSurvives(t *testing.T) {
 	srv, ts := newTestServer(t, testOptions())
 	openSession(t, ts, OpenRequest{Name: "full", Chips: 4, GCStress: true})
 
-	fill := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 65536, Write: true}}}
+	fill := SubmitRequest{Requests: []sprinkler.Request{{LPN: 0, Pages: 65536, Write: true}}}
 	if r := postJSON(t, ts.URL+"/v1/sessions/full/submit", fill, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("submit: status %d", r.StatusCode)
 	}
@@ -295,7 +295,7 @@ func TestFullDriveSessionSurvives(t *testing.T) {
 func TestAdvancePastHorizonSessionSurvives(t *testing.T) {
 	srv, ts := newTestServer(t, testOptions())
 	openSession(t, ts, OpenRequest{Name: "far"})
-	write := SubmitRequest{Requests: []IORequest{{LPN: 0, Pages: 4, Write: true}}}
+	write := SubmitRequest{Requests: []sprinkler.Request{{LPN: 0, Pages: 4, Write: true}}}
 	if r := postJSON(t, ts.URL+"/v1/sessions/far/submit", write, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("submit: status %d", r.StatusCode)
 	}
@@ -830,6 +830,8 @@ func TestOpenRejectsOversizedPlatform(t *testing.T) {
 		{Chips: 1025},
 		{Queue: 1 << 30},
 		{Queue: 65537},
+		{Chips: -1},
+		{Queue: -1},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/sessions", req, nil)
 		if resp.StatusCode != http.StatusBadRequest {

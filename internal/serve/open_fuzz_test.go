@@ -24,6 +24,7 @@ func FuzzOpen(f *testing.F) {
 		`{"chips":2,"gcStress":true,"collectSeries":true,"seriesWindow":64}`,
 		`{"chips":4,"faults":{"readFailProb":0.3,"programFailProb":0.2,"readRetryMax":3,"readRetryMult":2,"rewriteMax":3,"outagePeriodNS":200000,"outageDurNS":50000,"seed":17}}`,
 		`{"chips":1024}`,
+		`{"queue":-1}`,
 		`{"warmState":"aged.snap"}`,
 	} {
 		f.Add([]byte(seed))

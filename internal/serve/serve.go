@@ -369,38 +369,24 @@ const (
 // ignored. The backlog budget is not part of the Config: Open keeps it on
 // the session.
 func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sprinkler.Config, error) {
-	if snap != nil {
-		if req.Chips > 0 || req.Queue > 0 || req.GCStress || req.Faults != nil {
-			return sprinkler.Config{}, fmt.Errorf("warmState sessions take their platform from the snapshot; chips, queue, gcStress and faults cannot be combined with it")
+	var cfg sprinkler.Config
+	switch {
+	case snap != nil:
+		if req.Chips != 0 || req.Queue != 0 || req.GCStress || req.Faults != nil {
+			return cfg, fmt.Errorf("warmState sessions take their platform from the snapshot; chips, queue, gcStress and faults cannot be combined with it")
 		}
-		cfg := snap.Config()
-		if req.Scheduler != "" {
-			cfg.Scheduler = sprinkler.SchedulerKind(req.Scheduler)
-		}
-		cfg.CollectSeries = req.CollectSeries && s.opts.SeriesWindow > 0
-		if cfg.CollectSeries {
-			cfg.SeriesWindow = clampBudget(req.SeriesWindow, s.opts.SeriesWindow)
-		} else {
-			cfg.SeriesWindow = 0
-		}
-		if err := cfg.Validate(); err != nil {
-			return cfg, err
-		}
-		return cfg, nil
-	}
-	if req.Chips > maxOpenChips {
-		return sprinkler.Config{}, fmt.Errorf("chips %d exceeds the limit of %d", req.Chips, maxOpenChips)
-	}
-	if req.Queue > maxOpenQueue {
-		return sprinkler.Config{}, fmt.Errorf("queue %d exceeds the limit of %d", req.Queue, maxOpenQueue)
-	}
-	cfg := s.opts.BaseConfig
-	if req.Chips > 0 || req.Queue > 0 || req.Scheduler != "" || req.GCStress {
+		cfg = snap.Config()
+	case req.Chips < 0 || req.Chips > maxOpenChips:
+		return cfg, fmt.Errorf("chips %d outside [0, %d]", req.Chips, maxOpenChips)
+	case req.Queue < 0 || req.Queue > maxOpenQueue:
+		return cfg, fmt.Errorf("queue %d outside [0, %d]", req.Queue, maxOpenQueue)
+	default:
 		// Rebuild the platform through the shared CLI plumbing semantics:
 		// chips reshape the topology, GC stress shrinks blocks and the
 		// logical space.
-		base := cfg
+		cfg = s.opts.BaseConfig
 		if req.Chips > 0 {
+			base := cfg
 			cfg = sprinkler.Platform(req.Chips)
 			cfg.QueueDepth = base.QueueDepth
 			cfg.Scheduler = base.Scheduler
@@ -408,32 +394,29 @@ func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sp
 		if req.Queue > 0 {
 			cfg.QueueDepth = req.Queue
 		}
-		if req.Scheduler != "" {
-			cfg.Scheduler = sprinkler.SchedulerKind(req.Scheduler)
-		}
 		if req.GCStress {
 			cfg.BlocksPerPlane = 24
 			cfg.PagesPerBlock = 64
 			cfg.LogicalPages = cfg.TotalPages() * 85 / 100
 		}
+		// A present fault spec replaces the base one wholesale (a partial
+		// overlay could silently mix two experiments' fault models);
+		// invalid knobs are carried into the config so Validate rejects
+		// them with 400.
+		if req.Faults != nil {
+			cfg.Faults = *req.Faults
+		}
 	}
-	// A present fault spec replaces the base one wholesale (a partial
-	// overlay could silently mix two experiments' fault models); invalid
-	// knobs are carried into the config so Validate rejects them with 400.
-	if req.Faults != nil {
-		cfg.Faults = *req.Faults
+	if req.Scheduler != "" {
+		cfg.Scheduler = sprinkler.SchedulerKind(req.Scheduler)
 	}
 	// Clamp the session's series budget to the server's.
 	cfg.CollectSeries = req.CollectSeries && s.opts.SeriesWindow > 0
+	cfg.SeriesWindow = 0
 	if cfg.CollectSeries {
 		cfg.SeriesWindow = clampBudget(req.SeriesWindow, s.opts.SeriesWindow)
-	} else {
-		cfg.SeriesWindow = 0
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // clampBudget resolves a requested budget against a server budget: zero

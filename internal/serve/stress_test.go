@@ -105,10 +105,10 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		} else {
 			// Submit mode: distinct per-worker LPN pattern in batches.
 			for fed < requests {
-				batch := make([]serve.IORequest, 0, 8)
+				batch := make([]sprinkler.Request, 0, 8)
 				for len(batch) < 8 && fed+int64(len(batch)) < requests {
 					i := fed + int64(len(batch))
-					batch = append(batch, serve.IORequest{
+					batch = append(batch, sprinkler.Request{
 						LPN:   (int64(w)*131 + i*7) % 1024,
 						Pages: 1 + int(i%4),
 						Write: i%3 == 0,

@@ -56,10 +56,10 @@ func writeWarmState(t *testing.T, dir, name string) *sprinkler.DeviceSnapshot {
 
 // warmIOs is the request stream both the daemon session and the direct
 // reference session replay in TestOpenWarmState.
-func warmIOs() []IORequest {
-	ios := make([]IORequest, 0, 60)
+func warmIOs() []sprinkler.Request {
+	ios := make([]sprinkler.Request, 0, 60)
 	for i := 0; i < 60; i++ {
-		ios = append(ios, IORequest{LPN: int64(i * 4), Pages: 4, Write: i%2 == 0})
+		ios = append(ios, sprinkler.Request{LPN: int64(i * 4), Pages: 4, Write: i%2 == 0})
 	}
 	return ios
 }
@@ -157,6 +157,27 @@ func TestOpenWarmStateRejections(t *testing.T) {
 				t.Fatalf("status %d, want 400", r.StatusCode)
 			}
 		})
+	}
+}
+
+// TestOpenWarmStateRejectsNegativePlatform pins that a warm-state open
+// refuses any non-zero platform knob, negative ones included, before a
+// device is built.
+func TestOpenWarmStateRejectsNegativePlatform(t *testing.T) {
+	opts := testOptions()
+	opts.SnapshotDir = t.TempDir()
+	writeWarmState(t, opts.SnapshotDir, "aged.snap")
+	srv, ts := newTestServer(t, opts)
+	for _, req := range []OpenRequest{
+		{WarmState: "aged.snap", Chips: -1},
+		{WarmState: "aged.snap", Queue: -1},
+	} {
+		if r := postJSON(t, ts.URL+"/v1/sessions", req, nil); r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("open %+v: status %d, want 400", req, r.StatusCode)
+		}
+	}
+	if misses := srv.ArenaStats().DeviceMisses; misses != 0 {
+		t.Fatalf("rejected opens built %d devices", misses)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 // This file is sprinklerd's request wire format. Like Result and Snapshot
 // in the root package, every struct carries explicit JSON tags: clients
 // are built against these names, so renaming or re-typing a tagged field
-// is a wire-format break — add new fields instead.
+// is a wire-format break — add new fields instead. Submit and feed bodies
+// carry the root package's Request, WorkloadSpec and FixedSpec, whose
+// tags belong to this format too (TestRequestWireNames pins them).
 
 // OpenRequest opens a named session. The platform knobs mirror the shared
 // CLI flags (cliutil.Platform): the daemon starts from its own base
@@ -21,8 +23,8 @@ type OpenRequest struct {
 
 	// Chips/Queue/Scheduler/GCStress override the daemon's base platform
 	// (zero values keep the base). GCStress also preconditions the device
-	// so garbage collection runs under the session's workload. Chips past
-	// 1024 and Queue past 65536 are rejected with 400.
+	// so garbage collection runs under the session's workload. Negative
+	// values, Chips past 1024 and Queue past 65536 are rejected with 400.
 	Chips     int    `json:"chips,omitempty"`
 	Queue     int    `json:"queue,omitempty"`
 	Scheduler string `json:"scheduler,omitempty"`
@@ -71,18 +73,9 @@ type OpenResponse struct {
 	WarmState string `json:"warmState,omitempty"`
 }
 
-// IORequest is one I/O to submit (sprinkler.Request on the wire).
-type IORequest struct {
-	ArrivalNS int64 `json:"arrivalNS,omitempty"`
-	Write     bool  `json:"write,omitempty"`
-	LPN       int64 `json:"lpn"`
-	Pages     int   `json:"pages"`
-	FUA       bool  `json:"fua,omitempty"`
-}
-
 // SubmitRequest admits one or more I/Os into a session.
 type SubmitRequest struct {
-	Requests []IORequest `json:"requests"`
+	Requests []sprinkler.Request `json:"requests"`
 }
 
 // SubmitResponse reports the admission and the session backlog after it.
@@ -91,32 +84,17 @@ type SubmitResponse struct {
 	Backlog   int64 `json:"backlog"`
 }
 
-// WorkloadSpec names a Table 1 workload (sprinkler.WorkloadSpec on the
-// wire).
-type WorkloadSpec struct {
-	Name     string `json:"name"`
-	Requests int    `json:"requests,omitempty"`
-	MaxPages int    `json:"maxPages,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-}
-
-// FixedSpec describes a fixed-transfer-size workload (sprinkler.FixedSpec
-// on the wire).
-type FixedSpec struct {
-	Requests   int    `json:"requests"`
-	Pages      int    `json:"pages,omitempty"`
-	Write      bool   `json:"write,omitempty"`
-	Sequential bool   `json:"sequential,omitempty"`
-	Seed       uint64 `json:"seed,omitempty"`
-}
+// WorkloadSpec is the root type under the name this package's clients
+// have used for it.
+type WorkloadSpec = sprinkler.WorkloadSpec
 
 // FeedSpec asks the server to build a workload source from the declarative
 // combinators and feed it into the session. Exactly one of Workload/Fixed
 // selects the base stream on the first feed; later feeds may omit both to
 // continue pulling from the session's current source.
 type FeedSpec struct {
-	Workload *WorkloadSpec `json:"workload,omitempty"`
-	Fixed    *FixedSpec    `json:"fixed,omitempty"`
+	Workload *sprinkler.WorkloadSpec `json:"workload,omitempty"`
+	Fixed    *sprinkler.FixedSpec    `json:"fixed,omitempty"`
 
 	// Combinators, applied in this order when set: Poisson arrival
 	// rewrite, Zipf address skew, read-ratio redraw, transfer-size
@@ -232,22 +210,15 @@ func (f FeedSpec) buildSource(cfg sprinkler.Config, seed uint64) (sprinkler.Sour
 	case f.Workload != nil && f.Fixed != nil:
 		return nil, false, fmt.Errorf("feed spec names both a workload and a fixed stream")
 	case f.Workload != nil:
-		src, err = cfg.NewWorkloadSource(sprinkler.WorkloadSpec{
-			Name:     f.Workload.Name,
-			Requests: f.Workload.Requests,
-			MaxPages: f.Workload.MaxPages,
-			Seed:     follow(f.Workload.Seed),
-		})
-		bounded = bounded || f.Workload.Requests > 0
+		spec := *f.Workload
+		spec.Seed = follow(spec.Seed)
+		src, err = cfg.NewWorkloadSource(spec)
+		bounded = bounded || spec.Requests > 0
 	case f.Fixed != nil:
-		src, err = cfg.NewFixedSource(sprinkler.FixedSpec{
-			Requests:   f.Fixed.Requests,
-			Pages:      f.Fixed.Pages,
-			Write:      f.Fixed.Write,
-			Sequential: f.Fixed.Sequential,
-			Seed:       follow(f.Fixed.Seed),
-		})
-		bounded = bounded || f.Fixed.Requests > 0
+		spec := *f.Fixed
+		spec.Seed = follow(spec.Seed)
+		src, err = cfg.NewFixedSource(spec)
+		bounded = bounded || spec.Requests > 0
 	default:
 		return nil, false, fmt.Errorf("feed spec needs a workload or fixed stream")
 	}

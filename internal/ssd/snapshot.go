@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"sprinkler/internal/flash"
 	"sprinkler/internal/ftl"
 	"sprinkler/internal/metrics"
 	"sprinkler/internal/nvmhc"
@@ -30,24 +31,10 @@ import (
 // replayed the warm-up.
 
 // ChipState is the persistent per-chip state: the accounting counters
-// behind metrics.ChipSample and the fault-stream generator position.
+// behind metrics.ChipSample, held by value, and the fault-stream
+// generator position.
 type ChipState struct {
-	CellActive sim.TimedCounterState
-	BusActive  sim.TimedCounterState
-	BusyAll    sim.TimedCounterState
-	BusWait    sim.Time
-	PlaneUse   sim.WeightedSumState
-
-	Txns        int64
-	TxnsByClass [4]int64
-	ReqsByClass [4]int64
-	Requests    int64
-
-	ReadRetries       int64
-	ReadUncorrectable int64
-	ProgramFails      int64
-	EraseFails        int64
-
+	Stats   flash.ChipStats
 	HasFRNG bool
 	FRNG    uint64
 }
@@ -135,22 +122,7 @@ func (d *Device) CaptureState() (*DeviceState, error) {
 			if chip.Busy() {
 				return nil, fmt.Errorf("ssd: checkpoint with chip %d busy", chip.ID)
 			}
-			cs := chip.Stats()
-			out := ChipState{
-				CellActive:        cs.CellActive.State(),
-				BusActive:         cs.BusActive.State(),
-				BusyAll:           cs.BusyAll.State(),
-				BusWait:           cs.BusWait,
-				PlaneUse:          cs.PlaneUse.State(),
-				Txns:              cs.Txns,
-				TxnsByClass:       cs.TxnsByClass,
-				ReqsByClass:       cs.ReqsByClass,
-				Requests:          cs.Requests,
-				ReadRetries:       cs.ReadRetries,
-				ReadUncorrectable: cs.ReadUncorrectable,
-				ProgramFails:      cs.ProgramFails,
-				EraseFails:        cs.EraseFails,
-			}
+			out := ChipState{Stats: *chip.Stats()}
 			out.FRNG, out.HasFRNG = chip.FaultRNGState()
 			st.Chips = append(st.Chips, out)
 		}
@@ -195,23 +167,10 @@ func (d *Device) LoadState(st *DeviceState) error {
 			chip := d.ctrls[ch].chip(d.cfg.Geo.ChipAt(ch, off))
 			in := &st.Chips[i]
 			i++
+			*chip.Stats() = in.Stats
 			if in.HasFRNG {
 				chip.SetFaultRNGState(in.FRNG)
 			}
-			cs := chip.Stats()
-			cs.CellActive.SetState(in.CellActive)
-			cs.BusActive.SetState(in.BusActive)
-			cs.BusyAll.SetState(in.BusyAll)
-			cs.BusWait = in.BusWait
-			cs.PlaneUse.SetState(in.PlaneUse)
-			cs.Txns = in.Txns
-			cs.TxnsByClass = in.TxnsByClass
-			cs.ReqsByClass = in.ReqsByClass
-			cs.Requests = in.Requests
-			cs.ReadRetries = in.ReadRetries
-			cs.ReadUncorrectable = in.ReadUncorrectable
-			cs.ProgramFails = in.ProgramFails
-			cs.EraseFails = in.EraseFails
 		}
 	}
 	return nil
@@ -255,175 +214,188 @@ func (st *DeviceState) CheckShape(cfg Config) error {
 // one byte. The framing (magic, version, embedded config, CRC trailer)
 // belongs to the public snapshot format; this codec is versioned through
 // that header.
+//
+// The layout lives only in DeviceState.code: one walk over the state
+// that hands each field to a stateCodec, which writes it when encoding
+// and reads into it when decoding. Encode and DecodeDeviceState only
+// set the codec up, so writer and reader cannot disagree on the order.
 
-type stateWriter struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (sw *stateWriter) write(p []byte) {
-	if sw.err != nil {
-		return
-	}
-	_, sw.err = sw.w.Write(p)
-}
-
-func (sw *stateWriter) uvarint(v uint64) { sw.write(sw.buf[:binary.PutUvarint(sw.buf[:], v)]) }
-func (sw *stateWriter) varint(v int64)   { sw.write(sw.buf[:binary.PutVarint(sw.buf[:], v)]) }
-
-func (sw *stateWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(sw.buf[:8], v)
-	sw.write(sw.buf[:8])
-}
-
-func (sw *stateWriter) f64(v float64) { sw.u64(math.Float64bits(v)) }
-
-func (sw *stateWriter) bool(v bool) {
-	if v {
-		sw.write([]byte{1})
-	} else {
-		sw.write([]byte{0})
-	}
-}
-
-func (sw *stateWriter) timedCounter(st sim.TimedCounterState) {
-	sw.bool(st.On)
-	sw.varint(int64(st.Since))
-	sw.varint(int64(st.Total))
-}
-
-func (sw *stateWriter) weightedSum(st sim.WeightedSumState) {
-	sw.f64(st.Value)
-	sw.varint(int64(st.Since))
-	sw.f64(st.Sum)
-	sw.varint(int64(st.Start))
-	sw.bool(st.Began)
-}
-
-func (sw *stateWriter) clock(c sim.EngineClock) {
-	sw.varint(int64(c.Now))
-	sw.uvarint(c.Seq)
-	sw.uvarint(c.Fired)
-}
-
-type stateReader struct {
+// stateCodec writes to w or, when r is set, reads from r. Every
+// primitive takes a pointer to the field it codes and does nothing after
+// the first error. Encoding only reads the fields; only decoding stores
+// into them.
+type stateCodec struct {
+	w    io.Writer
 	r    io.ByteReader
 	left interface{ Len() int } // unread input length; nil when unknown
-	buf  [8]byte
+	buf  [binary.MaxVarintLen64]byte
 	err  error
 }
 
-func newStateReader(r io.Reader) *stateReader {
-	br, ok := r.(interface {
-		io.Reader
-		io.ByteReader
-	})
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	left, _ := r.(interface{ Len() int })
-	return &stateReader{r: br, left: left}
-}
+func (c *stateCodec) decoding() bool { return c.r != nil }
 
-func (sr *stateReader) fail(err error) {
-	if sr.err == nil && err != nil {
-		sr.err = err
+func (c *stateCodec) fail(err error) {
+	if c.err == nil && err != nil {
+		c.err = err
 	}
 }
 
-func (sr *stateReader) uvarint() uint64 {
-	if sr.err != nil {
-		return 0
+func (c *stateCodec) write(p []byte) {
+	if c.err == nil {
+		_, c.err = c.w.Write(p)
 	}
-	v, err := binary.ReadUvarint(sr.r)
-	sr.fail(err)
-	return v
 }
 
-func (sr *stateReader) varint() int64 {
-	if sr.err != nil {
-		return 0
+func (c *stateCodec) uvarint(v *uint64) {
+	switch {
+	case c.err != nil:
+	case c.decoding():
+		x, err := binary.ReadUvarint(c.r)
+		*v = x
+		c.fail(err)
+	default:
+		c.write(c.buf[:binary.PutUvarint(c.buf[:], *v)])
 	}
-	v, err := binary.ReadVarint(sr.r)
-	sr.fail(err)
-	return v
 }
 
-func (sr *stateReader) u64() uint64 {
-	if sr.err != nil {
-		return 0
+func (c *stateCodec) varint(v *int64) {
+	switch {
+	case c.err != nil:
+	case c.decoding():
+		x, err := binary.ReadVarint(c.r)
+		*v = x
+		c.fail(err)
+	default:
+		c.write(c.buf[:binary.PutVarint(c.buf[:], *v)])
 	}
-	for i := 0; i < 8; i++ {
-		b, err := sr.r.ReadByte()
-		if err != nil {
-			sr.fail(err)
-			return 0
+}
+
+func (c *stateCodec) time(v *sim.Time) { c.varint((*int64)(v)) }
+
+// uvarintInt and varintInt code an int field.
+func (c *stateCodec) uvarintInt(v *int) {
+	x := uint64(*v)
+	if c.uvarint(&x); c.decoding() {
+		*v = int(x)
+	}
+}
+
+func (c *stateCodec) varintInt(v *int) {
+	x := int64(*v)
+	if c.varint(&x); c.decoding() {
+		*v = int(x)
+	}
+}
+
+func (c *stateCodec) u64(v *uint64) {
+	switch {
+	case c.err != nil:
+	case c.decoding():
+		for i := 0; i < 8; i++ {
+			b, err := c.r.ReadByte()
+			if err != nil {
+				c.fail(err)
+				return
+			}
+			c.buf[i] = b
 		}
-		sr.buf[i] = b
-	}
-	return binary.LittleEndian.Uint64(sr.buf[:8])
-}
-
-func (sr *stateReader) f64() float64 { return math.Float64frombits(sr.u64()) }
-
-func (sr *stateReader) bool() bool {
-	if sr.err != nil {
-		return false
-	}
-	b, err := sr.r.ReadByte()
-	if err != nil {
-		sr.fail(err)
-		return false
-	}
-	if b > 1 {
-		sr.fail(fmt.Errorf("invalid boolean byte 0x%02x", b))
-	}
-	return b == 1
-}
-
-// count reads a uvarint length field bounded by max and, when the input
-// length is known, by the unread bytes (every element encodes to at least
-// one byte); the bounds turn a corrupt length into a descriptive error
-// instead of a huge allocation.
-func (sr *stateReader) count(what string, max uint64) int {
-	n := sr.uvarint()
-	if n > max && sr.err == nil {
-		sr.fail(fmt.Errorf("%s count %d exceeds limit %d", what, n, max))
-	}
-	if sr.left != nil && n > uint64(sr.left.Len()) && sr.err == nil {
-		sr.fail(fmt.Errorf("%s count %d exceeds the %d unread payload bytes", what, n, sr.left.Len()))
-	}
-	if sr.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (sr *stateReader) timedCounter() sim.TimedCounterState {
-	return sim.TimedCounterState{
-		On:    sr.bool(),
-		Since: sim.Time(sr.varint()),
-		Total: sim.Time(sr.varint()),
+		*v = binary.LittleEndian.Uint64(c.buf[:8])
+	default:
+		binary.LittleEndian.PutUint64(c.buf[:8], *v)
+		c.write(c.buf[:8])
 	}
 }
 
-func (sr *stateReader) weightedSum() sim.WeightedSumState {
-	return sim.WeightedSumState{
-		Value: sr.f64(),
-		Since: sim.Time(sr.varint()),
-		Sum:   sr.f64(),
-		Start: sim.Time(sr.varint()),
-		Began: sr.bool(),
+func (c *stateCodec) f64(v *float64) {
+	x := math.Float64bits(*v)
+	if c.u64(&x); c.decoding() {
+		*v = math.Float64frombits(x)
 	}
 }
 
-func (sr *stateReader) clock() sim.EngineClock {
-	return sim.EngineClock{
-		Now:   sim.Time(sr.varint()),
-		Seq:   sr.uvarint(),
-		Fired: sr.uvarint(),
+func (c *stateCodec) bool(v *bool) {
+	switch {
+	case c.err != nil:
+	case c.decoding():
+		b, err := c.r.ReadByte()
+		switch {
+		case err != nil:
+			c.fail(err)
+		case b > 1:
+			c.fail(fmt.Errorf("invalid boolean byte 0x%02x", b))
+		default:
+			*v = b == 1
+		}
+	default:
+		c.buf[0] = 0
+		if *v {
+			c.buf[0] = 1
+		}
+		c.write(c.buf[:1])
 	}
+}
+
+// count codes a uvarint length field. Decoding bounds it by max and,
+// when the input length is known, by the unread bytes (every element
+// encodes to at least one byte); the bounds turn a corrupt length into a
+// descriptive error instead of a huge allocation. After an error the
+// count is zero.
+func (c *stateCodec) count(what string, n *int, max uint64) {
+	x := uint64(*n)
+	c.uvarint(&x)
+	if !c.decoding() {
+		return
+	}
+	if x > max {
+		c.fail(fmt.Errorf("%s count %d exceeds limit %d", what, x, max))
+	}
+	if c.left != nil && x > uint64(c.left.Len()) {
+		c.fail(fmt.Errorf("%s count %d exceeds the %d unread payload bytes", what, x, c.left.Len()))
+	}
+	*n = 0
+	if c.err == nil {
+		*n = int(x)
+	}
+}
+
+// codeLen codes a slice's length and, when decoding, replaces the slice
+// with a zeroed one of that length for the walk to fill.
+func codeLen[T any](c *stateCodec, what string, s *[]T, max uint64) int {
+	n := len(*s)
+	if c.count(what, &n, max); c.decoding() {
+		*s = make([]T, n)
+	}
+	return n
+}
+
+func (c *stateCodec) counter(st *sim.TimedCounterState) {
+	c.bool(&st.On)
+	c.time(&st.Since)
+	c.time(&st.Total)
+}
+
+func (c *stateCodec) timed(tc *sim.TimedCounter) {
+	st := tc.State()
+	if c.counter(&st); c.decoding() {
+		tc.SetState(st)
+	}
+}
+
+func (c *stateCodec) weighted(w *sim.WeightedSum) {
+	st := w.State()
+	c.f64(&st.Value)
+	c.time(&st.Since)
+	c.f64(&st.Sum)
+	c.time(&st.Start)
+	if c.bool(&st.Began); c.decoding() {
+		w.SetState(st)
+	}
+}
+
+func (c *stateCodec) clock(k *sim.EngineClock) {
+	c.time(&k.Now)
+	c.uvarint(&k.Seq)
+	c.uvarint(&k.Fired)
 }
 
 // Decode bounds: generous multiples of anything a real configuration
@@ -438,292 +410,181 @@ const (
 	maxSnapshotChans   = 1 << 16
 )
 
-// Encode writes the state in the versioned binary payload layout.
-func (st *DeviceState) Encode(w io.Writer) error {
-	sw := &stateWriter{w: w}
-
-	// Engine clock, then a channel-clock count that is always zero: the
-	// slot held per-channel clocks in earlier builds.
-	sw.clock(st.Engine)
-	sw.uvarint(0)
+// code walks the payload layout, encoding or decoding every field.
+func (st *DeviceState) code(c *stateCodec) {
+	// Engine clock, then a channel-clock count written as zero: the slot
+	// held per-channel clocks in earlier builds, which the host clock
+	// subsumes, so any a file carries are read and discarded.
+	c.clock(&st.Engine)
+	if now := st.Engine.Now; c.decoding() && (now < 0 || now > sim.Horizon) {
+		c.fail(fmt.Errorf("engine clock %d ns outside [0, %d]", int64(now), int64(sim.Horizon)))
+	}
+	var clocks int
+	c.count("channel clock", &clocks, maxSnapshotChans)
+	for range clocks {
+		var old sim.EngineClock
+		c.clock(&old)
+	}
 
 	// Device-level queue.
-	sw.varint(st.Queue.Admitted)
-	sw.varint(st.Queue.Released)
-	sw.timedCounter(st.Queue.Full)
+	c.varint(&st.Queue.Admitted)
+	c.varint(&st.Queue.Released)
+	c.counter(&st.Queue.Full)
 
 	// Accounting.
-	sw.f64(st.BusyIntegral)
-	sw.varint(int64(st.SysBusyTime))
-	sw.varint(int64(st.LastAccount))
-	sw.varint(st.EmergencyGCs)
-	sw.varint(st.StaleFixes)
-	sw.varint(st.FailedIOs)
-	sw.varint(st.BytesRead)
-	sw.varint(st.BytesWritten)
-	sw.varint(st.IOsDone)
-	sw.varint(int64(st.LastCompletion))
+	c.f64(&st.BusyIntegral)
+	c.time(&st.SysBusyTime)
+	c.time(&st.LastAccount)
+	c.varint(&st.EmergencyGCs)
+	c.varint(&st.StaleFixes)
+	c.varint(&st.FailedIOs)
+	c.varint(&st.BytesRead)
+	c.varint(&st.BytesWritten)
+	c.varint(&st.IOsDone)
+	c.time(&st.LastCompletion)
 
-	// Latency histogram.
-	sw.varint(st.Latency.Count)
-	sw.f64(st.Latency.Sum)
-	sw.f64(st.Latency.SumSq)
-	sw.f64(st.Latency.Min)
-	sw.f64(st.Latency.Max)
-	sw.varint(int64(st.Latency.Cap))
-	sw.bool(st.Latency.Buckets != nil)
-	if st.Latency.Buckets != nil {
-		sw.uvarint(uint64(len(st.Latency.Buckets)))
-		for _, c := range st.Latency.Buckets {
-			sw.uvarint(c)
+	// Latency histogram: its bucket counters or its exact samples.
+	h := &st.Latency
+	c.varint(&h.Count)
+	c.f64(&h.Sum)
+	c.f64(&h.SumSq)
+	c.f64(&h.Min)
+	c.f64(&h.Max)
+	c.varintInt(&h.Cap)
+	bucketed := h.Buckets != nil
+	if c.bool(&bucketed); bucketed {
+		for i := range codeLen(c, "histogram bucket", &h.Buckets, maxSnapshotSamples) {
+			c.uvarint(&h.Buckets[i])
 		}
 	} else {
-		sw.uvarint(uint64(len(st.Latency.Samples)))
-		for _, v := range st.Latency.Samples {
-			sw.f64(v)
+		for i := range codeLen(c, "latency sample", &h.Samples, maxSnapshotSamples) {
+			c.f64(&h.Samples[i])
 		}
 	}
 
 	// Series.
-	sw.uvarint(uint64(len(st.Series)))
-	for _, p := range st.Series {
-		sw.varint(p.Index)
-		sw.varint(int64(p.Arrival))
-		sw.varint(int64(p.Latency))
+	for i := range codeLen(c, "series point", &st.Series, maxSnapshotSeries) {
+		p := &st.Series[i]
+		c.varint(&p.Index)
+		c.time(&p.Arrival)
+		c.time(&p.Latency)
 	}
 
 	// Chips.
-	sw.uvarint(uint64(len(st.Chips)))
-	for i := range st.Chips {
-		c := &st.Chips[i]
-		sw.timedCounter(c.CellActive)
-		sw.timedCounter(c.BusActive)
-		sw.timedCounter(c.BusyAll)
-		sw.varint(int64(c.BusWait))
-		sw.weightedSum(c.PlaneUse)
-		sw.varint(c.Txns)
-		for _, v := range c.TxnsByClass {
-			sw.varint(v)
+	for i := range codeLen(c, "chip", &st.Chips, maxSnapshotChips) {
+		ch := &st.Chips[i]
+		cs := &ch.Stats
+		c.timed(&cs.CellActive)
+		c.timed(&cs.BusActive)
+		c.timed(&cs.BusyAll)
+		c.time(&cs.BusWait)
+		c.weighted(&cs.PlaneUse)
+		c.varint(&cs.Txns)
+		for k := range cs.TxnsByClass {
+			c.varint(&cs.TxnsByClass[k])
 		}
-		for _, v := range c.ReqsByClass {
-			sw.varint(v)
+		for k := range cs.ReqsByClass {
+			c.varint(&cs.ReqsByClass[k])
 		}
-		sw.varint(c.Requests)
-		sw.varint(c.ReadRetries)
-		sw.varint(c.ReadUncorrectable)
-		sw.varint(c.ProgramFails)
-		sw.varint(c.EraseFails)
-		sw.bool(c.HasFRNG)
-		if c.HasFRNG {
-			sw.u64(c.FRNG)
+		c.varint(&cs.Requests)
+		c.varint(&cs.ReadRetries)
+		c.varint(&cs.ReadUncorrectable)
+		c.varint(&cs.ProgramFails)
+		c.varint(&cs.EraseFails)
+		if c.bool(&ch.HasFRNG); ch.HasFRNG {
+			c.u64(&ch.FRNG)
 		}
 	}
 
-	// FTL: the L2P map delta-coded over its sorted LPNs.
-	sw.uvarint(uint64(len(st.FTL.L2P)))
-	prev := int64(0)
-	for _, e := range st.FTL.L2P {
-		sw.uvarint(uint64(e.LPN - prev))
-		prev = e.LPN
-		sw.uvarint(uint64(e.PPN))
+	// FTL: the L2P map delta-coded over its sorted LPNs. Decoding appends
+	// into a bounded capacity, so a corrupt count allocates little before
+	// the payload runs out.
+	f := &st.FTL
+	pairs := len(f.L2P)
+	if c.count("L2P mapping", &pairs, maxSnapshotPairs); c.decoding() {
+		f.L2P = make([]ftl.MapPair, 0, min(pairs, 1<<20))
 	}
-	sw.varint(st.FTL.Cursor)
-	sw.u64(0) // reserved (a former FTL generator state): zero, ignored on read
-	sw.uvarint(uint64(len(st.FTL.Planes)))
-	for i := range st.FTL.Planes {
-		ps := &st.FTL.Planes[i]
-		sw.uvarint(uint64(len(ps.Blocks)))
-		for _, b := range ps.Blocks {
-			sw.uvarint(uint64(b.Written))
-			sw.uvarint(uint64(b.Erases))
-			var flags byte
-			if b.Full {
+	prev := int64(0)
+	for i := 0; i < pairs && c.err == nil; i++ {
+		var e ftl.MapPair
+		if !c.decoding() {
+			e = f.L2P[i]
+		}
+		delta, ppn := uint64(e.LPN-prev), uint64(e.PPN)
+		c.uvarint(&delta)
+		c.uvarint(&ppn)
+		prev += int64(delta)
+		if c.decoding() {
+			f.L2P = append(f.L2P, ftl.MapPair{LPN: prev, PPN: int64(ppn)})
+		}
+	}
+	c.varint(&f.Cursor)
+	var reserved uint64 // a former FTL generator state: zero, ignored on read
+	c.u64(&reserved)
+	for i := range codeLen(c, "plane", &f.Planes, maxSnapshotPlanes) {
+		ps := &f.Planes[i]
+		for b := range codeLen(c, "block", &ps.Blocks, maxSnapshotBlocks) {
+			blk := &ps.Blocks[b]
+			c.uvarintInt(&blk.Written)
+			c.uvarintInt(&blk.Erases)
+			var flags uint64
+			if blk.Full {
 				flags |= 1
 			}
-			if b.Bad {
+			if blk.Bad {
 				flags |= 2
 			}
-			sw.write([]byte{flags})
+			if c.uvarint(&flags); c.decoding() {
+				if flags > 3 {
+					c.fail(fmt.Errorf("invalid block flags 0x%x", flags))
+				}
+				blk.Full, blk.Bad = flags&1 != 0, flags&2 != 0
+			}
 		}
-		sw.uvarint(uint64(len(ps.Free)))
-		for _, b := range ps.Free {
-			sw.uvarint(uint64(b))
+		for k := range codeLen(c, "free-list entry", &ps.Free, maxSnapshotBlocks) {
+			c.uvarintInt(&ps.Free[k])
 		}
-		sw.uvarint(uint64(len(ps.Spare)))
-		for _, b := range ps.Spare {
-			sw.uvarint(uint64(b))
+		for k := range codeLen(c, "spare-pool entry", &ps.Spare, maxSnapshotBlocks) {
+			c.uvarintInt(&ps.Spare[k])
 		}
-		sw.varint(int64(ps.Active))
+		c.varintInt(&ps.Active)
 	}
-	sw.varint(st.FTL.HostWrites)
-	sw.varint(st.FTL.GCWrites)
-	sw.varint(st.FTL.GCReads)
-	sw.varint(st.FTL.GCErases)
-	sw.varint(st.FTL.GCRuns)
-	sw.varint(st.FTL.Invalidated)
-	// Two version-1 slots readers ignore: a bad-block count, which equals
-	// the retired count, and a wear-leveling count, which is zero.
-	sw.varint(st.FTL.RetiredBlocks)
-	sw.varint(0)
-	sw.varint(st.FTL.RetiredBlocks)
-	sw.varint(st.FTL.SparesUsed)
-	sw.bool(st.FTL.Degraded)
+	c.varint(&f.HostWrites)
+	c.varint(&f.GCWrites)
+	c.varint(&f.GCReads)
+	c.varint(&f.GCErases)
+	c.varint(&f.GCRuns)
+	c.varint(&f.Invalidated)
+	// Two version-1 slots readers discard: a bad-block count, which
+	// equals the retired count, and a wear-leveling count, which is zero.
+	badBlocks, wearLevels := f.RetiredBlocks, int64(0)
+	c.varint(&badBlocks)
+	c.varint(&wearLevels)
+	c.varint(&f.RetiredBlocks)
+	c.varint(&f.SparesUsed)
+	c.bool(&f.Degraded)
+}
 
-	return sw.err
+// Encode writes the state in the versioned binary payload layout.
+func (st *DeviceState) Encode(w io.Writer) error {
+	c := &stateCodec{w: w}
+	st.code(c)
+	return c.err
 }
 
 // DecodeDeviceState parses a binary payload written by Encode. Every
 // length is bounds-checked; a malformed payload yields a descriptive
 // error and no partially-populated state escapes to callers.
 func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
-	sr := newStateReader(r)
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	left, _ := r.(interface{ Len() int })
+	c := &stateCodec{r: br, left: left}
 	st := &DeviceState{}
-
-	st.Engine = sr.clock()
-	if now := st.Engine.Now; now < 0 || now > sim.Horizon {
-		sr.fail(fmt.Errorf("engine clock %d ns outside [0, %d]", int64(now), int64(sim.Horizon)))
-	}
-	// Earlier builds could record per-channel clocks here; the host clock
-	// subsumes them, so they are read and discarded.
-	for n := sr.count("channel clock", maxSnapshotChans); n > 0; n-- {
-		sr.clock()
-	}
-
-	st.Queue.Admitted = sr.varint()
-	st.Queue.Released = sr.varint()
-	st.Queue.Full = sr.timedCounter()
-
-	st.BusyIntegral = sr.f64()
-	st.SysBusyTime = sim.Time(sr.varint())
-	st.LastAccount = sim.Time(sr.varint())
-	st.EmergencyGCs = sr.varint()
-	st.StaleFixes = sr.varint()
-	st.FailedIOs = sr.varint()
-	st.BytesRead = sr.varint()
-	st.BytesWritten = sr.varint()
-	st.IOsDone = sr.varint()
-	st.LastCompletion = sim.Time(sr.varint())
-
-	st.Latency.Count = sr.varint()
-	st.Latency.Sum = sr.f64()
-	st.Latency.SumSq = sr.f64()
-	st.Latency.Min = sr.f64()
-	st.Latency.Max = sr.f64()
-	st.Latency.Cap = int(sr.varint())
-	if sr.bool() {
-		n := sr.count("histogram bucket", maxSnapshotSamples)
-		st.Latency.Buckets = make([]uint64, n)
-		for i := range st.Latency.Buckets {
-			st.Latency.Buckets[i] = sr.uvarint()
-		}
-	} else if n := sr.count("latency sample", maxSnapshotSamples); n > 0 {
-		st.Latency.Samples = make([]float64, n)
-		for i := range st.Latency.Samples {
-			st.Latency.Samples[i] = sr.f64()
-		}
-	}
-
-	if n := sr.count("series point", maxSnapshotSeries); n > 0 {
-		st.Series = make([]metrics.SeriesPoint, n)
-		for i := range st.Series {
-			st.Series[i].Index = sr.varint()
-			st.Series[i].Arrival = sim.Time(sr.varint())
-			st.Series[i].Latency = sim.Time(sr.varint())
-		}
-	}
-
-	nChips := sr.count("chip", maxSnapshotChips)
-	st.Chips = make([]ChipState, nChips)
-	for i := range st.Chips {
-		c := &st.Chips[i]
-		c.CellActive = sr.timedCounter()
-		c.BusActive = sr.timedCounter()
-		c.BusyAll = sr.timedCounter()
-		c.BusWait = sim.Time(sr.varint())
-		c.PlaneUse = sr.weightedSum()
-		c.Txns = sr.varint()
-		for k := range c.TxnsByClass {
-			c.TxnsByClass[k] = sr.varint()
-		}
-		for k := range c.ReqsByClass {
-			c.ReqsByClass[k] = sr.varint()
-		}
-		c.Requests = sr.varint()
-		c.ReadRetries = sr.varint()
-		c.ReadUncorrectable = sr.varint()
-		c.ProgramFails = sr.varint()
-		c.EraseFails = sr.varint()
-		c.HasFRNG = sr.bool()
-		if c.HasFRNG {
-			c.FRNG = sr.u64()
-		}
-		if sr.err != nil {
-			break
-		}
-	}
-
-	nPairs := sr.count("L2P mapping", maxSnapshotPairs)
-	st.FTL.L2P = make([]ftl.MapPair, 0, min(nPairs, 1<<20))
-	prev := int64(0)
-	for i := 0; i < nPairs && sr.err == nil; i++ {
-		prev += int64(sr.uvarint())
-		st.FTL.L2P = append(st.FTL.L2P, ftl.MapPair{LPN: prev, PPN: int64(sr.uvarint())})
-	}
-	st.FTL.Cursor = sr.varint()
-	sr.u64() // reserved slot
-	nPlanes := sr.count("plane", maxSnapshotPlanes)
-	st.FTL.Planes = make([]ftl.PlaneState2, nPlanes)
-	for i := 0; i < nPlanes && sr.err == nil; i++ {
-		ps := &st.FTL.Planes[i]
-		nBlocks := sr.count("block", maxSnapshotBlocks)
-		ps.Blocks = make([]ftl.BlockState, nBlocks)
-		for b := range ps.Blocks {
-			ps.Blocks[b].Written = int(sr.uvarint())
-			ps.Blocks[b].Erases = int(sr.uvarint())
-			flags := byte(0)
-			if sr.err == nil {
-				if v := sr.uvarint(); v > 3 {
-					sr.fail(fmt.Errorf("invalid block flags 0x%x", v))
-				} else {
-					flags = byte(v)
-				}
-			}
-			ps.Blocks[b].Full = flags&1 != 0
-			ps.Blocks[b].Bad = flags&2 != 0
-		}
-		nFree := sr.count("free-list entry", maxSnapshotBlocks)
-		ps.Free = make([]int, nFree)
-		for k := range ps.Free {
-			ps.Free[k] = int(sr.uvarint())
-		}
-		nSpare := sr.count("spare-pool entry", maxSnapshotBlocks)
-		ps.Spare = make([]int, nSpare)
-		for k := range ps.Spare {
-			ps.Spare[k] = int(sr.uvarint())
-		}
-		ps.Active = int(sr.varint())
-	}
-	st.FTL.HostWrites = sr.varint()
-	st.FTL.GCWrites = sr.varint()
-	st.FTL.GCReads = sr.varint()
-	st.FTL.GCErases = sr.varint()
-	st.FTL.GCRuns = sr.varint()
-	st.FTL.Invalidated = sr.varint()
-	sr.varint() // the bad-block and wear-leveling slots
-	sr.varint()
-	st.FTL.RetiredBlocks = sr.varint()
-	st.FTL.SparesUsed = sr.varint()
-	st.FTL.Degraded = sr.bool()
-
-	if sr.err != nil {
-		return nil, fmt.Errorf("ssd: malformed snapshot payload: %w", sr.err)
+	if st.code(c); c.err != nil {
+		return nil, fmt.Errorf("ssd: malformed snapshot payload: %w", c.err)
 	}
 	return st, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -149,14 +149,14 @@ func WriteCSV(w io.Writer, requests []Request) error {
 // WorkloadSpec parameterizes a synthetic Table 1 workload source.
 type WorkloadSpec struct {
 	// Name picks the Table 1 workload (see Workloads()).
-	Name string
+	Name string `json:"name"`
 	// Requests bounds the stream; <= 0 makes it infinite (wrap with
 	// Limit, cancel the run's context, or drive it in session windows).
-	Requests int
+	Requests int `json:"requests,omitempty"`
 	// MaxPages caps one request's length in pages (default 1024).
-	MaxPages int
+	MaxPages int `json:"maxPages,omitempty"`
 	// Seed perturbs generation; 0 derives a stable seed from Name.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // NewWorkloadSource builds an incremental generator for a named Table 1
@@ -207,11 +207,11 @@ func (s *streamSource) Next() (Request, bool) {
 // over the logical space, all arriving at t=0 (closed loop — the
 // device-level queue's backpressure paces the host).
 type FixedSpec struct {
-	Requests   int
-	Pages      int
-	Write      bool
-	Sequential bool
-	Seed       uint64
+	Requests   int    `json:"requests"`
+	Pages      int    `json:"pages,omitempty"`
+	Write      bool   `json:"write,omitempty"`
+	Sequential bool   `json:"sequential,omitempty"`
+	Seed       uint64 `json:"seed,omitempty"`
 }
 
 // NewFixedSource builds a closed-loop fixed-size source sized for this

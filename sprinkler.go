@@ -321,17 +321,19 @@ func resolveKind(k SchedulerKind) SchedulerKind {
 }
 
 // Request is one host I/O request. Run and Session reject a request with
-// a negative ArrivalNS or LPN, or with Pages outside [1, 65536].
+// a negative ArrivalNS or LPN, or with Pages outside [1, 65536]. Its JSON
+// names are sprinklerd's submit format, as WorkloadSpec's and FixedSpec's
+// are its feed format.
 type Request struct {
 	// ArrivalNS is the arrival time in nanoseconds from simulation start.
-	ArrivalNS int64
+	ArrivalNS int64 `json:"arrivalNS,omitempty"`
 	// Write selects the direction (false = read).
-	Write bool
+	Write bool `json:"write,omitempty"`
 	// LPN is the first logical page; Pages the length in pages.
-	LPN   int64
-	Pages int
+	LPN   int64 `json:"lpn"`
+	Pages int   `json:"pages"`
 	// FUA marks a force-unit-access request that must not be reordered.
-	FUA bool
+	FUA bool `json:"fua,omitempty"`
 }
 
 // Device is a simulated many-chip SSD. A Device runs one workload at a
