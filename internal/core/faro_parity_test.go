@@ -26,7 +26,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 			rng := sim.NewRand(2024)
 			for trial := 0; trial < 20; trial++ {
 				idxFab := newFakeFabric()
-				idxFab.rx = sched.NewReadyIndex(idxFab.geo.NumChips())
+				idxFab.rx = sched.NewReadyIndex(idxFab.geo)
 				scanFab := newFakeFabric()
 				q := nvmhc.NewQueue(64)
 
@@ -163,7 +163,7 @@ func TestFAROBudgetAndHazardMatchScan(t *testing.T) {
 			var truncated, moved int
 			for trial := 0; trial < 20; trial++ {
 				idxFab := newFakeFabric()
-				idxFab.rx = sched.NewReadyIndex(idxFab.geo.NumChips())
+				idxFab.rx = sched.NewReadyIndex(idxFab.geo)
 				scanFab := newFakeFabric()
 				g := idxFab.geo
 				q := nvmhc.NewQueue(64)

@@ -23,7 +23,7 @@ func TestIndexSelectMatchesScan(t *testing.T) {
 			for trial := 0; trial < 50; trial++ {
 				scanFab := newFakeFabric()
 				idxFab := newFakeFabric()
-				idxFab.rx = sched.NewReadyIndex(idxFab.geo.NumChips())
+				idxFab.rx = sched.NewReadyIndex(idxFab.geo)
 
 				q := nvmhc.NewQueue(16)
 				nIOs := 1 + rng.Intn(12)

@@ -22,9 +22,13 @@
 // Selection is driven by the device's incremental per-chip ready index
 // (sched.ReadyIndex): instead of rescanning every queued I/O's member list
 // on each pump, Sprinkler walks only the chips that hold candidates. The
-// index keeps requests in admission order, so the result is identical to
-// the full-queue scan it replaces; the scan survives as a fallback for
-// fabrics without an index and for queues under a §4.4 FUA barrier.
+// index keeps a bitset of chips with queued requests in RIOS traversal
+// order, and Select iterates ReadyIndex.LiveChips, so a chip with nothing
+// queued costs nothing. Per chip, FARO orders groups only until the chip's
+// free slots are filled. The index keeps requests in admission order, so
+// the result is identical to the full-queue scan it replaces; the scan
+// survives as a fallback for fabrics without an index and for queues under
+// a §4.4 FUA barrier, and as the tests' full-order reference.
 package core
 
 import (
@@ -70,7 +74,7 @@ type Sprinkler struct {
 	groupCur  []*req.Mem
 	groupBest []*req.Mem
 	dies      []dieGroupState // per-die occupancy scratch for buildGroup
-	chipOrder []flash.ChipID  // RIOS traversal order, cached per geometry
+	chips     []flash.ChipID  // live chips, in RIOS traversal order
 	chipKeys  []chipKey       // non-RIOS chip ordering scratch
 }
 
@@ -117,9 +121,8 @@ func (s *Sprinkler) NeedsReaddressing() bool { return true }
 
 // ResetState implements sched.StateResetter: every scratch buffer is
 // emptied so a reused scheduler does not pin the previous run's request
-// objects. Grown buffer capacities (and the geometry-keyed chip order)
-// survive, so reuse stays allocation-free; buffer capacity never
-// influences selection.
+// objects. Grown buffer capacities survive, so reuse stays
+// allocation-free; buffer capacity never influences selection.
 func (s *Sprinkler) ResetState() {
 	clear := func(ms []*req.Mem) []*req.Mem {
 		for i := range ms {
@@ -156,25 +159,25 @@ func (s *Sprinkler) Select(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) []*re
 		maxSeq = seq
 	}
 
+	// Only chips with queued requests can contribute; the index lists
+	// them in the RIOS traversal order, equal chip offsets across channels
+	// first (§4.1).
+	s.chips = rx.LiveChips(s.chips[:0])
 	out := s.out[:0]
 	if s.UseRIOS {
-		// Traversal order: RIOS visits equal chip offsets across channels
-		// first (§4.1).
-		s.ensureChipOrder(g)
-		for _, c := range s.chipOrder {
+		for _, c := range s.chips {
 			out = s.selectChip(g, fab, rx, c, maxSeq, out)
 		}
 	} else {
 		// Without RIOS the chip order follows first-candidate arrival,
 		// i.e. ascending earliest (admission seq, member index).
 		keys := s.chipKeys[:0]
-		for c := 0; c < rx.NumChips(); c++ {
-			id := flash.ChipID(c)
-			m := rx.First(id)
-			if m == nil || m.IO.Seq > maxSeq {
+		for _, c := range s.chips {
+			m := rx.First(c)
+			if m.IO.Seq > maxSeq {
 				continue
 			}
-			keys = append(keys, chipKey{chip: id, seq: m.IO.Seq, idx: int32(m.Index)})
+			keys = append(keys, chipKey{chip: c, seq: m.IO.Seq, idx: int32(m.Index)})
 		}
 		// Insertion sort: key (seq, idx) is unique per chip, the chip
 		// count is small, and this stays allocation-free.
@@ -200,13 +203,12 @@ func (s *Sprinkler) Select(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) []*re
 }
 
 // selectChip commits chip c's candidates up to the free budget, in FARO
-// priority order when enabled. The order is rebuilt on every call: Select
-// runs only after an admission, commit or readdress, so an order kept from
-// the previous call would almost never still be current.
+// priority order when enabled. FARO orders groups only until the free
+// slots are filled (see faroOrder), which yields the same prefix as a full
+// order. The order is rebuilt on every call: Select runs only after an
+// admission, commit or readdress, so an order kept from the previous call
+// would almost never still be current. c must hold a queued request.
 func (s *Sprinkler) selectChip(g flash.Geometry, fab sched.Fabric, rx *sched.ReadyIndex, c flash.ChipID, maxSeq uint64, out []*req.Mem) []*req.Mem {
-	if rx.Live(c) == 0 {
-		return out
-	}
 	free := s.Slots - fab.Outstanding(c)
 	if free <= 0 {
 		return out
@@ -214,7 +216,7 @@ func (s *Sprinkler) selectChip(g flash.Geometry, fab sched.Fabric, rx *sched.Rea
 	s.chipBuf = rx.Gather(c, s.chipBuf[:0], s.GroupCap, maxSeq)
 	list := s.chipBuf
 	if s.UseFARO {
-		list = s.faroOrder(g, list)
+		list = s.faroOrder(g, list, free)
 	}
 	if len(list) == 0 {
 		return out
@@ -225,21 +227,10 @@ func (s *Sprinkler) selectChip(g flash.Geometry, fab sched.Fabric, rx *sched.Rea
 	return append(out, list...)
 }
 
-// ensureChipOrder caches the RIOS traversal: offset-major, channel-minor.
-func (s *Sprinkler) ensureChipOrder(g flash.Geometry) {
-	if len(s.chipOrder) == g.NumChips() {
-		return
-	}
-	s.chipOrder = s.chipOrder[:0]
-	for off := 0; off < g.ChipsPerChan; off++ {
-		for ch := 0; ch < g.Channels; ch++ {
-			s.chipOrder = append(s.chipOrder, g.ChipAt(ch, off))
-		}
-	}
-}
-
 // selectScan is the pre-index selection path: gather candidates by
-// scanning the queue (honouring FUA barriers), then group per chip.
+// scanning the queue (honouring FUA barriers), then group per chip. It
+// orders every candidate before cutting to the free slots, so the parity
+// tests use it as the full-order reference for Select.
 func (s *Sprinkler) selectScan(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) []*req.Mem {
 	window := 0
 	if !s.UseRIOS {
@@ -280,7 +271,7 @@ func (s *Sprinkler) selectScan(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) [
 			list = list[:s.GroupCap]
 		}
 		if s.UseFARO {
-			list = s.faroOrder(g, list)
+			list = s.faroOrder(g, list, len(list))
 		}
 		if len(list) > free {
 			list = list[:free]
@@ -295,11 +286,22 @@ func (s *Sprinkler) selectScan(now sim.Time, q *nvmhc.Queue, fab sched.Fabric) [
 // depth go first, ties broken by connectivity (§4.2), then by arrival
 // order for determinism. Within the final order, a §4.4 write-after-read
 // hazard (read and write to the same logical page) keeps the read first.
+//
+// Ordering stops once at least need requests are ordered, so the result
+// may be shorter than cands. That is exact: the greedy groups form a
+// stable prefix, since each group depends only on what the groups before
+// it left. enforceReadFirst is the one step that looks past the prefix, so
+// when some write among cands has an older read of the same logical page,
+// every candidate is ordered as if need were len(cands).
 // The returned slice is scheduler-owned scratch, valid until the next call.
-func (s *Sprinkler) faroOrder(g flash.Geometry, cands []*req.Mem) []*req.Mem {
+func (s *Sprinkler) faroOrder(g flash.Geometry, cands []*req.Mem, need int) []*req.Mem {
+	hazard := hasReadBeforeWrite(cands)
+	if hazard {
+		need = len(cands)
+	}
 	remaining := append(s.remaining[:0], cands...)
 	out := s.ordered[:0]
-	for len(remaining) > 0 {
+	for len(remaining) > 0 && len(out) < need {
 		s.bestGroup(g, remaining)
 		out = append(out, s.groupBest...)
 		// Remove the chosen members, preserving order.
@@ -320,8 +322,27 @@ func (s *Sprinkler) faroOrder(g flash.Geometry, cands []*req.Mem) []*req.Mem {
 	}
 	s.remaining = remaining[:0]
 	s.ordered = out
-	enforceReadFirst(out)
+	if hazard {
+		enforceReadFirst(out)
+	}
 	return out
+}
+
+// hasReadBeforeWrite reports whether some write in ms has a read of the
+// same LPN issued by an older I/O: the only case in which enforceReadFirst
+// moves a request.
+func hasReadBeforeWrite(ms []*req.Mem) bool {
+	for _, w := range ms {
+		if w.IO.Kind != req.Write {
+			continue
+		}
+		for _, r := range ms {
+			if r.IO.Kind == req.Read && r.LPN == w.LPN && r.IO.ID < w.IO.ID {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // bestGroup greedily builds a group seeded at every candidate and leaves

@@ -127,7 +127,7 @@ func TestFAROPriorityPrefersDeepGroups(t *testing.T) {
 	}
 	// Arrival order: lone first — FIFO would commit it first.
 	cands := append([]*req.Mem{lone}, deep...)
-	got := NewSPK3().faroOrder(g, cands)
+	got := NewSPK3().faroOrder(g, cands, len(cands))
 	if got[0] == lone {
 		t.Fatal("FARO kept FIFO order; deep group should outrank the lone request")
 	}
@@ -154,7 +154,7 @@ func TestFAROConnectivityBreaksTies(t *testing.T) {
 	x.Mem[1].Addr = flash.Addr{Chip: 0, Die: 1, Plane: 1, Block: 2, Page: 2}
 
 	cands := []*req.Mem{yo1.Mem[0], yo2.Mem[0], x.Mem[0], x.Mem[1]}
-	got := NewSPK3().faroOrder(g, cands)
+	got := NewSPK3().faroOrder(g, cands, len(cands))
 	// Hmm: Y group {yo1, yo2} and X group {x0, x1} are actually mutually
 	// coalescable (different dies) into one PAL3 group of depth 4, so the
 	// greedy grouping fuses them; verify the fused group leads with all 4.
@@ -166,7 +166,7 @@ func TestFAROConnectivityBreaksTies(t *testing.T) {
 	x.Mem[0].Addr = flash.Addr{Chip: 0, Die: 0, Plane: 0, Block: 2, Page: 2}
 	x.Mem[1].Addr = flash.Addr{Chip: 0, Die: 0, Plane: 1, Block: 2, Page: 2}
 	cands = []*req.Mem{yo1.Mem[0], yo2.Mem[0], x.Mem[0], x.Mem[1]}
-	got = NewSPK3().faroOrder(g, cands)
+	got = NewSPK3().faroOrder(g, cands, len(cands))
 	if got[0].IO.ID != 3 || got[1].IO.ID != 3 {
 		t.Fatalf("connectivity tie-break failed: first group from io#%d", got[0].IO.ID)
 	}

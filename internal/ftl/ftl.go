@@ -92,10 +92,11 @@ func DefaultConfig(g flash.Geometry) Config {
 type MigrationFunc func(lpn req.LPN, old, new flash.Addr)
 
 // blockMeta tracks one erase block. The counters are int32 and the flags
-// grouped so the record packs into 40 bytes: a default-geometry device
-// carries a million of them.
+// grouped so the record packs into 16 bytes and holds no pointer: a
+// default-geometry device carries a million of them, and the garbage
+// collector need not scan them. The block's live-page bitmap lives in its
+// plane's slab (planeState.valid).
 type blockMeta struct {
-	valid      req.Bitmap // live pages
 	validCount int32
 	written    int32 // next free page index (write pointer when active)
 	erases     int32 // wear counter
@@ -104,18 +105,11 @@ type blockMeta struct {
 	dirty      bool  // left the erased state since the last Reset (listed in FTL.dirtyBlocks)
 }
 
-// scrub returns the block to the factory (erased, unworn) state.
-func (blk *blockMeta) scrub() {
-	for w := range blk.valid {
-		blk.valid[w] = 0
-	}
-	blk.validCount, blk.written, blk.erases = 0, 0, 0
-	blk.full, blk.bad, blk.dirty = false, false, false
-}
-
 // planeState is the per-plane allocation state.
 type planeState struct {
 	blocks []blockMeta
+	bits   []uint64 // live-page bitmaps, words per block, block-major
+	words  int
 	free   []int // erased block indices (LIFO)
 	spare  []int // reserved bad-block replacement blocks (LIFO)
 	active int   // current write block, -1 if none
@@ -145,6 +139,18 @@ func (ps *planeState) layoutPools(nSpare, keep int) {
 	ps.freeLow = len(ps.free)
 	ps.active = -1
 	ps.dirty = false
+}
+
+// valid returns block b's live-page bitmap.
+func (ps *planeState) valid(b int) req.Bitmap {
+	lo, hi := b*ps.words, (b+1)*ps.words
+	return req.Bitmap(ps.bits[lo:hi:hi])
+}
+
+// scrub returns block b to the factory (erased, unworn) state.
+func (ps *planeState) scrub(b int) {
+	clear(ps.valid(b))
+	ps.blocks[b] = blockMeta{}
 }
 
 // FTL is the translation layer. It is not safe for concurrent use; the
@@ -219,10 +225,8 @@ func New(cfg Config) (*FTL, error) {
 		lo, hi := i*g.BlocksPerPlane, (i+1)*g.BlocksPerPlane
 		ps := &planePool[i]
 		ps.blocks = blockPool[lo:hi:hi]
-		for b := range ps.blocks {
-			off := (lo + b) * words
-			ps.blocks[b].valid = req.Bitmap(bitmapPool[off : off+words : off+words])
-		}
+		ps.bits = bitmapPool[lo*words : hi*words : hi*words]
+		ps.words = words
 		ps.spare = sparePool[lo:lo:hi]
 		ps.free = freePool[lo:lo:hi]
 		ps.layoutPools(nSpare, 0)
@@ -290,14 +294,14 @@ func (f *FTL) Reset(cfg Config) error {
 	if f.restored || nSpare != f.nSpare {
 		for _, ps := range f.planes {
 			for b := range ps.blocks {
-				ps.blocks[b].scrub()
+				ps.scrub(b)
 			}
 			ps.layoutPools(nSpare, 0)
 		}
 	} else {
 		bpp := f.geo.BlocksPerPlane
 		for _, gb := range f.dirtyBlocks {
-			f.planes[gb/bpp].blocks[gb%bpp].scrub()
+			f.planes[gb/bpp].scrub(gb % bpp)
 		}
 		for _, pi := range f.dirtyPlanes {
 			ps := f.planes[pi]
@@ -417,12 +421,12 @@ func (f *FTL) allocate(planeIdx, reserve int) (flash.Addr, error) {
 // markValid records that a holds live data for lpn.
 func (f *FTL) markValid(a flash.Addr, lpn req.LPN) {
 	ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
-	blk := &ps.blocks[a.Block]
-	if blk.valid.Get(a.Page) {
+	valid := ps.valid(a.Block)
+	if valid.Get(a.Page) {
 		panic(fmt.Sprintf("ftl: page %v already valid", a))
 	}
-	blk.valid.Set(a.Page)
-	blk.validCount++
+	valid.Set(a.Page)
+	ps.blocks[a.Block].validCount++
 	p := f.geo.ToPPN(a)
 	f.l2p.set(int64(lpn), int64(p))
 	f.p2l.set(int64(p), int64(lpn))
@@ -431,12 +435,12 @@ func (f *FTL) markValid(a flash.Addr, lpn req.LPN) {
 // invalidate drops the live mapping at a.
 func (f *FTL) invalidate(a flash.Addr) {
 	ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
-	blk := &ps.blocks[a.Block]
-	if !blk.valid.Get(a.Page) {
+	valid := ps.valid(a.Block)
+	if !valid.Get(a.Page) {
 		panic(fmt.Sprintf("ftl: invalidating non-valid page %v", a))
 	}
-	blk.valid.Clear(a.Page)
-	blk.validCount--
+	valid.Clear(a.Page)
+	ps.blocks[a.Block].validCount--
 	f.p2l.del(int64(f.geo.ToPPN(a)))
 	f.stats.Invalidated++
 }
@@ -577,9 +581,9 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 		return nil, nil
 	}
 	job := &GCJob{Victim: flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim}}
-	blk := &ps.blocks[victim]
+	valid := ps.valid(victim)
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-		if !blk.valid.Get(pg) {
+		if !valid.Get(pg) {
 			continue
 		}
 		src := flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim, Page: pg}
@@ -783,7 +787,7 @@ func (f *FTL) CheckInvariants() error {
 		}
 		a := f.geo.FromPPN(flash.PPN(p))
 		ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
-		if !ps.blocks[a.Block].valid.Get(a.Page) {
+		if !ps.valid(a.Block).Get(a.Page) {
 			ierr = fmt.Errorf("ftl: mapped page %v not marked valid", a)
 			return false
 		}
@@ -795,7 +799,7 @@ func (f *FTL) CheckInvariants() error {
 	for i, ps := range f.planes {
 		for b := range ps.blocks {
 			blk := &ps.blocks[b]
-			if got := blk.valid.Count(); got != int(blk.validCount) {
+			if got := ps.valid(b).Count(); got != int(blk.validCount) {
 				return fmt.Errorf("ftl: plane %d block %d validCount %d != bitmap %d", i, b, blk.validCount, got)
 			}
 			if blk.validCount > blk.written {

@@ -118,7 +118,7 @@ func (f *FTL) RestoreState(st State) error {
 			if bs.Erases < 0 || bs.Erases > math.MaxInt32 {
 				return fmt.Errorf("ftl: snapshot plane %d block %d erase count %d outside [0, %d]", i, b, bs.Erases, math.MaxInt32)
 			}
-			blk.scrub()
+			ps.scrub(b)
 			blk.written = int32(bs.Written)
 			blk.erases = int32(bs.Erases)
 			blk.full = bs.Full
@@ -154,12 +154,12 @@ func (f *FTL) RestoreState(st State) error {
 		}
 		a := f.geo.FromPPN(flash.PPN(e.PPN))
 		ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
-		blk := &ps.blocks[a.Block]
-		if blk.valid.Get(a.Page) {
+		valid := ps.valid(a.Block)
+		if valid.Get(a.Page) {
 			return fmt.Errorf("ftl: snapshot maps ppn %d twice", e.PPN)
 		}
-		blk.valid.Set(a.Page)
-		blk.validCount++
+		valid.Set(a.Page)
+		ps.blocks[a.Block].validCount++
 		f.l2p.set(e.LPN, e.PPN)
 		f.p2l.set(e.PPN, e.LPN)
 	}

@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"sprinkler/internal/flash"
@@ -65,17 +66,38 @@ type Scheduler interface {
 // discover them, which keeps index-driven scheduling bit-identical to the
 // scan it replaces. Removal just nils the slot (O(1), via
 // req.Mem.ReadySlot); holes are compacted away during Gather.
+//
+// The index also keeps the set of chips holding at least one queued
+// request as a bitset laid out in the RIOS traversal order (§4.1):
+// bit offset·Channels + channel. LiveChips walks it, so a scheduler visits
+// only chips that can contribute, already in traversal order.
 type ReadyIndex struct {
 	lists [][]*req.Mem
 	live  []int32
+
+	liveSet []uint64       // bit pos set iff live[chipAt[pos]] > 0
+	pos     []int32        // chip → bit position
+	chipAt  []flash.ChipID // bit position → chip
 }
 
-// NewReadyIndex returns an empty index over numChips chips.
-func NewReadyIndex(numChips int) *ReadyIndex {
-	return &ReadyIndex{
-		lists: make([][]*req.Mem, numChips),
-		live:  make([]int32, numChips),
+// NewReadyIndex returns an empty index over g's chips.
+func NewReadyIndex(g flash.Geometry) *ReadyIndex {
+	n := g.NumChips()
+	x := &ReadyIndex{
+		lists:   make([][]*req.Mem, n),
+		live:    make([]int32, n),
+		liveSet: make([]uint64, (n+63)/64),
+		pos:     make([]int32, n),
+		chipAt:  make([]flash.ChipID, 0, n),
 	}
+	for off := 0; off < g.ChipsPerChan; off++ {
+		for ch := 0; ch < g.Channels; ch++ {
+			c := g.ChipAt(ch, off)
+			x.pos[c] = int32(len(x.chipAt))
+			x.chipAt = append(x.chipAt, c)
+		}
+	}
+	return x
 }
 
 // Reset empties the index for a new run, retaining per-chip list storage.
@@ -89,13 +111,8 @@ func (x *ReadyIndex) Reset() {
 		x.lists[c] = l[:0]
 		x.live[c] = 0
 	}
+	clear(x.liveSet)
 }
-
-// NumChips returns the number of chips the index covers.
-func (x *ReadyIndex) NumChips() int { return len(x.lists) }
-
-// Live reports how many queued requests chip c holds.
-func (x *ReadyIndex) Live(c flash.ChipID) int { return int(x.live[c]) }
 
 // Add indexes m under its current chip. Admission calls this in queue
 // order, so plain appends keep each list sorted by admission order.
@@ -103,6 +120,10 @@ func (x *ReadyIndex) Add(m *req.Mem) {
 	c := m.Addr.Chip
 	m.ReadySlot = int32(len(x.lists[c]))
 	x.lists[c] = append(x.lists[c], m)
+	if x.live[c] == 0 {
+		p := x.pos[c]
+		x.liveSet[p>>6] |= 1 << uint(p&63)
+	}
 	x.live[c]++
 }
 
@@ -116,6 +137,10 @@ func (x *ReadyIndex) Remove(m *req.Mem) {
 	x.lists[c][m.ReadySlot] = nil
 	m.ReadySlot = -1
 	x.live[c]--
+	if x.live[c] == 0 {
+		p := x.pos[c]
+		x.liveSet[p>>6] &^= 1 << uint(p&63)
+	}
 	if l := x.lists[c]; len(l) >= 64 && int(x.live[c])*2 < len(l) {
 		x.lists[c] = compactList(l)
 	}
@@ -144,6 +169,19 @@ func compactList(l []*req.Mem) []*req.Mem {
 		w++
 	}
 	return l[:w]
+}
+
+// LiveChips appends the chips holding at least one queued request to dst
+// in RIOS traversal order (offset-major, channel-minor) and returns the
+// extended slice.
+func (x *ReadyIndex) LiveChips(dst []flash.ChipID) []flash.ChipID {
+	for w, word := range x.liveSet {
+		for word != 0 {
+			dst = append(dst, x.chipAt[w<<6|bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // List returns chip c's indexed requests in admission order. Entries may

@@ -236,7 +236,7 @@ func TestSchedulerNames(t *testing.T) {
 // by Remove must be compacted so list memory tracks live depth, not total
 // admissions.
 func TestReadyIndexBoundedUnderChurn(t *testing.T) {
-	x := NewReadyIndex(1)
+	x := NewReadyIndex(flash.Geometry{Channels: 1, ChipsPerChan: 1})
 	for i := 0; i < 10000; i++ {
 		io := makeIO(int64(i), req.Read, 0)
 		x.Add(io.Mem[0])
@@ -245,7 +245,7 @@ func TestReadyIndexBoundedUnderChurn(t *testing.T) {
 			t.Fatalf("iteration %d: index list grew to %d slots with 0 live", i, n)
 		}
 	}
-	if x.Live(0) != 0 {
-		t.Fatalf("live = %d, want 0", x.Live(0))
+	if live := x.LiveChips(nil); len(live) != 0 {
+		t.Fatalf("live chips = %v, want none", live)
 	}
 }

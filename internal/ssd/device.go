@@ -127,7 +127,7 @@ func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 		queue:       nvmhc.NewQueue(cfg.QueueDepth),
 		fl:          fl,
 		outstanding: make([]int, cfg.Geo.NumChips()),
-		ready:       sched.NewReadyIndex(cfg.Geo.NumChips()),
+		ready:       sched.NewReadyIndex(cfg.Geo),
 		gcActive:    make([]bool, cfg.Geo.NumChips()),
 		sampleBuf:   make([]metrics.ChipSample, 0, cfg.Geo.NumChips()),
 	}

@@ -337,15 +337,6 @@ func TestSnapshotLegacyMaxBacklog(t *testing.T) {
 	}
 }
 
-// FuzzReadSnapshot feeds arbitrary files to ReadSnapshot. No input may
-// panic, and every rejection must be a descriptive sprinkler: error. A
-// file that loads must hydrate a device with its own Config. Each input
-// is also tried with its CRC trailer recomputed, so mutations reach the
-// config and payload decoders behind the checksum. Those edited files
-// are hydrated too when they load: ReadSnapshot has already checked the
-// payload's shape against the config, so hydration builds no device the
-// payload does not account for. It may still reject FTL state that
-// breaks an invariant, but only with a descriptive error.
 // tinyCheckpoint is the warm state of a one-plane, eight-block drive with
 // read faults armed.
 func tinyCheckpoint(tb testing.TB) []byte {
@@ -374,6 +365,15 @@ const (
 	hugePages  = `"PageSize":4611686018427387904`
 )
 
+// FuzzReadSnapshot feeds arbitrary files to ReadSnapshot. No input may
+// panic, and every rejection must be a descriptive sprinkler: error. A
+// file that loads must hydrate a device with its own Config. Each input
+// is also tried with its CRC trailer recomputed, so mutations reach the
+// config and payload decoders behind the checksum. Those edited files
+// are hydrated too when they load: ReadSnapshot has already checked the
+// payload's shape against the config, so hydration builds no device the
+// payload does not account for. It may still reject FTL state that
+// breaks an invariant, but only with a descriptive error.
 func FuzzReadSnapshot(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "warm_v1.snap"))
 	if err != nil {
