@@ -123,22 +123,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 
 					// Release fully-selected I/Os (their tags free up) and
 					// admit a few new ones.
-					keep := queued[:0]
-					for _, io := range queued {
-						done := true
-						for _, m := range io.Mem {
-							if m.State == req.StateQueued {
-								done = false
-								break
-							}
-						}
-						if done {
-							q.Release(0, io)
-						} else {
-							keep = append(keep, io)
-						}
-					}
-					queued = keep
+					queued = releaseSelected(q, queued)
 					admit(rng.Intn(4))
 				}
 			}
@@ -236,22 +221,7 @@ func TestFAROBudgetAndHazardMatchScan(t *testing.T) {
 						}
 					}
 
-					keep := queued[:0]
-					for _, io := range queued {
-						done := true
-						for _, m := range io.Mem {
-							if m.State == req.StateQueued {
-								done = false
-								break
-							}
-						}
-						if done {
-							q.Release(0, io)
-						} else {
-							keep = append(keep, io)
-						}
-					}
-					queued = keep
+					queued = releaseSelected(q, queued)
 					admit(rng.Intn(8))
 				}
 			}
@@ -264,6 +234,27 @@ func TestFAROBudgetAndHazardMatchScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// releaseSelected releases from q every I/O in queued with no member left
+// in StateQueued and returns the rest.
+func releaseSelected(q *nvmhc.Queue, queued []*req.IO) []*req.IO {
+	keep := queued[:0]
+	for _, io := range queued {
+		done := true
+		for _, m := range io.Mem {
+			if m.State == req.StateQueued {
+				done = false
+				break
+			}
+		}
+		if done {
+			q.Release(0, io)
+		} else {
+			keep = append(keep, io)
+		}
+	}
+	return keep
 }
 
 // faroCorners reports, for the candidates s's scan path would gather from
