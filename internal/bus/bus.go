@@ -51,7 +51,6 @@ func (c *Channel) Reset() {
 	}
 	c.q = c.q[:0]
 	c.qh = 0
-	c.releaseT.Stop()
 	c.done = nil
 }
 

@@ -170,7 +170,6 @@ func (c *Chip) Reset(t Timing) {
 	c.idx = 0
 	c.asked = 0
 	c.retryRung, c.retryMask = 0, 0
-	c.cellEnd.Stop()
 }
 
 // SetFaults installs (or, with a disabled config, removes) the fault model

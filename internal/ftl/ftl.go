@@ -87,10 +87,6 @@ func DefaultConfig(g flash.Geometry) Config {
 	return Config{Geo: g, GCFreeTarget: 4, MigrateCrossPlane: true}
 }
 
-// MigrationFunc observes one live-page migration: lpn moved from old to new.
-// The SSD layer forwards this to the scheduler's readdressing callback.
-type MigrationFunc func(lpn req.LPN, old, new flash.Addr)
-
 // blockMeta tracks one erase block. The counters are int32 and the flags
 // grouped so the record packs into 16 bytes and holds no pointer: a
 // default-geometry device carries a million of them, and the garbage
@@ -167,8 +163,6 @@ type FTL struct {
 	// consecutive writes go to consecutive chips across channels, then
 	// advance die and plane round-robin within each chip.
 	cursor int64
-
-	onMigrate MigrationFunc
 
 	// Recycle bookkeeping. allocate is the only way a block leaves the
 	// erased state (GC erase, retirement and spare promotion act only on
@@ -313,17 +307,12 @@ func (f *FTL) Reset(cfg Config) error {
 	f.nSpare, f.restored = nSpare, false
 	f.cfg = cfg
 	f.cursor = 0
-	f.onMigrate = nil
 	f.stats = Stats{}
 	return nil
 }
 
 // Geometry returns the configured geometry.
 func (f *FTL) Geometry() flash.Geometry { return f.geo }
-
-// OnMigrate installs the migration observer (the readdressing callback
-// plumbing). Passing nil removes it.
-func (f *FTL) OnMigrate(fn MigrationFunc) { f.onMigrate = fn }
 
 // planeIndex linearizes (chip, die, plane).
 func (f *FTL) planeIndex(chip flash.ChipID, die, plane int) int {
@@ -660,9 +649,6 @@ func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 		f.stats.GCReads++
 		f.stats.GCWrites++
 		applied = append(applied, mg)
-		if f.onMigrate != nil {
-			f.onMigrate(mg.LPN, mg.Src, mg.Dst)
-		}
 	}
 	// Erase the victim. An injected erase failure retires the block (bad
 	// block replacement: the plane's remaining spares take over, §4.3).

@@ -17,11 +17,13 @@
 // Results depend on this order; scheduling everything on one lane changes
 // them.
 //
-// The event queue is a slab-backed 4-ary heap of event values: scheduling
-// reuses slab slots through a free list, so steady-state operation performs
-// no heap allocations. Components that schedule on the hot path own
-// reusable Timer structs (AtTimer/AfterTimer) whose callbacks are bound
-// once at construction, eliminating per-event closure allocations too.
+// The event queue is a 4-ary min-heap of event values ordered by (time,
+// lane, sequence). A scheduled event cannot be cancelled: it fires, or an
+// Engine.Reset drops it. The heap's backing array is retained across pops
+// and resets, so steady-state operation performs no heap allocations.
+// Components that schedule on the hot path own reusable Timer structs
+// (AtTimer/AfterTimer) whose callbacks are bound once at construction,
+// eliminating per-event closure allocations too.
 package sim
 
 import "fmt"
@@ -64,53 +66,24 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // time when the event fires.
 type Event func(now Time)
 
-// event is one slab slot. A slot is either scheduled (pos >= 0, linked into
-// the heap) or free (pos == -1, linked into the free list through next).
-// gen increments every time the slot is released, invalidating outstanding
-// Handles to the previous occupant.
+// event is one queued callback.
 type event struct {
 	at    Time
 	seq   uint64 // schedule order, breaks same-lane ties deterministically
 	fn    Event
-	timer *Timer // owning timer, cleared on fire/cancel; nil for At/After
+	timer *Timer // owning timer, nil for At/After
 	lane  int32  // same-instant ordering class; lower lanes fire first
-	gen   uint32
-	pos   int32 // heap index, -1 when free
-	next  int32 // free-list link while free
 }
 
-// Handle identifies a scheduled event so it can be cancelled. The zero
-// Handle is valid and refers to nothing.
-type Handle struct {
-	e   *Engine
-	idx int32
-	gen uint32
-}
-
-// Cancel removes the event from the queue. Cancelling an already-fired or
-// already-cancelled event (or the zero Handle) is a no-op.
-func (h Handle) Cancel() {
-	if h.e == nil {
-		return
+// before orders events by (at, lane, seq).
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	ev := &h.e.slab[h.idx]
-	if ev.gen != h.gen || ev.pos < 0 {
-		return
+	if a.lane != b.lane {
+		return a.lane < b.lane
 	}
-	if ev.timer != nil {
-		ev.timer.h = Handle{}
-	}
-	h.e.removeAt(ev.pos)
-	h.e.release(h.idx)
-}
-
-// active reports whether the handle still refers to a scheduled event.
-func (h Handle) active() bool {
-	if h.e == nil {
-		return false
-	}
-	ev := &h.e.slab[h.idx]
-	return ev.gen == h.gen && ev.pos >= 0
+	return a.seq < b.seq
 }
 
 // Timer is a reusable scheduling slot for components that fire the same
@@ -118,9 +91,9 @@ func (h Handle) active() bool {
 // AtTimer/AfterTimer allocates nothing. A Timer tracks at most one pending
 // schedule at a time.
 type Timer struct {
-	fn   Event
-	h    Handle
-	lane int32
+	fn      Event
+	lane    int32
+	pending bool
 }
 
 // NewTimer returns a Timer that runs fn when it fires, on lane 0.
@@ -130,36 +103,25 @@ func NewTimer(fn Event) *Timer { return &Timer{fn: fn} }
 // by one device channel set the channel's lane once at construction; the
 // timer must not be pending.
 func (t *Timer) SetLane(lane int32) {
-	if t.Pending() {
+	if t.pending {
 		panic("sim: SetLane on a pending timer")
 	}
 	t.lane = lane
 }
 
-// Pending reports whether the timer is currently scheduled.
-func (t *Timer) Pending() bool { return t.h.active() }
-
-// Stop cancels the pending schedule, if any.
-func (t *Timer) Stop() {
-	t.h.Cancel()
-	t.h = Handle{}
-}
+// Pending reports whether the timer is scheduled and has not yet fired.
+func (t *Timer) Pending() bool { return t.pending }
 
 // Engine is the simulation event loop.
 type Engine struct {
-	now     Time
-	seq     uint64
-	slab    []event
-	free    int32   // free-list head, -1 when empty
-	heap    []int32 // 4-ary heap of slab indices, ordered by (at, lane, seq)
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	heap  []event // 4-ary min-heap ordered by (at, lane, seq)
+	fired uint64
 }
 
 // NewEngine returns an Engine at time zero with an empty event queue.
-func NewEngine() *Engine {
-	return &Engine{free: -1}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -167,132 +129,74 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are queued. Cancelled events are removed
-// immediately, so every pending event is live.
+// Pending reports how many events are queued.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// schedule allocates a slab slot and pushes it onto the heap.
-func (e *Engine) schedule(at Time, fn Event, t *Timer, lane int32) Handle {
+// schedule pushes an event onto the heap.
+func (e *Engine) schedule(at Time, fn Event, t *Timer, lane int32) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	var idx int32
-	if e.free >= 0 {
-		idx = e.free
-		e.free = e.slab[idx].next
-	} else {
-		e.slab = append(e.slab, event{})
-		idx = int32(len(e.slab) - 1)
-	}
-	ev := &e.slab[idx]
-	ev.at = at
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.timer = t
-	ev.lane = lane
+	ev := event{at: at, seq: e.seq, fn: fn, timer: t, lane: lane}
 	e.seq++
-	ev.pos = int32(len(e.heap))
-	e.heap = append(e.heap, idx)
-	e.siftUp(int(ev.pos))
-	return Handle{e: e, idx: idx, gen: ev.gen}
-}
-
-// release returns a slab slot to the free list and invalidates handles.
-func (e *Engine) release(idx int32) {
-	ev := &e.slab[idx]
-	ev.gen++
-	ev.fn = nil
-	ev.timer = nil
-	ev.pos = -1
-	ev.next = e.free
-	e.free = idx
-}
-
-// less orders heap entries by (at, lane, seq).
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.slab[a], &e.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.lane != eb.lane {
-		return ea.lane < eb.lane
-	}
-	return ea.seq < eb.seq
-}
-
-func (e *Engine) siftUp(i int) {
+	e.heap = append(e.heap, ev)
 	h := e.heap
-	idx := h[i]
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.less(idx, h[p]) {
+		if !ev.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
-		e.slab[h[i]].pos = int32(i)
 		i = p
 	}
-	h[i] = idx
-	e.slab[idx].pos = int32(i)
+	h[i] = ev
 }
 
-func (e *Engine) siftDown(i int) {
+// removeRoot deletes the earliest event, restoring heap order.
+func (e *Engine) removeRoot() {
 	h := e.heap
-	n := len(h)
-	idx := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback references
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[best]) {
+		end := min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !e.less(h[best], idx) {
+		if !h[best].before(&last) {
 			break
 		}
 		h[i] = h[best]
-		e.slab[h[i]].pos = int32(i)
 		i = best
 	}
-	h[i] = idx
-	e.slab[idx].pos = int32(i)
-}
-
-// removeAt deletes the heap entry at position pos, restoring heap order.
-func (e *Engine) removeAt(pos int32) {
-	h := e.heap
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if int(pos) < n {
-		h[pos] = last
-		e.slab[last].pos = pos
-		e.siftDown(int(pos))
-		e.siftUp(int(e.slab[last].pos))
-	}
+	h[i] = last
 }
 
 // At schedules fn to run at absolute time at, on lane 0. Scheduling in the
 // past panics: that is always a model bug, and silently clamping would
 // corrupt causality.
-func (e *Engine) At(at Time, fn Event) Handle {
-	return e.schedule(at, fn, nil, 0)
-}
+func (e *Engine) At(at Time, fn Event) { e.schedule(at, fn, nil, 0) }
 
 // After schedules fn to run delay nanoseconds from now, on lane 0.
-func (e *Engine) After(delay Time, fn Event) Handle {
+func (e *Engine) After(delay Time, fn Event) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return e.schedule(e.now+delay, fn, nil, 0)
+	e.schedule(e.now+delay, fn, nil, 0)
 }
 
 // AtTimer schedules t's callback at absolute time at, on t's lane. The
@@ -300,10 +204,11 @@ func (e *Engine) After(delay Time, fn Event) Handle {
 // responsible for one schedule at a time, and double-scheduling is always a
 // model bug.
 func (e *Engine) AtTimer(at Time, t *Timer) {
-	if t.Pending() {
+	if t.pending {
 		panic("sim: timer already pending")
 	}
-	t.h = e.schedule(at, t.fn, t, t.lane)
+	e.schedule(at, t.fn, t, t.lane)
+	t.pending = true
 }
 
 // AfterTimer schedules t's callback delay nanoseconds from now.
@@ -314,53 +219,43 @@ func (e *Engine) AfterTimer(delay Time, t *Timer) {
 	e.AtTimer(e.now+delay, t)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Reset returns the engine to time zero with an empty event queue, as if
-// freshly constructed — but with the slab and heap storage retained, so a
-// reused engine schedules its next run without growing allocations. Every
-// pending event is cancelled: outstanding Handles go stale and owning
-// Timers become non-pending. The sequence counter restarts at zero, so a reset engine breaks same-instant
-// ties exactly like a new one — the property device reuse needs for
+// freshly constructed, but with the heap's storage retained, so a reused
+// engine schedules its next run without growing allocations. Every queued
+// event is dropped unfired, and its owning Timer becomes non-pending. The
+// sequence counter restarts at zero, so a reset engine breaks same-instant
+// ties exactly like a new one: the property device reuse needs for
 // run-for-run identical timelines.
 func (e *Engine) Reset() {
-	for _, idx := range e.heap {
-		ev := &e.slab[idx]
-		if ev.timer != nil {
-			ev.timer.h = Handle{}
+	for i := range e.heap {
+		if t := e.heap[i].timer; t != nil {
+			t.pending = false
 		}
-		e.release(idx)
+		e.heap[i] = event{}
 	}
 	e.heap = e.heap[:0]
-	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
+	e.now, e.seq, e.fired = 0, 0, 0
 }
 
-// step executes the earliest event, releasing its slot before the callback
-// runs (so the callback can schedule new events into the freed slot, and
-// handles to the fired event go stale).
+// step executes the earliest event. Its timer, if any, is non-pending
+// before the callback runs, so the callback may re-arm it.
 func (e *Engine) step() {
-	idx := e.heap[0]
-	ev := &e.slab[idx]
-	at, fn, timer := ev.at, ev.fn, ev.timer
-	e.removeAt(0)
-	e.release(idx)
-	if timer != nil {
-		timer.h = Handle{}
-	}
-	if at < e.now {
-		panic("sim: event queue went backwards")
+	top := &e.heap[0]
+	at, fn, t := top.at, top.fn, top.timer
+	e.removeRoot()
+	if t != nil {
+		t.pending = false
 	}
 	e.now = at
 	e.fired++
 	fn(at)
 }
 
-// Run executes events until the queue drains, the event budget is exhausted,
-// or Stop is called. A budget of 0 means unlimited. It returns the time of the last executed event.
+// Run executes events until the queue drains or the event budget is
+// exhausted. A budget of 0 means unlimited. It returns the time of the last
+// executed event.
 func (e *Engine) Run(budget uint64) Time {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		e.step()
 		if budget != 0 && e.fired >= budget {
 			break
@@ -372,8 +267,7 @@ func (e *Engine) Run(budget uint64) Time {
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped && e.slab[e.heap[0]].at <= deadline {
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.step()
 	}
 	if e.now < deadline {

@@ -4,8 +4,7 @@ import "testing"
 
 // BenchmarkScheduleFire measures the steady-state schedule+fire cycle: each
 // fired event schedules its successor, so the queue stays at a constant
-// depth and the slab free list is exercised every event. The target is zero
-// allocations per event once the slab is warm.
+// depth. The target is zero allocations per event once the heap is warm.
 func BenchmarkScheduleFire(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -48,24 +47,4 @@ func BenchmarkTimerFire(b *testing.B) {
 	if n != b.N {
 		b.Fatalf("ran %d events, want %d", n, b.N)
 	}
-}
-
-// BenchmarkScheduleCancel measures the schedule+cancel mix: half the
-// scheduled events are cancelled before they fire, exercising the eager
-// heap removal path.
-func BenchmarkScheduleCancel(b *testing.B) {
-	e := NewEngine()
-	fn := func(Time) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := e.At(e.Now()+Time(i%100)+1, fn)
-		if i%2 == 0 {
-			h.Cancel()
-		}
-		if e.Pending() > 128 {
-			e.Run(e.Fired() + 64)
-		}
-	}
-	e.Run(0)
 }

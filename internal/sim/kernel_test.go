@@ -83,49 +83,109 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 	e.After(-1, func(Time) {})
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	h := e.At(10, func(Time) { fired = true })
-	h.Cancel()
-	e.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
+// Reset drops every queued event unfired, makes every timer non-pending
+// and restarts the clock, the fired count and the sequence counter, so a
+// reset engine breaks same-instant ties exactly like a fresh one.
+func TestEngineReset(t *testing.T) {
+	var log []string
+	timers := make([]*Timer, 4)
+	for i, lane := range []int32{1, 0, 1, 0} {
+		name := fmt.Sprintf("t%d", i)
+		timers[i] = NewTimer(func(Time) { log = append(log, name) })
+		timers[i].SetLane(lane)
 	}
-	if e.Pending() != 0 {
-		t.Fatal("queue not drained after run")
+	// ties fires a same-instant mix of At events and lane timers on e.
+	ties := func(e *Engine) []string {
+		log = nil
+		for i, tm := range timers {
+			e.AtTimer(7, tm)
+			name := fmt.Sprintf("at%d", i)
+			e.At(7, func(Time) { log = append(log, name) })
+		}
+		e.Run(0)
+		return log
+	}
+	want := ties(NewEngine())
+
+	e := NewEngine()
+	fired := 0
+	e.At(3, func(Time) { fired++ })
+	e.Run(0)
+	for i := 0; i < 20; i++ {
+		e.At(e.Now()+Time(i), func(Time) { fired++ })
+	}
+	for i, tm := range timers {
+		e.AtTimer(e.Now()+Time(i+1), tm)
+	}
+	e.Reset()
+	if c := e.Clock(); e.Pending() != 0 || c != (EngineClock{}) {
+		t.Fatalf("after Reset: Pending %d, clock %+v; want all 0", e.Pending(), c)
+	}
+	for i, tm := range timers {
+		if tm.Pending() {
+			t.Fatalf("timer %d still pending after Reset", i)
+		}
+	}
+	if got := ties(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset engine fired ties as %v, fresh engine as %v", got, want)
+	}
+	if fired != 1 {
+		t.Fatalf("%d events fired, want only the one run before Reset", fired)
 	}
 }
 
-func TestEngineCancelIdempotent(t *testing.T) {
+// A timer is non-pending inside its own callback, so the callback may re-arm
+// it; arming a timer that is already pending panics.
+func TestTimerRearm(t *testing.T) {
 	e := NewEngine()
-	h := e.At(10, func(Time) {})
-	h.Cancel()
-	h.Cancel() // must not panic
-	var zero Handle
-	zero.Cancel() // zero handle must not panic
-	e.Run(0)
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		e.At(i, func(Time) {
-			count++
-			if count == 3 {
-				e.Stop()
+	var at []Time
+	var tm *Timer
+	tm = NewTimer(func(now Time) {
+		if tm.Pending() {
+			t.Fatal("timer pending inside its own callback")
+		}
+		at = append(at, now)
+		if len(at) < 3 {
+			e.AfterTimer(5, tm)
+		}
+	})
+	e.AtTimer(1, tm)
+	if !tm.Pending() {
+		t.Fatal("armed timer not pending")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AtTimer on a pending timer did not panic")
 			}
-		})
-	}
+		}()
+		e.AtTimer(2, tm)
+	}()
 	e.Run(0)
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
+	if want := []Time{1, 6, 11}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("re-armed timer fired at %v, want %v", at, want)
 	}
-	// Run again resumes.
-	e.Run(0)
-	if count != 10 {
-		t.Fatalf("resumed run executed %d total, want 10", count)
+	if tm.Pending() || e.Pending() != 0 {
+		t.Fatalf("after drain: timer pending %v, queue %d", tm.Pending(), e.Pending())
+	}
+}
+
+// Once the heap has grown to the working depth, a schedule/fire cycle
+// through After and through AtTimer allocates nothing.
+func TestEngineAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func(Time) {}
+	tm := NewTimer(fn)
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			e.After(Time(i%7), fn)
+		}
+		e.AfterTimer(3, tm)
+		e.Run(0)
+	}
+	cycle() // grow the heap
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("warm schedule/fire cycle allocated %v times, want 0", allocs)
 	}
 }
 

@@ -37,7 +37,7 @@ func (c *TimedCounter) Total(now Time) Time {
 }
 
 // WeightedSum integrates a piecewise-constant value over time, e.g. "number
-// of active dies". Mean(now) gives the time-weighted average.
+// of active dies". Integral(now) gives the accumulated value·time.
 type WeightedSum struct {
 	value float64
 	since Time
@@ -60,26 +60,12 @@ func (w *WeightedSum) Set(now Time, v float64) {
 	w.since = now
 }
 
-// Add adjusts the current value by delta at time now.
-func (w *WeightedSum) Add(now Time, delta float64) { w.Set(now, w.value+delta) }
-
-// Value returns the current instantaneous value.
-func (w *WeightedSum) Value() float64 { return w.value }
-
 // Integral returns ∫ value dt from the first Set through now.
 func (w *WeightedSum) Integral(now Time) float64 {
 	if !w.began {
 		return 0
 	}
 	return w.sum + w.value*float64(now-w.since)
-}
-
-// Mean returns the time-weighted mean value from the first Set through now.
-func (w *WeightedSum) Mean(now Time) float64 {
-	if !w.began || now <= w.start {
-		return 0
-	}
-	return w.Integral(now) / float64(now-w.start)
 }
 
 // DefaultHistogramCap is the exact-sample retention limit of a Histogram
@@ -111,7 +97,8 @@ const (
 // nearest-rank percentiles — the mode every golden/determinism test runs
 // in. Beyond the cap it spills retained samples into a fixed array of
 // log-spaced buckets and reports percentile estimates with ≤0.8% relative
-// error; Count, Sum, Mean, Min and Max stay exact in both modes.
+// error; Count, Sum, Mean, Max and the minimum (Percentile(0)) stay exact
+// in both modes.
 //
 // The zero value is ready to use.
 type Histogram struct {
@@ -268,27 +255,18 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Min returns the smallest sample, or 0 with no samples. Exact in both
-// modes.
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank:
 // exact while the histogram retains samples, a ≤0.8%-relative-error
-// estimate in bucketed mode (clamped to the exact [Min, Max]).
+// estimate in bucketed mode (clamped to the exact sample range).
 func (h *Histogram) Percentile(p float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return h.Min()
+		return h.min
 	}
 	if p >= 100 {
-		return h.Max()
+		return h.max
 	}
 	rank := int64(math.Ceil(p / 100 * float64(h.count)))
 	if rank < 1 {
@@ -314,29 +292,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// StdDev returns the population standard deviation. Exact mode computes it
-// two-pass over the retained samples (numerically identical to the
-// original implementation); bucketed mode uses the running sum of squares.
-func (h *Histogram) StdDev() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	if h.buckets == nil {
-		var ss float64
-		for _, v := range h.samples {
-			d := v - mean
-			ss += d * d
-		}
-		return math.Sqrt(ss / float64(len(h.samples)))
-	}
-	varr := h.sumsq/float64(h.count) - mean*mean
-	if varr < 0 {
-		varr = 0
-	}
-	return math.Sqrt(varr)
 }
 
 func (h *Histogram) ensureSorted() {

@@ -38,12 +38,11 @@ type controller struct {
 	bus     *bus.Channel
 	chips   []*flash.Chip // by chip offset within the channel
 
-	pending    [][]flash.Request // by chip offset
-	buildArmed []bool
-	buildT     []*sim.Timer         // fires build after the decision window
-	txns       []*flash.Transaction // reused: one in flight per chip
-	cbs        []flash.Callbacks
-	taken      []int // BuildTransactionInto scratch (build is synchronous)
+	pending [][]flash.Request    // by chip offset
+	buildT  []*sim.Timer         // fires build after the decision window
+	txns    []*flash.Transaction // reused: one in flight per chip
+	cbs     []flash.Callbacks
+	taken   []int // BuildTransactionInto scratch (build is synchronous)
 }
 
 // ctlHost receives a controller's progress notifications. The Device
@@ -57,18 +56,17 @@ type ctlHost interface {
 func newController(eng *sim.Engine, dev ctlHost, geo flash.Geometry, tim flash.Timing, faults flash.FaultConfig, channel int) *controller {
 	n := geo.ChipsPerChan
 	ctl := &controller{
-		eng:        eng,
-		dev:        dev,
-		geo:        geo,
-		tim:        tim,
-		channel:    channel,
-		bus:        bus.New(eng, channel),
-		chips:      make([]*flash.Chip, n),
-		pending:    make([][]flash.Request, n),
-		buildArmed: make([]bool, n),
-		buildT:     make([]*sim.Timer, n),
-		txns:       make([]*flash.Transaction, n),
-		cbs:        make([]flash.Callbacks, n),
+		eng:     eng,
+		dev:     dev,
+		geo:     geo,
+		tim:     tim,
+		channel: channel,
+		bus:     bus.New(eng, channel),
+		chips:   make([]*flash.Chip, n),
+		pending: make([][]flash.Request, n),
+		buildT:  make([]*sim.Timer, n),
+		txns:    make([]*flash.Transaction, n),
+		cbs:     make([]flash.Callbacks, n),
 	}
 	for off := 0; off < n; off++ {
 		off := off
@@ -76,10 +74,7 @@ func newController(eng *sim.Engine, dev ctlHost, geo flash.Geometry, tim flash.T
 		ctl.chips[off] = flash.NewChip(eng, ctl.bus, id, geo, tim)
 		ctl.chips[off].SetFaults(faults)
 		ctl.txns[off] = &flash.Transaction{}
-		ctl.buildT[off] = sim.NewTimer(func(now sim.Time) {
-			ctl.buildArmed[off] = false
-			ctl.build(now, off)
-		})
+		ctl.buildT[off] = sim.NewTimer(func(now sim.Time) { ctl.build(now, off) })
 		ctl.buildT[off].SetLane(int32(channel) + 1)
 		ctl.cbs[off] = flash.Callbacks{
 			RequestDone: dev.onFlashReqDone,
@@ -108,8 +103,6 @@ func (ctl *controller) reset(tim flash.Timing, faults flash.FaultConfig) {
 			p[i] = flash.Request{}
 		}
 		ctl.pending[off] = p[:0]
-		ctl.buildArmed[off] = false
-		ctl.buildT[off].Stop()
 		txn := ctl.txns[off]
 		for i := range txn.Requests {
 			txn.Requests[i] = flash.Request{}
@@ -153,10 +146,9 @@ func (ctl *controller) pendingLen(id flash.ChipID) int {
 // decision window. Requests committed within the window still make the
 // cut; later ones join the next transaction.
 func (ctl *controller) armBuild(now sim.Time, off int) {
-	if ctl.buildArmed[off] || ctl.chips[off].Busy() || len(ctl.pending[off]) == 0 {
+	if ctl.buildT[off].Pending() || ctl.chips[off].Busy() || len(ctl.pending[off]) == 0 {
 		return
 	}
-	ctl.buildArmed[off] = true
 	ctl.eng.AtTimer(now+ctl.tim.DecisionWindow, ctl.buildT[off])
 }
 

@@ -58,7 +58,6 @@ type Device struct {
 	// composition uses a reusable timer (one composition at a time).
 	composeQ     []*req.Mem
 	composeHead  int
-	composing    bool
 	composeM     *req.Mem
 	composeTimer *sim.Timer
 
@@ -135,7 +134,6 @@ func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 	d.composeTimer = sim.NewTimer(func(t sim.Time) {
 		m := d.composeM
 		d.composeM = nil
-		d.composing = false
 		d.finishCompose(t, m)
 		d.kickComposer(t)
 	})
@@ -167,7 +165,7 @@ func (d *Device) txnDone(now sim.Time) {
 
 // Reset re-initializes the device in place for a new run, as if freshly
 // built by New(cfg, scheduler) — but reusing every geometry-sized arena
-// the first construction allocated: the kernel's event slab, the per-chip
+// the first construction allocated: the kernel's event heap, the per-chip
 // controller state, the FTL's block metadata, bitmap pools and mapping
 // tables, the device-level queue's tag slots, and the ready index. Only
 // the geometry is fixed at construction; every per-run knob (queue depth,
@@ -218,9 +216,7 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 	}
 	d.composeQ = d.composeQ[:0]
 	d.composeHead = 0
-	d.composing = false
 	d.composeM = nil
-	d.composeTimer.Stop()
 
 	for i := range d.backlog {
 		d.backlog[i] = nil
@@ -230,7 +226,6 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 	d.src = nil
 	d.srcStalled = false
 	d.arrivalIO = nil
-	d.arrivalTimer.Stop()
 	d.pumping = false
 	d.onRetire = nil
 
@@ -624,10 +619,9 @@ func (d *Device) pump(now sim.Time) {
 // is head-indexed so popping is O(1); the slice is reclaimed whenever it
 // fully drains, which it does constantly at steady state.
 func (d *Device) kickComposer(now sim.Time) {
-	if d.composing || d.composeHead >= len(d.composeQ) {
+	if d.composeTimer.Pending() || d.composeHead >= len(d.composeQ) {
 		return
 	}
-	d.composing = true
 	d.composeM = d.popCompose()
 	d.eng.AfterTimer(composeLatency, d.composeTimer)
 }

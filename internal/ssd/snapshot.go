@@ -81,7 +81,7 @@ func (d *Device) CaptureState() (*DeviceState, error) {
 	if d.eng.Pending() != 0 {
 		return nil, fmt.Errorf("ssd: checkpoint with %d events pending", d.eng.Pending())
 	}
-	if d.composing || d.composeHead < len(d.composeQ) {
+	if d.composeTimer.Pending() || d.composeHead < len(d.composeQ) {
 		return nil, fmt.Errorf("ssd: checkpoint with DMA compositions in flight")
 	}
 	if d.backlogLen() != 0 {

@@ -380,7 +380,7 @@ func New(cfg Config) (*Device, error) {
 
 // Reset re-initializes the device in place for a new run, as if freshly
 // built with New(cfg) — but reusing every geometry-sized structure the
-// first construction allocated (event slab, controller and chip state,
+// first construction allocated (event heap, controller and chip state,
 // FTL metadata pools and mapping tables, queue tags, scheduler indexes),
 // which is what makes device construction effectively free across the
 // cells of a sweep. The platform geometry must match the device's; every
