@@ -50,6 +50,28 @@ func TestTimedCounterMultipleIntervals(t *testing.T) {
 	}
 }
 
+func TestWeightedSumMean(t *testing.T) {
+	var w WeightedSum
+	w.Set(0, 2)
+	w.Set(10, 4)
+	w.Set(20, 0)
+	// 2 for 10ns + 4 for 10ns = 60 over 40ns => a time-weighted mean of 1.5
+	if got := w.Integral(40) / 40; math.Abs(got-1.5) > 1e-12 {
+		t.Fatalf("Integral/40 = %v, want 1.5", got)
+	}
+}
+
+func TestWeightedSumAdd(t *testing.T) {
+	var w WeightedSum
+	w.Set(0, 0)
+	w.Set(5, 3)  // +3
+	w.Set(10, 2) // -1
+	// 0*5 + 3*5 + 2*10 = 35 over 20
+	if got := w.Integral(20); math.Abs(got-35) > 1e-12 {
+		t.Fatalf("Integral = %v, want 35", got)
+	}
+}
+
 func TestWeightedSumIntegral(t *testing.T) {
 	var w WeightedSum
 	w.Set(5, 2)
