@@ -73,7 +73,7 @@ type Sprinkler struct {
 	ordered   []*req.Mem
 	groupCur  []*req.Mem
 	groupBest []*req.Mem
-	dies      []dieGroupState // per-die occupancy scratch for buildGroup
+	occ       flash.Occupancy // buildGroup's coalescing scratch
 	chips     []flash.ChipID  // live chips, in RIOS traversal order
 	chipKeys  []chipKey       // non-RIOS chip ordering scratch
 }
@@ -362,38 +362,19 @@ func (s *Sprinkler) bestGroup(g flash.Geometry, remaining []*req.Mem) {
 	}
 }
 
-// dieGroupState is one die's occupancy while a group is being built: the
-// planes taken so far and the shared-wordline (block, page) the die's
-// first member fixed. mask == 0 means the die is untouched.
-type dieGroupState struct {
-	mask  uint32
-	block int32
-	page  int32
-}
-
 // buildGroup coalesces remaining[seed] with every later-compatible
 // candidate into s.groupCur, mirroring what the flash controller's
-// transaction builder will do with the committed queue (the §2.2 rules
-// flash.Transaction.CanJoin enforces: one request per (die, plane);
-// plane sharing needs matching block and page offsets; same operation;
-// at most MaxFLP members). The checks run against per-die occupancy
-// state instead of a Transaction value, so each candidate costs O(1)
-// rather than a scan of the group built so far. It returns the group's
-// overlap depth and connectivity.
+// transaction builder will do with the committed queue: same operation,
+// the §2.2 per-die rule flash.Occupancy holds, at most MaxFLP members.
+// Each candidate costs O(1). It returns the group's overlap depth and
+// connectivity.
 func (s *Sprinkler) buildGroup(g flash.Geometry, remaining []*req.Mem, seed int) (depth, conn int) {
-	if len(s.dies) < g.DiesPerChip {
-		s.dies = make([]dieGroupState, g.DiesPerChip)
-	}
-	dies := s.dies[:g.DiesPerChip]
-	for i := range dies {
-		dies[i] = dieGroupState{}
-	}
+	s.occ.Reset(g.DiesPerChip)
+	occ := s.occ
 	cur := s.groupCur[:0]
 	sm := remaining[seed]
 	op := sm.IO.Kind
-	ds := &dies[sm.Addr.Die]
-	ds.mask = 1 << uint(sm.Addr.Plane)
-	ds.block, ds.page = int32(sm.Addr.Block), int32(sm.Addr.Page)
+	occ.Claim(&sm.Addr)
 	cur = append(cur, sm)
 	maxFLP := g.MaxFLP()
 	for i, m := range remaining {
@@ -404,17 +385,10 @@ func (s *Sprinkler) buildGroup(g flash.Geometry, remaining []*req.Mem, seed int)
 			break
 		}
 		if m.IO.Kind != op {
-			continue
+			continue // tested apart from Claim: joined by ||, the loop compiles slower
 		}
-		d := &dies[m.Addr.Die]
-		bit := uint32(1) << uint(m.Addr.Plane)
-		if d.mask == 0 {
-			d.mask = bit
-			d.block, d.page = int32(m.Addr.Block), int32(m.Addr.Page)
-		} else if d.mask&bit != 0 || d.block != int32(m.Addr.Block) || d.page != int32(m.Addr.Page) {
+		if !occ.Claim(&m.Addr) {
 			continue
-		} else {
-			d.mask |= bit
 		}
 		cur = append(cur, m)
 	}

@@ -141,6 +141,34 @@ func TestFAROPriorityPrefersDeepGroups(t *testing.T) {
 	}
 }
 
+// TestBuildGroup32Planes checks FARO's group depth at the widest die
+// Geometry.Validate allows: requests on the top plane conflict with each
+// other like any others, and one request per plane fills the die.
+func TestBuildGroup32Planes(t *testing.T) {
+	g := flash.Geometry{
+		Channels: 1, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: flash.MaxPlanesPerDie,
+		BlocksPerPlane: 4, PagesPerBlock: 4, PageSize: 2048,
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	top := flash.Addr{Plane: flash.MaxPlanesPerDie - 1, Block: 2, Page: 3}
+	io := ioAt(1, req.Read, top, top, top)
+	s := NewSPK3()
+	if depth, _ := s.buildGroup(g, io.Mem, 0); depth != 1 {
+		t.Fatalf("three requests on plane %d grouped %d deep, want 1", top.Plane, depth)
+	}
+	var addrs []flash.Addr
+	for p := flash.MaxPlanesPerDie - 1; p >= 0; p-- {
+		addrs = append(addrs, flash.Addr{Plane: p, Block: 2, Page: 3})
+	}
+	addrs = append(addrs, top)
+	io = ioAt(2, req.Read, addrs...)
+	if depth, conn := s.buildGroup(g, io.Mem, 0); depth != flash.MaxPlanesPerDie || conn != flash.MaxPlanesPerDie {
+		t.Fatalf("one request per plane grouped (%d, %d), want (%d, %d)", depth, conn, flash.MaxPlanesPerDie, flash.MaxPlanesPerDie)
+	}
+}
+
 func TestFAROConnectivityBreaksTies(t *testing.T) {
 	g := newFakeFabric().geo
 	// Two equal-depth groups (2 members each). Group X's members belong to

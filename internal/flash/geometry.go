@@ -41,6 +41,11 @@ func DefaultGeometry() Geometry {
 	}
 }
 
+// MaxPlanesPerDie bounds the planes a die may have: Occupancy, the
+// coalescing rule that forms transactions, holds a die's planes in a 32-bit
+// mask. Real dies have a handful (the paper's: 4).
+const MaxPlanesPerDie = 32
+
 // MaxPagesPerBlock and MaxPageSize bound the page dimensions a geometry may
 // name. PagesPerBlock sizes the per-block validity bitmaps and PageSize
 // feeds byte counts, so a configuration read from a file must not be able
@@ -51,8 +56,8 @@ const (
 	MaxPageSize      = 1 << 20
 )
 
-// Validate reports an error when any dimension is non-positive or a page
-// dimension exceeds its bound.
+// Validate reports an error when any dimension is non-positive, or
+// PlanesPerDie or a page dimension exceeds its bound.
 func (g Geometry) Validate() error {
 	type dim struct {
 		name string
@@ -70,6 +75,9 @@ func (g Geometry) Validate() error {
 		if d.v <= 0 {
 			return fmt.Errorf("flash: geometry %s = %d, must be positive", d.name, d.v)
 		}
+	}
+	if g.PlanesPerDie > MaxPlanesPerDie {
+		return fmt.Errorf("flash: geometry PlanesPerDie = %d exceeds the limit of %d", g.PlanesPerDie, MaxPlanesPerDie)
 	}
 	if g.PagesPerBlock > MaxPagesPerBlock {
 		return fmt.Errorf("flash: geometry PagesPerBlock = %d exceeds the limit of %d", g.PagesPerBlock, MaxPagesPerBlock)

@@ -60,6 +60,20 @@ func TestGeometryValidateBoundsPageDims(t *testing.T) {
 	}
 }
 
+func TestGeometryValidateBoundsPlanes(t *testing.T) {
+	g := DefaultGeometry()
+	g.PlanesPerDie = MaxPlanesPerDie
+	if err := g.Validate(); err != nil {
+		t.Fatalf("rejected %d planes: %v", MaxPlanesPerDie, err)
+	}
+	for _, planes := range []int{MaxPlanesPerDie + 1, 40, 64, 100} {
+		g.PlanesPerDie = planes
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted %d planes per die", planes)
+		}
+	}
+}
+
 func TestGeometryCapacity(t *testing.T) {
 	g := DefaultGeometry()
 	// 64 chips * 2 dies * 4 planes * 2048 blocks * 128 pages = 134,217,728 pages.

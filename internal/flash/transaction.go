@@ -78,7 +78,7 @@ func (t *Transaction) Reset() {
 // Class computes the FLP class from the member addresses. The pairwise
 // scan is allocation-free and bounded by MaxFLP members: two members on
 // different dies mean die interleaving, two members sharing a die mean
-// plane sharing (CanJoin guarantees they differ in plane).
+// plane sharing (Occupancy guarantees they differ in plane).
 func (t *Transaction) Class() FLPClass {
 	multiDie, multiPlane := false, false
 	for i := 1; i < len(t.Requests); i++ {
@@ -107,116 +107,118 @@ func (t *Transaction) Class() FLPClass {
 // the single cell phase serves.
 func (t *Transaction) Degree() int { return len(t.Requests) }
 
-// CoalesceError explains why a request cannot join a transaction.
-type CoalesceError struct{ Reason string }
-
-func (e *CoalesceError) Error() string { return "flash: cannot coalesce: " + e.Reason }
-
-// Coalescing rejections are preallocated: CanJoin sits on the transaction
-// builder's hot path, where constructing an error per rejected candidate
-// dominated the allocation profile.
-var (
-	errDifferentChip = &CoalesceError{"different chip"}
-	errDifferentOp   = &CoalesceError{"different op"}
-	errAtMaxFLP      = &CoalesceError{"transaction already at max FLP"}
-	errPlaneOccupied = &CoalesceError{"die/plane already occupied"}
-	errPageMismatch  = &CoalesceError{"plane sharing requires same page offset"}
-	errBlockMismatch = &CoalesceError{"plane sharing requires same block offset"}
-)
-
-// CanJoin reports whether request r may legally be added to t under the
-// flash microarchitecture constraints of §2.2:
-//
-//   - same chip and same operation kind;
-//   - at most one request per (die, plane) — a plane holds one page in its
-//     data register;
-//   - plane sharing (two requests on the same die) requires the same page
-//     offset within the block and, for the shared-wordline access, the
-//     same block index across planes (the paper: "addresses ... should
-//     indicate the same page and die offset ... but different plane
-//     addresses");
-//   - the transaction degree cannot exceed dies × planes.
-//
-// Erases coalesce under the same die/plane rules (multi-plane erase needs
-// matching block offsets; the page offset rule is vacuous).
-func (t *Transaction) CanJoin(g Geometry, r Request) error {
-	if len(t.Requests) == 0 {
-		return nil
-	}
-	if r.Addr.Chip != t.Chip {
-		return errDifferentChip
-	}
-	if r.Op != t.Op {
-		return errDifferentOp
-	}
-	if len(t.Requests) >= g.MaxFLP() {
-		return errAtMaxFLP
-	}
-	for _, m := range t.Requests {
-		if m.Addr.Die == r.Addr.Die {
-			if m.Addr.Plane == r.Addr.Plane {
-				return errPlaneOccupied
-			}
-			// Plane sharing on this die: shared wordline constraints.
-			if m.Addr.Page != r.Addr.Page {
-				return errPageMismatch
-			}
-			if m.Addr.Block != r.Addr.Block {
-				return errBlockMismatch
-			}
-		}
-	}
-	return nil
-}
-
-// Add appends r after validating it with CanJoin. The first request fixes
-// the chip and operation kind.
-func (t *Transaction) Add(g Geometry, r Request) error {
-	if len(t.Requests) == 0 {
-		t.Chip = r.Addr.Chip
-		t.Op = r.Op
-		t.Requests = append(t.Requests[:0], r)
-		return nil
-	}
-	if err := t.CanJoin(g, r); err != nil {
-		return err
-	}
-	t.Requests = append(t.Requests, r)
-	return nil
-}
-
 // String renders a compact diagnostic description.
 func (t *Transaction) String() string {
 	return fmt.Sprintf("txn{chip=%d op=%v n=%d class=%v}", t.Chip, t.Op, t.Len(), t.Class())
 }
 
-// BuildTransactionInto greedily coalesces as many of the pending requests
-// as legally possible into t, starting from pending[0] (the
-// highest-priority request as ordered by the scheduler). t is reset and
-// filled in place; the indices of pending that were consumed are returned
-// in taken, reusing its capacity, so controllers build every transaction
-// without allocating.
+// Occupancy is the §2.2 coalescing rule held as per-die state while a
+// transaction, or a FARO group that predicts one, is being formed. The
+// rule, for requests of one operation on one chip:
 //
-// The greedy order respects the committed order: the flash controller scans
-// the per-chip queue once and takes every request that still fits. This is
-// exactly the opportunity window FARO widens by over-committing.
-func BuildTransactionInto(g Geometry, pending []Request, t *Transaction, taken []int) []int {
+//   - at most one request per (die, plane): a plane holds one page in its
+//     data register;
+//   - plane sharing (two requests on one die) needs the same page offset
+//     and, for the shared-wordline access, the same block index (the
+//     paper: "addresses ... should indicate the same page and die offset
+//     ... but different plane addresses"). Multi-plane erases need
+//     matching blocks; the simulator issues every erase at page 0.
+//
+// Each die records the planes its members hold and the (block, page) its
+// first member fixed. A request may join when its die is untouched, or
+// when its plane is free and its block and page match the die's. Every
+// member on a die shares the first member's offsets, so this O(1) check
+// admits exactly the requests a comparison against each member would.
+type Occupancy struct {
+	dies []dieSlot
+}
+
+// dieSlot is one die's occupancy; planes == 0 means the die is untouched.
+// The plane mask is 32 bits wide because Geometry.Validate bounds
+// PlanesPerDie at MaxPlanesPerDie. Block and page fit in 32 bits too:
+// Validate bounds PagesPerBlock, and a plane of 2^31 blocks cannot be
+// built, since the FTL keeps state per block. BenchmarkSelect/SPK3 ran
+// slower with 64-bit fields.
+type dieSlot struct {
+	planes uint32
+	block  int32
+	page   int32
+}
+
+// Reset empties the state for a chip with the given number of dies,
+// allocating only when it has held fewer dies before. Only the plane masks
+// need clearing: a die's block and page are set when it is first claimed.
+func (o *Occupancy) Reset(dies int) {
+	if len(o.dies) < dies {
+		o.dies = make([]dieSlot, dies)
+		return
+	}
+	d := o.dies[:dies]
+	for i := range d {
+		d[i].planes = 0
+	}
+}
+
+// Claim reports whether a request at a may join the requests claimed since
+// the last Reset, and records it if so. It does not compare operations or
+// chips; the caller does.
+//
+// Claim is written for the loops that call it once per queued request: the
+// value receiver lets a caller copy the state into a local once per build,
+// and the branch-free test leaves the caller a single branch on its result.
+// Masking the shift is exact since a plane index is below MaxPlanesPerDie.
+func (o Occupancy) Claim(a *Addr) bool {
+	d := &o.dies[a.Die]
+	block, page := int32(a.Block), int32(a.Page)
+	if d.planes == 0 {
+		d.block, d.page = block, page
+	}
+	bit := uint32(1) << (uint(a.Plane) & (MaxPlanesPerDie - 1))
+	miss := d.planes&bit | uint32(d.block^block) | uint32(d.page^page)
+	if miss == 0 {
+		d.planes |= bit
+	}
+	return miss == 0
+}
+
+// Build greedily coalesces the committed queue pending into t and returns
+// what is left of the queue. pending[0], the highest-priority request as
+// the scheduler ordered it, seeds t and fixes its chip and operation; each
+// later request joins if it has the same chip and operation and occ admits
+// its address, until t holds g.MaxFLP() members. This is the opportunity
+// window FARO widens by over-committing (§4.2).
+//
+// The pass is single: the requests not taken are moved, in order, to the
+// front of pending's storage as it goes, and the slots they vacate are
+// zeroed so they pin no tokens. t is reset and filled in place and occ is
+// scratch, so a caller that reuses both builds every transaction without
+// allocating.
+func (t *Transaction) Build(pending []Request, g *Geometry, occ *Occupancy) []Request {
 	t.Reset()
 	if len(pending) == 0 {
-		return taken[:0]
+		return pending
 	}
-	taken = taken[:0]
-	for i, r := range pending {
-		if err := t.Add(g, r); err == nil {
-			taken = append(taken, i)
-			if t.Len() >= g.MaxFLP() {
-				break
-			}
-		} else if i == 0 {
-			// First request must always be accepted; Add only fails for
-			// non-empty transactions, so this cannot happen.
-			panic("flash: BuildTransactionInto failed to seed transaction")
+	occ.Reset(g.DiesPerChip)
+	o := *occ
+	seed := &pending[0]
+	op, chip := seed.Op, seed.Addr.Chip
+	t.Chip, t.Op = chip, op
+	o.Claim(&seed.Addr)
+	t.Requests = append(t.Requests, *seed)
+	maxFLP := g.MaxFLP()
+	kept, i := 0, 1
+	for ; i < len(pending) && len(t.Requests) < maxFLP; i++ {
+		r := &pending[i]
+		if r.Op == op && r.Addr.Chip == chip && o.Claim(&r.Addr) {
+			t.Requests = append(t.Requests, *r)
+			continue
 		}
+		pending[kept] = *r
+		kept++
 	}
-	return taken
+	kept += copy(pending[kept:], pending[i:])
+	for j := kept; j < len(pending); j++ {
+		pending[j] = Request{}
+	}
+	return pending[:kept]
 }

@@ -42,7 +42,7 @@ type controller struct {
 	buildT  []*sim.Timer         // fires build after the decision window
 	txns    []*flash.Transaction // reused: one in flight per chip
 	cbs     []flash.Callbacks
-	taken   []int // BuildTransactionInto scratch (build is synchronous)
+	occ     flash.Occupancy // transaction-building scratch (build is synchronous)
 }
 
 // ctlHost receives a controller's progress notifications. The Device
@@ -68,6 +68,7 @@ func newController(eng *sim.Engine, dev ctlHost, geo flash.Geometry, tim flash.T
 		txns:    make([]*flash.Transaction, n),
 		cbs:     make([]flash.Callbacks, n),
 	}
+	ctl.occ.Reset(geo.DiesPerChip) // sized here, so no run allocates it
 	for off := 0; off < n; off++ {
 		off := off
 		id := geo.ChipAt(channel, off)
@@ -109,10 +110,6 @@ func (ctl *controller) reset(tim flash.Timing, faults flash.FaultConfig) {
 		}
 		txn.Reset()
 	}
-	for i := range ctl.taken {
-		ctl.taken[i] = 0
-	}
-	ctl.taken = ctl.taken[:0]
 }
 
 // offset maps a chip ID to its offset on this channel, panicking on
@@ -137,11 +134,6 @@ func (ctl *controller) commit(now sim.Time, r flash.Request) {
 	ctl.armBuild(now, off)
 }
 
-// pendingLen reports the committed-but-unissued depth for a chip.
-func (ctl *controller) pendingLen(id flash.ChipID) int {
-	return len(ctl.pending[ctl.offset(id)])
-}
-
 // armBuild schedules a transaction build for an idle chip after the
 // decision window. Requests committed within the window still make the
 // cut; later ones join the next transaction.
@@ -161,19 +153,7 @@ func (ctl *controller) build(now sim.Time, off int) {
 	// The previous transaction for this chip has retired (the chip is
 	// idle), so its value can be reused.
 	txn := ctl.txns[off]
-	ctl.taken = flash.BuildTransactionInto(ctl.geo, ctl.pending[off], txn, ctl.taken)
-	// Remove the consumed requests, preserving order of the rest.
-	rest := ctl.pending[off][:0]
-	ti := 0
-	for i, r := range ctl.pending[off] {
-		if ti < len(ctl.taken) && ctl.taken[ti] == i {
-			ti++
-			continue
-		}
-		rest = append(rest, r)
-	}
-	ctl.pending[off] = rest
-
+	ctl.pending[off] = txn.Build(ctl.pending[off], &ctl.geo, &ctl.occ)
 	ctl.dev.txnStarted(now)
 	chip.Execute(txn, ctl.cbs[off])
 }

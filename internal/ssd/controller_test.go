@@ -112,12 +112,12 @@ func TestControllerPendingLen(t *testing.T) {
 	eng, ctl := newTestController()
 	ctl.commit(0, freq(0, 0, 0, 1, 1, flash.OpRead))
 	ctl.commit(0, freq(0, 0, 0, 2, 1, flash.OpRead)) // conflicts: same die/plane
-	if got := ctl.pendingLen(0); got != 2 {
-		t.Fatalf("pendingLen = %d, want 2 before build", got)
+	if got := len(ctl.pending[0]); got != 2 {
+		t.Fatalf("pending depth = %d, want 2 before build", got)
 	}
 	eng.Run(0)
-	if got := ctl.pendingLen(0); got != 0 {
-		t.Fatalf("pendingLen = %d after drain", got)
+	if got := len(ctl.pending[0]); got != 0 {
+		t.Fatalf("pending depth = %d after drain", got)
 	}
 	// Conflicting requests must have run as two transactions.
 	if got := ctl.chip(0).Stats().Txns; got != 2 {

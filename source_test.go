@@ -259,6 +259,7 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *sprinkler.Config) { c.ChipsPerChan = -1 }, "ChipsPerChan"},
 		{func(c *sprinkler.Config) { c.DiesPerChip = 0 }, "DiesPerChip"},
 		{func(c *sprinkler.Config) { c.PlanesPerDie = 0 }, "PlanesPerDie"},
+		{func(c *sprinkler.Config) { c.PlanesPerDie = 33 }, "PlanesPerDie = 33 exceeds the limit of 32"},
 		{func(c *sprinkler.Config) { c.BlocksPerPlane = 0 }, "BlocksPerPlane"},
 		{func(c *sprinkler.Config) { c.PagesPerBlock = 0 }, "PagesPerBlock"},
 		{func(c *sprinkler.Config) { c.PageSize = 0 }, "PageSize"},
