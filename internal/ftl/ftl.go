@@ -156,7 +156,7 @@ type FTL struct {
 	geo     flash.Geometry
 	l2p     *boundedTable // LPN -> PPN
 	l2pSpan int64         // sizing hint l2p was built for (Reset reuse check)
-	p2l     *boundedTable // PPN -> LPN
+	p2l     oobMap        // PPN -> LPN, read only where the page is valid
 	planes  []*planeState
 
 	// cursor implements the channel-first stripe for write allocation:
@@ -197,7 +197,7 @@ func New(cfg Config) (*FTL, error) {
 		geo:     g,
 		l2p:     newTable(logical),
 		l2pSpan: logical,
-		p2l:     newTable(g.TotalPages()),
+		p2l:     oobMap{newChunkStore(g.TotalPages())},
 		planes:  make([]*planeState, nPlanes),
 		nSpare:  nSpare,
 		// Capacity hint: striped writes open a block in every plane
@@ -430,7 +430,6 @@ func (f *FTL) invalidate(a flash.Addr) {
 	}
 	valid.Clear(a.Page)
 	ps.blocks[a.Block].validCount--
-	f.p2l.del(int64(f.geo.ToPPN(a)))
 	f.stats.Invalidated++
 }
 
@@ -576,11 +575,7 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 			continue
 		}
 		src := flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim, Page: pg}
-		rawLPN, ok := f.p2l.get(int64(f.geo.ToPPN(src)))
-		if !ok {
-			panic(fmt.Sprintf("ftl: valid page %v with no reverse mapping", src))
-		}
-		lpn := req.LPN(rawLPN)
+		lpn := req.LPN(f.p2l.get(int64(f.geo.ToPPN(src))))
 		dstPlane := planeIdx
 		if f.cfg.MigrateCrossPlane {
 			dstPlane = f.bestPlaneOnChip(chip, planeIdx)
@@ -761,20 +756,22 @@ func (f *FTL) WriteAmplification() float64 {
 
 // CheckInvariants verifies internal consistency; tests call it after
 // workloads. It returns the first violation found.
+//
+// The mapping checks make the L2P map a bijection onto the valid pages:
+// every mapped page is valid and its reverse entry names its LPN (so no
+// two LPNs share a page), and there are as many mappings as valid pages
+// (so no valid page is unmapped).
 func (f *FTL) CheckInvariants() error {
-	if f.l2p.len() != f.p2l.len() {
-		return fmt.Errorf("ftl: l2p has %d entries, p2l has %d", f.l2p.len(), f.p2l.len())
-	}
 	var ierr error
 	f.l2p.forEach(func(lpn, p int64) bool {
-		if back, ok := f.p2l.get(p); !ok || back != lpn {
-			ierr = fmt.Errorf("ftl: mapping lpn %d -> ppn %d not mirrored", lpn, p)
-			return false
-		}
 		a := f.geo.FromPPN(flash.PPN(p))
 		ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
 		if !ps.valid(a.Block).Get(a.Page) {
 			ierr = fmt.Errorf("ftl: mapped page %v not marked valid", a)
+			return false
+		}
+		if back := f.p2l.get(p); back != lpn {
+			ierr = fmt.Errorf("ftl: mapping lpn %d -> ppn %d has reverse entry %d", lpn, p, back)
 			return false
 		}
 		return true
@@ -782,9 +779,11 @@ func (f *FTL) CheckInvariants() error {
 	if ierr != nil {
 		return ierr
 	}
+	var validPages int
 	for i, ps := range f.planes {
 		for b := range ps.blocks {
 			blk := &ps.blocks[b]
+			validPages += int(blk.validCount)
 			if got := ps.valid(b).Count(); got != int(blk.validCount) {
 				return fmt.Errorf("ftl: plane %d block %d validCount %d != bitmap %d", i, b, blk.validCount, got)
 			}
@@ -822,6 +821,9 @@ func (f *FTL) CheckInvariants() error {
 				return fmt.Errorf("ftl: plane %d bad block %d holds live data", i, b)
 			}
 		}
+	}
+	if validPages != f.l2p.len() {
+		return fmt.Errorf("ftl: %d valid pages, %d mappings", validPages, f.l2p.len())
 	}
 	return nil
 }

@@ -14,11 +14,13 @@ import (
 // in their exact LIFO order, the write-stripe cursor, and the FTL's own
 // Stats value, copied whole (the sticky degraded-mode counters from
 // bad-block retirement included). The validity bitmaps, their per-block
-// population counts and the reverse (PPN→LPN) table are deliberately NOT
-// part of the state: the L2P map determines all three (CheckInvariants
-// pins the bijection), so RestoreState rebuilds them — halving the
-// snapshot and removing a whole class of internally-inconsistent snapshot
-// inputs. The byte layout is internal/ssd's DeviceState.code.
+// population counts and the reverse (PPN→LPN) entries of the valid pages
+// are deliberately NOT part of the state: the L2P map determines all
+// three (CheckInvariants pins the bijection), so RestoreState writes them
+// from it — halving the snapshot and removing a whole class of
+// internally-inconsistent snapshot inputs. Reverse entries of invalid
+// pages are never read, so nothing restores them. The byte layout is
+// internal/ssd's DeviceState.code.
 
 // MapPair is one L2P entry.
 type MapPair struct {
@@ -89,12 +91,12 @@ func (f *FTL) CaptureState() State {
 
 // RestoreState rehydrates a freshly built (or Reset) FTL from a captured
 // State: per-plane metadata and pool order are written back verbatim,
-// and the validity bitmaps, per-block valid counts and the reverse table
-// are rebuilt from the L2P entries. Every index is bounds-checked and
-// the result is verified with CheckInvariants before returning, so a
-// corrupted or mismatched snapshot yields an error with the FTL in an
-// unspecified-but-memory-safe state (callers discard it on error; no
-// partially-hydrated FTL is ever used).
+// and the validity bitmaps, per-block valid counts and the valid pages'
+// reverse entries are written from the L2P entries. Every index is
+// bounds-checked and the result is verified with CheckInvariants before
+// returning, so a corrupted or mismatched snapshot yields an error with
+// the FTL in an unspecified-but-memory-safe state (callers discard it on
+// error; no partially-hydrated FTL is ever used).
 func (f *FTL) RestoreState(st State) error {
 	if len(st.Planes) != len(f.planes) {
 		return fmt.Errorf("ftl: snapshot has %d planes, geometry needs %d", len(st.Planes), len(f.planes))

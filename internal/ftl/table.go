@@ -18,14 +18,10 @@ func newTable(span int64) *boundedTable {
 	if ceiling < minTableCeiling {
 		ceiling = minTableCeiling
 	}
-	// Presize the chunk slots to the hint so a growing table does not
-	// reallocate them (a 24-byte slot per 32 KB chunk of key space).
-	main := &pagedTable{chunks: make([][]int64, (span+tableChunkMask)>>tableChunkBits)}
-	return &boundedTable{main: main, ceiling: ceiling}
+	return &boundedTable{main: &pagedTable{chunkStore: newChunkStore(span)}, ceiling: ceiling}
 }
 
-// boundedTable is the FTL's mapping table: a partial map from one
-// page-number space to another (LPN→PPN and PPN→LPN), tuned for the
+// boundedTable is the FTL's LPN→PPN mapping table, tuned for the
 // translate/commit/GC-relocate hot path. Keys below the ceiling go to a
 // chunked slice table — direct indexing replaced the Go maps the FTL used
 // to carry, whose probes were ~10% of hot-path CPU — and everything above
@@ -60,16 +56,6 @@ func (t *boundedTable) set(k int64, v int64) bool {
 	}
 	_, had := t.overflow[k]
 	t.overflow[k] = v
-	return had
-}
-
-// del removes k's mapping, reporting whether it existed.
-func (t *boundedTable) del(k int64) bool {
-	if k < t.ceiling {
-		return t.main.del(k)
-	}
-	_, had := t.overflow[k]
-	delete(t.overflow, k)
 	return had
 }
 
@@ -110,10 +96,10 @@ func (t *boundedTable) reset() {
 	t.overflow = nil
 }
 
-// pagedTable chunks the key space into fixed pages allocated on first
-// touch, so huge but sparsely-addressed spaces (a 1024-chip platform's
-// PPN space, a mostly-cold logical space) cost memory proportional to
-// what the workload actually maps.
+// The chunked tables cut the key space into fixed pages allocated on
+// first touch, so huge but sparsely-addressed spaces (a 1024-chip
+// platform's PPN space, a mostly-cold logical space) cost memory
+// proportional to what the workload actually maps.
 const (
 	tableChunkBits = 12 // 4096 entries (32 KB) per chunk
 	tableChunkSize = 1 << tableChunkBits
@@ -122,17 +108,81 @@ const (
 	tableBatchMax = 64
 )
 
-// pagedTable keeps the chunks the current run touched in used; reset
-// moves them onto the spare stack instead of clearing them, and chunk
-// refills a spare with the sentinel only when a later run touches that
-// part of the key space. Reset therefore costs O(chunks touched this run),
-// and the table's memory is bounded by the largest single run's touch set
-// (within grow's batch slack) rather than the union of every run's keys.
-type pagedTable struct {
+// chunkStore is the chunk storage both tables share. It keeps the chunks
+// the current run touched in used; reset moves them onto the spare stack
+// without clearing them, and chunk hands a spare out again only when a
+// later run touches that part of the key space. Reset therefore costs
+// O(chunks touched this run), and the store's memory is bounded by the
+// largest single run's touch set (within grow's batch slack) rather than
+// the union of every run's keys.
+type chunkStore struct {
 	chunks [][]int64
 	used   []int64   // chunk indices allocated since the last reset
 	spare  [][]int64 // recycled chunks awaiting reuse (contents stale)
-	live   int
+}
+
+// newChunkStore presizes the chunk slots to a space of span keys so a
+// growing store does not reallocate them (a 24-byte slot per 32 KB chunk
+// of key space).
+func newChunkStore(span int64) chunkStore {
+	return chunkStore{chunks: make([][]int64, (span+tableChunkMask)>>tableChunkBits)}
+}
+
+// chunk returns the chunk holding k. On the first touch since the last
+// reset it comes from the spare stack and fresh is true: its contents are
+// then zero or a past run's stale entries.
+func (s *chunkStore) chunk(k int64) (c []int64, fresh bool) {
+	ci := k >> tableChunkBits
+	for ci >= int64(len(s.chunks)) {
+		s.chunks = append(s.chunks, nil)
+	}
+	c = s.chunks[ci]
+	if c == nil {
+		if len(s.spare) == 0 {
+			s.grow()
+		}
+		n := len(s.spare)
+		c = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		s.chunks[ci] = c
+		s.used = append(s.used, ci)
+		fresh = true
+	}
+	return c, fresh
+}
+
+// grow refills the empty spare stack with a batch of chunks carved from
+// one allocation. The batch matches the store's current size, capped at
+// tableBatchMax, so a growing store makes O(log n) allocations, as a
+// doubling flat array would, while allocating less than twice the chunks
+// any single run has touched.
+func (s *chunkStore) grow() {
+	k := min(max(len(s.used), 1), tableBatchMax)
+	slab := make([]int64, k*tableChunkSize)
+	for i := 0; i < k; i++ {
+		s.spare = append(s.spare, slab[i*tableChunkSize:(i+1)*tableChunkSize:(i+1)*tableChunkSize])
+	}
+}
+
+func (s *chunkStore) footprint() int64 {
+	return int64(len(s.used)+len(s.spare)) * tableChunkSize
+}
+
+func (s *chunkStore) reset() {
+	for _, ci := range s.used {
+		s.spare = append(s.spare, s.chunks[ci])
+		s.chunks[ci] = nil
+	}
+	s.used = s.used[:0]
+}
+
+// pagedTable is boundedTable's slice layer: a chunkStore whose entries
+// read -1 until set, so it can answer "unmapped". A chunk is filled with
+// the sentinel when first touched.
+type pagedTable struct {
+	chunkStore
+	live int
 }
 
 func (t *pagedTable) get(k int64) (int64, bool) {
@@ -148,64 +198,19 @@ func (t *pagedTable) get(k int64) (int64, bool) {
 	return v, v >= 0
 }
 
-func (t *pagedTable) chunk(k int64) []int64 {
-	ci := k >> tableChunkBits
-	for ci >= int64(len(t.chunks)) {
-		t.chunks = append(t.chunks, nil)
-	}
-	c := t.chunks[ci]
-	if c == nil {
-		if len(t.spare) == 0 {
-			t.grow()
-		}
-		n := len(t.spare)
-		c = t.spare[n-1]
-		t.spare[n-1] = nil
-		t.spare = t.spare[:n-1]
+func (t *pagedTable) set(k int64, v int64) bool {
+	c, fresh := t.chunk(k)
+	if fresh {
 		for i := range c {
 			c[i] = -1
 		}
-		t.chunks[ci] = c
-		t.used = append(t.used, ci)
 	}
-	return c
-}
-
-// grow refills the empty spare stack with a batch of chunks carved from
-// one allocation. The batch matches the table's current size, capped at
-// tableBatchMax, so a growing table makes O(log n) allocations, as a
-// doubling flat array would, while allocating less than twice the chunks
-// any single run has touched.
-func (t *pagedTable) grow() {
-	k := min(max(len(t.used), 1), tableBatchMax)
-	slab := make([]int64, k*tableChunkSize)
-	for i := 0; i < k; i++ {
-		t.spare = append(t.spare, slab[i*tableChunkSize:(i+1)*tableChunkSize:(i+1)*tableChunkSize])
-	}
-}
-
-func (t *pagedTable) set(k int64, v int64) bool {
-	c := t.chunk(k)
 	had := c[k&tableChunkMask] >= 0
 	c[k&tableChunkMask] = v
 	if !had {
 		t.live++
 	}
 	return had
-}
-
-func (t *pagedTable) del(k int64) bool {
-	ci := k >> tableChunkBits
-	if ci >= int64(len(t.chunks)) || t.chunks[ci] == nil {
-		return false
-	}
-	c := t.chunks[ci]
-	if c[k&tableChunkMask] < 0 {
-		return false
-	}
-	c[k&tableChunkMask] = -1
-	t.live--
-	return true
 }
 
 func (t *pagedTable) len() int { return t.live }
@@ -224,15 +229,34 @@ func (t *pagedTable) forEach(fn func(k, v int64) bool) {
 	}
 }
 
-func (t *pagedTable) footprint() int64 {
-	return int64(len(t.used)+len(t.spare)) * tableChunkSize
+func (t *pagedTable) reset() {
+	t.chunkStore.reset()
+	t.live = 0
 }
 
-func (t *pagedTable) reset() {
-	for _, ci := range t.used {
-		t.spare = append(t.spare, t.chunks[ci])
-		t.chunks[ci] = nil
+// oobMap is the FTL's reverse (PPN→LPN) map, kept the way a real drive
+// keeps it in each page's out-of-band area: the LPN is written when the
+// page is programmed and read back only while the page's valid bit is
+// set. Nothing reads an entry whose page is not valid, so entries are
+// never cleared: a chunk needs no sentinel fill when first touched or
+// recycled, an invalidated page keeps its stale entry, and there is no
+// live count. PPNs are below the geometry's page count, so the store's
+// presized slots always cover them.
+type oobMap struct{ chunkStore }
+
+// set records lpn as page p's owner.
+func (m *oobMap) set(p, lpn int64) {
+	c, _ := m.chunk(p)
+	c[p&tableChunkMask] = lpn
+}
+
+// get returns page p's recorded owner. It is meaningful only while p's
+// valid bit is set; a page in a chunk untouched since the last reset
+// reads -1.
+func (m *oobMap) get(p int64) int64 {
+	c := m.chunks[p>>tableChunkBits]
+	if c == nil {
+		return -1
 	}
-	t.used = t.used[:0]
-	t.live = 0
+	return c[p&tableChunkMask]
 }
