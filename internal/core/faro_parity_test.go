@@ -90,7 +90,7 @@ func TestFAROIncrementalMatchesRebuilt(t *testing.T) {
 					if len(gotInc) > 0 {
 						k := 1 + rng.Intn(len(gotInc))
 						for _, m := range gotInc[:k] {
-							m.State = req.StateComposed
+							m.Compose(0)
 							idxFab.rx.Remove(m)
 						}
 					}
@@ -216,7 +216,7 @@ func TestFAROBudgetAndHazardMatchScan(t *testing.T) {
 					if len(gotInc) > 0 {
 						k := 1 + rng.Intn(len(gotInc))
 						for _, m := range gotInc[:k] {
-							m.State = req.StateComposed
+							m.Compose(0)
 							idxFab.rx.Remove(m)
 						}
 					}

@@ -47,7 +47,7 @@ func TestIndexSelectMatchesScan(t *testing.T) {
 					// must skip them.
 					for _, m := range io.Mem {
 						if rng.Bool(0.2) {
-							m.State = req.StateComposed
+							m.Compose(0)
 							idxFab.rx.Remove(m)
 						}
 					}

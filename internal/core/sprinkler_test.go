@@ -11,23 +11,20 @@ import (
 
 type fakeFabric struct {
 	geo flash.Geometry
-	out map[flash.ChipID]int
+	out []int             // outstanding requests per chip
 	rx  *sched.ReadyIndex // nil exercises the queue-scan fallback
 }
 
 func newFakeFabric() *fakeFabric {
-	return &fakeFabric{
-		geo: flash.Geometry{
-			Channels: 2, ChipsPerChan: 2, DiesPerChip: 2, PlanesPerDie: 2,
-			BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 2048,
-		},
-		out: map[flash.ChipID]int{},
+	geo := flash.Geometry{
+		Channels: 2, ChipsPerChan: 2, DiesPerChip: 2, PlanesPerDie: 2,
+		BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 2048,
 	}
+	return &fakeFabric{geo: geo, out: make([]int, geo.NumChips())}
 }
 
 func (f *fakeFabric) Geo() flash.Geometry            { return f.geo }
 func (f *fakeFabric) Outstanding(c flash.ChipID) int { return f.out[c] }
-func (f *fakeFabric) ChipBusy(c flash.ChipID) bool   { return false }
 func (f *fakeFabric) Ready() *sched.ReadyIndex       { return f.rx }
 
 func ioAt(id int64, kind req.Kind, addrs ...flash.Addr) *req.IO {

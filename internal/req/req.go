@@ -104,6 +104,8 @@ type IO struct {
 	// write refused because the device degraded to read-only mode.
 	Failed bool
 
+	queued int32 // members still in StateQueued; see Queued
+
 	Mem          []*Mem
 	mems         []Mem // backing storage for Mem, kept for Reset reuse
 	doneMask     Bitmap
@@ -111,6 +113,12 @@ type IO struct {
 	nDone        int
 	firstDataSet bool
 }
+
+// Queued returns how many of the I/O's memory requests are still in
+// StateQueued. Every member starts queued and leaves that state once,
+// through Mem.Compose, so schedulers can skip an I/O with nothing left to
+// select without walking its members.
+func (io *IO) Queued() int { return int(io.queued) }
 
 // NoteFirstData records the first data-movement instant once; later calls
 // are no-ops.
@@ -145,6 +153,7 @@ func (io *IO) Reset(id int64, kind Kind, start LPN, pages int, arrival sim.Time)
 	io.Enqueued, io.FirstData, io.Done = 0, 0, 0
 	io.Failed = false
 	io.nDone = 0
+	io.queued = int32(pages)
 	io.firstDataSet = false
 	// Round grown capacities up so a recycled I/O converges on the
 	// workload's largest request size after a few reuses instead of
@@ -246,6 +255,15 @@ type Mem struct {
 	Composed  sim.Time
 	Committed sim.Time
 	Finished  sim.Time
+}
+
+// Compose moves a queued request to StateComposed at time now (its data
+// movement begins) and drops its I/O's queued count. It is the only way a
+// request leaves StateQueued.
+func (m *Mem) Compose(now sim.Time) {
+	m.State = StateComposed
+	m.Composed = now
+	m.IO.queued--
 }
 
 // Op returns the flash operation serving this request.

@@ -221,3 +221,29 @@ func TestIOResetGrowsForLargerRequest(t *testing.T) {
 		t.Fatal("recycled 70-page I/O did not complete")
 	}
 }
+
+// TestQueuedCount checks the queued count schedulers skip I/Os on: every
+// member starts queued, Compose moves one member out and drops the count
+// by one, and Reset counts the new request's members as queued again.
+func TestQueuedCount(t *testing.T) {
+	io := NewIO(1, Write, 0, 3, 0)
+	if io.Queued() != 3 {
+		t.Fatalf("new I/O has %d queued, want 3", io.Queued())
+	}
+	io.Mem[1].Compose(50)
+	if m := io.Mem[1]; m.State != StateComposed || m.Composed != 50 {
+		t.Fatalf("composed member reads %v at %d, want composed at 50", m.State, m.Composed)
+	}
+	if io.Queued() != 2 {
+		t.Fatalf("%d queued after one Compose, want 2", io.Queued())
+	}
+	io.Mem[0].Compose(60)
+	io.Mem[2].Compose(60)
+	if io.Queued() != 0 {
+		t.Fatalf("%d queued after every member composed, want 0", io.Queued())
+	}
+	io.Reset(2, Read, 8, 5, 0)
+	if io.Queued() != 5 {
+		t.Fatalf("reset I/O has %d queued, want 5", io.Queued())
+	}
+}

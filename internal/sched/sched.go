@@ -25,8 +25,6 @@ type Fabric interface {
 	// Outstanding reports how many memory requests are composed/committed
 	// to the chip but not yet served. Schedulers budget against this.
 	Outstanding(c flash.ChipID) int
-	// ChipBusy reports the chip's R/B state.
-	ChipBusy(c flash.ChipID) bool
 	// Ready returns the per-chip index of still-queued memory requests,
 	// maintained incrementally by the device as I/Os are admitted,
 	// selected, and readdressed. A nil index tells schedulers to fall
@@ -280,7 +278,9 @@ type Budget struct {
 	cur   uint32
 
 	// fits scratch: per-call need counts, epoch-guarded the same way.
-	need      []int16
+	// int32, because one I/O may put all of its up to 65536 requests on
+	// one chip.
+	need      []int32
 	needEpoch []uint32
 	needCur   uint32
 	needChips []flash.ChipID
@@ -293,7 +293,7 @@ func (b *Budget) Reset(fab Fabric, slots int) {
 	if len(b.used) < n {
 		b.used = make([]int16, n)
 		b.epoch = make([]uint32, n)
-		b.need = make([]int16, n)
+		b.need = make([]int32, n)
 		b.needEpoch = make([]uint32, n)
 	}
 	b.fab, b.slots = fab, slots
@@ -320,8 +320,10 @@ func (b *Budget) Take(m *req.Mem) bool {
 	return true
 }
 
-// Fits reports whether every request in ms can be taken together.
-func (b *Budget) Fits(ms []*req.Mem) bool {
+// Fits reports whether every request in ms can be taken together. When
+// they cannot, it also names the first chip they overflow and how many of
+// ms target that chip.
+func (b *Budget) Fits(ms []*req.Mem) (c flash.ChipID, need int32, ok bool) {
 	b.needCur++
 	b.needChips = b.needChips[:0]
 	for _, m := range ms {
@@ -334,11 +336,16 @@ func (b *Budget) Fits(ms []*req.Mem) bool {
 		b.need[c]++
 	}
 	for _, c := range b.needChips {
-		if b.fab.Outstanding(c)+int(b.usedOn(c))+int(b.need[c]) > b.slots {
-			return false
+		if b.over(c, b.need[c]) {
+			return c, b.need[c], false
 		}
 	}
-	return true
+	return 0, 0, true
+}
+
+// over reports whether need more requests overflow chip c's capacity.
+func (b *Budget) over(c flash.ChipID, need int32) bool {
+	return b.fab.Outstanding(c)+int(b.usedOn(c))+int(need) > b.slots
 }
 
 // VAS is the virtual address scheduler (§3): strict FIFO over the
@@ -372,47 +379,67 @@ func (v *VAS) ResetState() { v.out = clearMems(v.out) }
 
 // Select implements Scheduler.
 func (v *VAS) Select(now sim.Time, q *nvmhc.Queue, fab Fabric) []*req.Mem {
-	// Find the oldest I/O with unselected requests: that is the head VAS
-	// is working on. If any of its requests cannot commit now, VAS stalls.
-	for io := q.Head(); io != nil; io = q.Next(io) {
-		pending := false
-		for _, m := range io.Mem {
-			if m.State == req.StateQueued {
-				pending = true
-				break
-			}
-		}
-		if !pending {
+	// The head VAS works on is the oldest I/O with unselected requests. If
+	// any of its requests cannot commit now, VAS stalls.
+	io := q.Head()
+	for io != nil && io.Queued() == 0 {
+		io = q.Next(io)
+	}
+	if io == nil {
+		return nil
+	}
+	v.budget.Reset(fab, v.Slots)
+	out := v.out[:0]
+	for _, m := range io.Mem {
+		if m.State != req.StateQueued {
 			continue
 		}
-		v.budget.Reset(fab, v.Slots)
-		out := v.out[:0]
-		for _, m := range io.Mem {
-			if m.State != req.StateQueued {
-				continue
-			}
-			if v.budget.Take(m) {
-				out = append(out, m)
-			}
-			// Requests that do not fit stay queued; VAS will not look past
-			// this I/O regardless (head-of-line blocking).
+		if v.budget.Take(m) {
+			out = append(out, m)
 		}
-		v.out = out
-		if len(out) == 0 {
-			return nil
-		}
-		return out
+		// Requests that do not fit stay queued; VAS will not look past
+		// this I/O regardless (head-of-line blocking).
 	}
-	return nil
+	v.out = out
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
-// PAS is the physical address scheduler (§3, modelled after Ozone and
-// PAQ): it sees physical addresses, keeps small extra queues per chip, and
-// reorders at I/O-request granularity — it skips I/Os whose target chips
-// are saturated and serves later I/Os, a coarse-grain out-of-order
-// execution. It still composes memory requests within I/O boundaries, so
-// parallelism dependency remains (§3, "composes memory requests and
-// commits them based on I/O request arrival order").
+// PAS is the physical address scheduler of §3, modelled after Ozone and
+// PAQ. It sees the physical address of every queued memory request and
+// keeps a small extra queue of Slots entries per chip. Its rule, as §3
+// states it:
+//
+//   - Coarse-grain out-of-order, like Ozone and PAQ: PAS walks the
+//     device-level queue in arrival order and skips an I/O whose target
+//     chips cannot take all of its remaining memory requests, serving
+//     later I/Os instead (Figure 5a). It reorders whole I/Os and still
+//     "composes memory requests and commits them based on I/O request
+//     arrival order", so the parallelism dependency of §3 remains.
+//   - I/O-atomic commits: an I/O commits every one of its remaining
+//     memory requests in one Select, or none of them.
+//   - The head exemption: the oldest I/O with requests still queued
+//     commits whatever fits, so an oversized I/O (more requests to one
+//     chip than the extra queue holds) still makes progress.
+//   - FUA barriers (§4.4): an FUA I/O is never overtaken. The walk stops
+//     at an FUA entry unless it is the oldest entry in the queue, and
+//     that entry, while it has requests queued, is served alone.
+//
+// Select still visits every queued I/O, but pays O(1) for one with
+// nothing queued (req.IO.Queued) and for one whose last Fits failure
+// provably still holds. A non-head I/O that fails Fits leaves a memo: the
+// first chip c it overflowed, its need n on c and its queued count k. On a
+// later call, if the I/O is still not the head and its queued count is
+// still k, PAS checks c alone against the live values, Outstanding(c) +
+// used(c) + n > Slots, and skips the I/O if that holds; otherwise it runs
+// the full Fits. The memo is exact: a memory request leaves StateQueued
+// once and never returns, and a queued request never changes chip
+// (readdressing moves it between planes of one chip). So an unchanged
+// count means the same queued requests, n of them still on c, and Fits
+// would fail on c again. Skipped or not, every I/O still counts toward
+// the FUA barrier.
 type PAS struct {
 	// Slots is the per-chip extra queue depth.
 	Slots int
@@ -420,6 +447,20 @@ type PAS struct {
 	budget  Budget
 	out     []*req.Mem
 	pending []*req.Mem
+	memo    []pasMemo // indexed by req.IO.QSlot
+	skips   int       // I/Os skipped on the memo alone; tests read it
+}
+
+// pasMemo records why a non-head I/O last failed Fits: the first chip it
+// overflowed, its need on that chip and its queued count at the time. seq
+// is the I/O's admission Seq, which tells it from a later I/O in the same
+// queue slot. The zero value matches no I/O: queued is 0 only in an empty
+// record, and an I/O with nothing queued never reaches the memo.
+type pasMemo struct {
+	seq    uint64
+	chip   flash.ChipID
+	queued int32
+	need   int32
 }
 
 // NewPAS returns a PAS with the default extra-queue depth.
@@ -432,10 +473,13 @@ func (p *PAS) Name() string { return "PAS" }
 // not track live-data migration (§4.3).
 func (p *PAS) NeedsReaddressing() bool { return false }
 
-// ResetState implements StateResetter.
+// ResetState implements StateResetter. The memo is cleared too: a reset
+// queue reissues Seq numbers from zero, so an old record could otherwise
+// match a new I/O.
 func (p *PAS) ResetState() {
 	p.out = clearMems(p.out)
 	p.pending = clearMems(p.pending)
+	clear(p.memo)
 }
 
 // clearMems nils a scratch slice's entries (dropping references to the
@@ -447,14 +491,7 @@ func clearMems(ms []*req.Mem) []*req.Mem {
 	return ms[:0]
 }
 
-// Select implements Scheduler.
-//
-// PAS reorders at I/O granularity (coarse-grain out-of-order, Figure 5a):
-// an I/O commits only when every one of its remaining memory requests fits
-// the per-chip extra queues; otherwise the whole I/O is skipped and later
-// I/Os are considered. The oldest incomplete I/O is exempt from atomicity
-// (it may commit partially) so oversized I/Os — more requests to one chip
-// than the extra queue holds — still make progress.
+// Select implements Scheduler, by the rule in PAS's doc comment.
 func (p *PAS) Select(now sim.Time, q *nvmhc.Queue, fab Fabric) []*req.Mem {
 	p.budget.Reset(fab, p.Slots)
 	out := p.out[:0]
@@ -465,31 +502,20 @@ func (p *PAS) Select(now sim.Time, q *nvmhc.Queue, fab Fabric) []*req.Mem {
 			break
 		}
 		i++
-		pending := p.pending[:0]
-		for _, m := range io.Mem {
-			if m.State == req.StateQueued {
-				pending = append(pending, m)
-			}
-		}
-		p.pending = pending
-		if len(pending) == 0 {
+		n := io.Queued()
+		if n == 0 {
 			continue
 		}
 		if head {
 			// Progress guarantee: commit whatever fits of the head.
-			for _, m := range pending {
-				if p.budget.Take(m) {
+			for _, m := range io.Mem {
+				if m.State == req.StateQueued && p.budget.Take(m) {
 					out = append(out, m)
 				}
 			}
 			head = false
-		} else if p.budget.Fits(pending) {
-			for _, m := range pending {
-				if !p.budget.Take(m) {
-					panic("sched: PAS fits/take mismatch")
-				}
-				out = append(out, m)
-			}
+		} else {
+			out = p.selectWhole(io, n, out)
 		}
 		if io.FUA {
 			break
@@ -498,6 +524,38 @@ func (p *PAS) Select(now sim.Time, q *nvmhc.Queue, fab Fabric) []*req.Mem {
 	p.out = out
 	if len(out) == 0 {
 		return nil
+	}
+	return out
+}
+
+// selectWhole appends all n queued requests of the non-head io to out if
+// they fit together, and records or consults io's memo.
+func (p *PAS) selectWhole(io *req.IO, n int, out []*req.Mem) []*req.Mem {
+	if int(io.QSlot) >= len(p.memo) {
+		p.memo = append(p.memo, make([]pasMemo, int(io.QSlot)+1-len(p.memo))...)
+	}
+	e := &p.memo[io.QSlot]
+	if e.seq == io.Seq && int(e.queued) == n && p.budget.over(e.chip, e.need) {
+		p.skips++
+		return out
+	}
+	pending := p.pending[:0]
+	for _, m := range io.Mem {
+		if m.State == req.StateQueued {
+			pending = append(pending, m)
+		}
+	}
+	p.pending = pending
+	c, need, ok := p.budget.Fits(pending)
+	if !ok {
+		*e = pasMemo{seq: io.Seq, chip: c, queued: int32(n), need: need}
+		return out
+	}
+	for _, m := range pending {
+		if !p.budget.Take(m) {
+			panic("sched: PAS fits/take mismatch")
+		}
+		out = append(out, m)
 	}
 	return out
 }

@@ -10,9 +10,8 @@ import (
 
 // fakeFabric is a scriptable Fabric for scheduler unit tests.
 type fakeFabric struct {
-	geo  flash.Geometry
-	out  map[flash.ChipID]int
-	busy map[flash.ChipID]bool
+	geo flash.Geometry
+	out map[flash.ChipID]int
 }
 
 func newFakeFabric() *fakeFabric {
@@ -21,14 +20,12 @@ func newFakeFabric() *fakeFabric {
 			Channels: 2, ChipsPerChan: 2, DiesPerChip: 2, PlanesPerDie: 2,
 			BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 2048,
 		},
-		out:  map[flash.ChipID]int{},
-		busy: map[flash.ChipID]bool{},
+		out: map[flash.ChipID]int{},
 	}
 }
 
 func (f *fakeFabric) Geo() flash.Geometry            { return f.geo }
 func (f *fakeFabric) Outstanding(c flash.ChipID) int { return f.out[c] }
-func (f *fakeFabric) ChipBusy(c flash.ChipID) bool   { return f.busy[c] }
 func (f *fakeFabric) Ready() *ReadyIndex             { return nil }
 
 // makeIO builds an I/O whose memory requests target the given chips, one
@@ -82,7 +79,7 @@ func TestVASAdvancesAfterHeadFullySelected(t *testing.T) {
 		t.Fatalf("first select got %d, want 2 (all of a)", len(first))
 	}
 	for _, m := range first {
-		m.State = req.StateComposed
+		m.Compose(0)
 	}
 	second := v.Select(0, q, fab)
 	if len(second) != 2 {
@@ -144,6 +141,25 @@ func TestPASBudgetAcrossIOs(t *testing.T) {
 	got := p.Select(0, q, fab)
 	if len(got) != 4 {
 		t.Fatalf("PAS committed %d, budget is 4", len(got))
+	}
+}
+
+// TestPASOversizedNonHeadIO: a non-head I/O with more requests on one chip
+// than an int16 holds must be counted as not fitting. A 16-bit need once
+// wrapped to 0 or below, so Fits passed and the Take loop panicked; a
+// 2-chip drive with two 65536-page reads reached it.
+func TestPASOversizedNonHeadIO(t *testing.T) {
+	for _, pages := range []int{32768, 65536} {
+		fab := newFakeFabric()
+		q := nvmhc.NewQueue(8)
+		a := makeIO(1, req.Read, 1)
+		b := req.NewIO(2, req.Read, 0, pages, 0)
+		q.Enqueue(0, a)
+		q.Enqueue(0, b)
+		got := NewPAS().Select(0, q, fab)
+		if len(got) != 1 || got[0].IO != a {
+			t.Fatalf("%d pages on chip 0: PAS selected %d requests, want only the head's one", pages, len(got))
+		}
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // advances the session a bounded amount of simulated time and drains it
 // under a 5 s bound: a request may be refused, but no input may panic.
 // The corpus under testdata/fuzz holds a single write larger than the
-// whole drive, which once panicked the allocator, and an arrival near
-// MaxInt64, which once overflowed the clock.
+// whole drive, which once panicked the allocator, an arrival near
+// MaxInt64, which once overflowed the clock, and a read with LPN + pages
+// past MaxInt64, which once panicked the FTL on Drain.
 func FuzzSubmit(f *testing.F) {
 	for _, seed := range []string{
 		`{"requests":[{"lpn":0,"pages":4}]}`,

@@ -266,11 +266,6 @@ func (d *Device) Geo() flash.Geometry { return d.cfg.Geo }
 // Outstanding implements sched.Fabric.
 func (d *Device) Outstanding(c flash.ChipID) int { return d.outstanding[int(c)] }
 
-// ChipBusy implements sched.Fabric: the chip's R/B line.
-func (d *Device) ChipBusy(c flash.ChipID) bool {
-	return d.ctrls[d.cfg.Geo.Channel(c)].chip(c).Busy()
-}
-
 // Ready implements sched.Fabric: the per-chip ready index.
 func (d *Device) Ready() *sched.ReadyIndex { return d.ready }
 
@@ -604,8 +599,7 @@ func (d *Device) pump(now sim.Time) {
 			if m.State != req.StateQueued {
 				panic(fmt.Sprintf("ssd: scheduler re-selected %v", m))
 			}
-			m.State = req.StateComposed
-			m.Composed = now
+			m.Compose(now)
 			d.outstanding[int(m.Addr.Chip)]++
 			d.ready.Remove(m)
 			d.composeQ = append(d.composeQ, m)

@@ -512,18 +512,28 @@ func TestDeviceDeterminism(t *testing.T) {
 	}
 }
 
-func TestDeviceChipBusyFabricView(t *testing.T) {
-	d, err := New(smallConfig(), core.NewSPK3())
+// TestDeviceFabricView checks the device's sched.Fabric view: the
+// geometry, and per-chip outstanding work that is zero on a fresh device
+// and back to zero on every chip once a run drains.
+func TestDeviceFabricView(t *testing.T) {
+	d, err := New(smallConfig(), sched.NewPAS())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d.ChipBusy(flash.ChipID(0)) {
-		t.Fatal("fresh device reports busy chip")
-	}
-	if d.Outstanding(0) != 0 {
-		t.Fatal("fresh device reports outstanding work")
 	}
 	if d.Geo().NumChips() != 8 {
 		t.Fatalf("geometry plumbing broken: %d chips", d.Geo().NumChips())
 	}
+	idle := func(when string) {
+		t.Helper()
+		for c := 0; c < d.Geo().NumChips(); c++ {
+			if n := d.Outstanding(flash.ChipID(c)); n != 0 {
+				t.Fatalf("%s device reports %d outstanding on chip %d", when, n, c)
+			}
+		}
+	}
+	idle("fresh")
+	if _, err := d.Run(&SliceSource{IOs: seqIOs(20, 8, req.Read)}); err != nil {
+		t.Fatal(err)
+	}
+	idle("drained")
 }

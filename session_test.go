@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"sprinkler"
@@ -220,6 +222,33 @@ func TestSessionRejectsBadRequest(t *testing.T) {
 	}
 	if err := sess.Submit(sprinkler.Request{Pages: 4, LPN: -1}); err == nil {
 		t.Fatal("accepted negative LPN")
+	}
+}
+
+// TestSessionRejectsLPNOverflow: a request with LPN + Pages past
+// MaxInt64, read or write, is refused at submission with an error naming
+// it, where it once panicked the FTL on Drain; one with LPN + Pages equal
+// to MaxInt64 is served.
+func TestSessionRejectsLPNOverflow(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		sess, err := sprinkler.Open(sprinkler.Platform(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sess.Submit(sprinkler.Request{LPN: math.MaxInt64 - 4, Pages: 8, Write: write})
+		if err == nil || !strings.Contains(err.Error(), "request 0 at LPN 9223372036854775803 with 8 pages") {
+			t.Fatalf("write=%v: Submit error %v, want one naming request 0's LPN range", write, err)
+		}
+		if err := sess.Submit(sprinkler.Request{LPN: math.MaxInt64 - 8, Pages: 8, Write: write}); err != nil {
+			t.Fatalf("write=%v: request with LPN + Pages = MaxInt64 refused: %v", write, err)
+		}
+		res, err := sess.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IOsCompleted != 1 {
+			t.Fatalf("write=%v: %d I/Os completed, want 1", write, res.IOsCompleted)
+		}
 	}
 }
 

@@ -326,6 +326,9 @@ func (p *ioPool) build(id int64, r Request) (*req.IO, error) {
 	if r.LPN < 0 {
 		return nil, fmt.Errorf("sprinkler: request %d has negative LPN %d", id, r.LPN)
 	}
+	if r.LPN > math.MaxInt64-int64(r.Pages) {
+		return nil, fmt.Errorf("sprinkler: request %d at LPN %d with %d pages overflows the LPN range (LPN + pages > %d)", id, r.LPN, r.Pages, int64(math.MaxInt64))
+	}
 	if r.ArrivalNS < 0 {
 		return nil, fmt.Errorf("sprinkler: request %d has negative arrival %d ns", id, r.ArrivalNS)
 	}

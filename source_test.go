@@ -113,6 +113,7 @@ func FuzzCSVSource(f *testing.F) {
 		"5,R,-1,2\n",
 		"5,R,1,0\n",
 		"5,R,1,99999999999999999999\n",
+		"0,R,9223372036854775803,8\n",
 		"0,R,0,4\n1,R,1,1\nbad\n2,W,2,2\n",
 	} {
 		f.Add([]byte(seed))

@@ -73,8 +73,9 @@ func TestPublicAPIRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestRequestBoundsOnBothRunPaths: an oversized request, or an arrival
-// that is negative or past the simulated-time horizon, is refused on
+// TestRequestBoundsOnBothRunPaths: an oversized request, one whose last
+// page would overflow the LPN range, or an arrival that is negative or
+// past the simulated-time horizon, is refused on
 // admission, whether it arrives through Run or through a Session, before
 // it can cost memory, corrupt latencies or overflow the clock.
 func TestRequestBoundsOnBothRunPaths(t *testing.T) {
@@ -88,6 +89,7 @@ func TestRequestBoundsOnBothRunPaths(t *testing.T) {
 		{"huge", Request{Write: true, Pages: 1 << 30}, "more than the limit"},
 		{"negative-arrival", Request{ArrivalNS: -1, Pages: 1}, "negative arrival"},
 		{"past-horizon", Request{ArrivalNS: math.MaxInt64 - 10, Pages: 1}, "horizon"},
+		{"lpn-overflow", Request{LPN: math.MaxInt64 - 4, Pages: 8}, "overflows the LPN range"},
 	}
 	for _, tc := range bad {
 		dev, err := New(cfg)
