@@ -334,8 +334,10 @@ func BenchmarkSweepArena(b *testing.B) {
 // platform. "precondition" is the reference: build a fresh device and
 // simulate the fill+churn aging pass. "restore" reads the same warm
 // state back from an in-memory snapshot (decode + hydrate, the
-// RestoreDevice path); "hydrate" hydrates from an already-decoded
-// DeviceSnapshot (the DeviceArena/Runner path, paying no parsing). The
+// RestoreDevice path), so it pays the snapshot's one validated FTL
+// restore; "hydrate" hydrates from an already-decoded DeviceSnapshot
+// whose FTL image exists (the DeviceArena/Runner path after its first
+// cell, paying no parsing and no restore, only the copy). The
 // restored device is byte-identical in behavior to the preconditioned
 // one (TestSnapshotRestoreReplayParity), so the ns/op ratio between
 // "precondition" and "restore" is the speedup a snapshot-hydrated sweep
@@ -384,7 +386,13 @@ func BenchmarkWarmRestore(b *testing.B) {
 		}
 	})
 	b.Run("hydrate", func(b *testing.B) {
+		// The first hydration builds the snapshot's FTL image; "restore"
+		// prices that.
+		if _, err := snap.NewDevice(); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := snap.NewDevice(); err != nil {
 				b.Fatal(err)

@@ -91,9 +91,6 @@ func (g Geometry) Validate() error {
 // NumChips returns the total number of flash chips.
 func (g Geometry) NumChips() int { return g.Channels * g.ChipsPerChan }
 
-// NumDies returns the total number of flash dies in the SSD.
-func (g Geometry) NumDies() int { return g.NumChips() * g.DiesPerChip }
-
 // PagesPerPlane returns pages in one plane.
 func (g Geometry) PagesPerPlane() int { return g.BlocksPerPlane * g.PagesPerBlock }
 
@@ -107,9 +104,6 @@ func (g Geometry) PagesPerChip() int { return g.DiesPerChip * g.PagesPerDie() }
 func (g Geometry) TotalPages() int64 {
 	return int64(g.NumChips()) * int64(g.PagesPerChip())
 }
-
-// TotalBytes returns the raw capacity in bytes.
-func (g Geometry) TotalBytes() int64 { return g.TotalPages() * int64(g.PageSize) }
 
 // MaxFLP returns the maximum flash-level parallelism degree of one chip:
 // dies × planes memory requests can be served by a single transaction.

@@ -13,9 +13,6 @@ func TestDefaultGeometryValid(t *testing.T) {
 	if g.NumChips() != 64 {
 		t.Fatalf("NumChips = %d, want 64", g.NumChips())
 	}
-	if g.NumDies() != 128 {
-		t.Fatalf("NumDies = %d, want 128", g.NumDies())
-	}
 	if g.MaxFLP() != 8 {
 		t.Fatalf("MaxFLP = %d, want 8", g.MaxFLP())
 	}
@@ -79,10 +76,6 @@ func TestGeometryCapacity(t *testing.T) {
 	// 64 chips * 2 dies * 4 planes * 2048 blocks * 128 pages = 134,217,728 pages.
 	if got := g.TotalPages(); got != 134217728 {
 		t.Fatalf("TotalPages = %d, want 134217728", got)
-	}
-	// * 2KB = 256 GiB.
-	if got := g.TotalBytes(); got != 134217728*2048 {
-		t.Fatalf("TotalBytes = %d", got)
 	}
 }
 

@@ -34,7 +34,7 @@ func firstAddrs(t *testing.T, f *FTL, n int) []flash.Addr {
 
 func TestAllocChannelFirstAlternatesChannels(t *testing.T) {
 	f := allocFTL(t, AllocChannelFirst)
-	g := f.Geometry() // 2 channels x 2 chips
+	g := f.geo // 2 channels x 2 chips
 	a := firstAddrs(t, f, 4)
 	// Consecutive writes must alternate channel: ch0, ch1, ch0, ch1.
 	if g.Channel(a[0].Chip) == g.Channel(a[1].Chip) {
@@ -48,7 +48,7 @@ func TestAllocChannelFirstAlternatesChannels(t *testing.T) {
 
 func TestAllocWayFirstFillsChannelWays(t *testing.T) {
 	f := allocFTL(t, AllocWayFirst)
-	g := f.Geometry()
+	g := f.geo
 	a := firstAddrs(t, f, 4)
 	// Way-first: first two writes on the SAME channel, different chips.
 	if g.Channel(a[0].Chip) != g.Channel(a[1].Chip) {
@@ -65,7 +65,7 @@ func TestAllocWayFirstFillsChannelWays(t *testing.T) {
 
 func TestAllocPlaneFirstStaysOnChip(t *testing.T) {
 	f := allocFTL(t, AllocPlaneFirst)
-	g := f.Geometry()
+	g := f.geo
 	flp := g.MaxFLP() // 2 dies x 2 planes = 4
 	a := firstAddrs(t, f, flp+1)
 	for i := 1; i < flp; i++ {
@@ -90,7 +90,7 @@ func TestAllocPlaneFirstStaysOnChip(t *testing.T) {
 func TestAllocationSchemesCoverAllPlanes(t *testing.T) {
 	for _, scheme := range []Allocation{AllocChannelFirst, AllocWayFirst, AllocPlaneFirst} {
 		f := allocFTL(t, scheme)
-		g := f.Geometry()
+		g := f.geo
 		n := g.NumChips() * g.DiesPerChip * g.PlanesPerDie
 		seen := map[int]bool{}
 		for _, a := range firstAddrs(t, f, n) {

@@ -311,12 +311,20 @@ func (f *FTL) Reset(cfg Config) error {
 	return nil
 }
 
-// Geometry returns the configured geometry.
-func (f *FTL) Geometry() flash.Geometry { return f.geo }
-
 // planeIndex linearizes (chip, die, plane).
 func (f *FTL) planeIndex(chip flash.ChipID, die, plane int) int {
 	return (int(chip)*f.geo.DiesPerChip+die)*f.geo.PlanesPerDie + plane
+}
+
+// pageAt locates PPN p: its plane index, block and page. PPNs are
+// plane-major, so p / PagesPerPlane is the plane index planeIndex would
+// compute, and the rest takes one more division — where FromPPN followed
+// by planeIndex takes four.
+func (f *FTL) pageAt(p int64) (pi, block, page int) {
+	ppp := int64(f.geo.PagesPerPlane())
+	q := p / ppp
+	off := int(p - q*ppp)
+	return int(q), off / f.geo.PagesPerBlock, off % f.geo.PagesPerBlock
 }
 
 // planeAddr recovers (chip, die, plane) from a plane index.
@@ -764,10 +772,9 @@ func (f *FTL) WriteAmplification() float64 {
 func (f *FTL) CheckInvariants() error {
 	var ierr error
 	f.l2p.forEach(func(lpn, p int64) bool {
-		a := f.geo.FromPPN(flash.PPN(p))
-		ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
-		if !ps.valid(a.Block).Get(a.Page) {
-			ierr = fmt.Errorf("ftl: mapped page %v not marked valid", a)
+		pi, b, pg := f.pageAt(p)
+		if !f.planes[pi].valid(b).Get(pg) {
+			ierr = fmt.Errorf("ftl: mapped page %v not marked valid", f.geo.FromPPN(flash.PPN(p)))
 			return false
 		}
 		if back := f.p2l.get(p); back != lpn {

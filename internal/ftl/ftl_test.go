@@ -88,7 +88,7 @@ func TestReadMapsOnFirstTouch(t *testing.T) {
 
 func TestStripeSpreadsAcrossChips(t *testing.T) {
 	f := newTestFTL(t)
-	g := f.Geometry()
+	g := f.geo
 	seen := map[flash.ChipID]bool{}
 	for i := 0; i < g.NumChips(); i++ {
 		m := writeMem(t, f, req.LPN(i))
@@ -102,7 +102,7 @@ func TestStripeSpreadsAcrossChips(t *testing.T) {
 
 func TestStripeChannelFirst(t *testing.T) {
 	f := newTestFTL(t)
-	g := f.Geometry()
+	g := f.geo
 	// Consecutive writes should land on different channels first (channel
 	// striping before channel pipelining).
 	m0 := writeMem(t, f, 0)
@@ -116,7 +116,7 @@ func TestStripeAlignsPageOffsets(t *testing.T) {
 	// Writing NumChips*PlanesPerDie pages in a row must leave sibling
 	// planes with aligned write pointers so plane sharing stays possible.
 	f := newTestFTL(t)
-	g := f.Geometry()
+	g := f.geo
 	n := g.NumChips() * g.PlanesPerDie
 	addrs := make([]flash.Addr, 0, n)
 	for i := 0; i < n; i++ {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"sprinkler/internal/flash"
 )
 
 // This file implements warm-state capture/restore for the FTL. State
@@ -154,14 +152,14 @@ func (f *FTL) RestoreState(st State) error {
 		if e.LPN < 0 || e.PPN < 0 || e.PPN >= total {
 			return fmt.Errorf("ftl: snapshot mapping lpn %d -> ppn %d out of range", e.LPN, e.PPN)
 		}
-		a := f.geo.FromPPN(flash.PPN(e.PPN))
-		ps := f.planes[f.planeIndex(a.Chip, a.Die, a.Plane)]
-		valid := ps.valid(a.Block)
-		if valid.Get(a.Page) {
+		pi, b, pg := f.pageAt(e.PPN)
+		ps := f.planes[pi]
+		valid := ps.valid(b)
+		if valid.Get(pg) {
 			return fmt.Errorf("ftl: snapshot maps ppn %d twice", e.PPN)
 		}
-		valid.Set(a.Page)
-		ps.blocks[a.Block].validCount++
+		valid.Set(pg)
+		ps.blocks[b].validCount++
 		f.l2p.set(e.LPN, e.PPN)
 		f.p2l.set(e.PPN, e.LPN)
 	}
@@ -171,5 +169,33 @@ func (f *FTL) RestoreState(st State) error {
 	if err := f.CheckInvariants(); err != nil {
 		return fmt.Errorf("ftl: snapshot fails invariants: %w", err)
 	}
+	return nil
+}
+
+// CopyFrom makes f a copy of src, a restored FTL built on the same
+// Config: the block records, validity bitmaps and free/spare pools, the
+// mapping tables' touched chunks (the L2P overflow map included), the
+// stripe cursor and the counters. It checks nothing about the state, so
+// one image that passed RestoreState's checks hydrates many FTLs at the
+// cost of a memory copy each. src is only read, so goroutines may copy
+// one image at once. Like RestoreState, it marks f restored: the next
+// Reset scrubs every block.
+func (f *FTL) CopyFrom(src *FTL) error {
+	if f.cfg != src.cfg {
+		return fmt.Errorf("ftl: CopyFrom config mismatch (have %+v, image %+v)", f.cfg, src.cfg)
+	}
+	f.restored = true
+	for i, ps := range f.planes {
+		in := src.planes[i]
+		copy(ps.blocks, in.blocks)
+		copy(ps.bits, in.bits)
+		ps.free = append(ps.free[:0], in.free...)
+		ps.spare = append(ps.spare[:0], in.spare...)
+		ps.active = in.active
+	}
+	f.l2p.copyFrom(src.l2p)
+	f.p2l.copyFrom(&src.p2l.chunkStore)
+	f.cursor = src.cursor
+	f.stats = src.stats
 	return nil
 }

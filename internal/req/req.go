@@ -190,9 +190,6 @@ func (io *IO) Reset(id int64, kind Kind, start LPN, pages int, arrival sim.Time)
 	}
 }
 
-// End returns one past the last LPN.
-func (io *IO) End() LPN { return io.Start + LPN(io.Pages) }
-
 // Bytes returns the transfer size given a page size.
 func (io *IO) Bytes(pageSize int) int64 { return int64(io.Pages) * int64(pageSize) }
 
@@ -215,12 +212,6 @@ func (io *IO) MarkDone(i int) bool {
 	io.nDone++
 	return io.nDone == io.Pages
 }
-
-// NumDone reports how many member requests completed.
-func (io *IO) NumDone() int { return io.nDone }
-
-// Complete reports whether every member completed.
-func (io *IO) Complete() bool { return io.nDone == io.Pages }
 
 // String renders a compact description.
 func (io *IO) String() string {

@@ -23,9 +23,6 @@ func TestNewIOBuildsMemRequests(t *testing.T) {
 			t.Fatalf("mem %d state = %v, want queued", i, m.State)
 		}
 	}
-	if io.End() != 105 {
-		t.Fatalf("End = %d, want 105", io.End())
-	}
 	if io.Bytes(2048) != 5*2048 {
 		t.Fatalf("Bytes = %d", io.Bytes(2048))
 	}
@@ -50,9 +47,6 @@ func TestMarkDoneCompletes(t *testing.T) {
 	}
 	if !io.MarkDone(1) {
 		t.Fatal("not complete after 3/3")
-	}
-	if !io.Complete() || io.NumDone() != 3 {
-		t.Fatal("completion accounting wrong")
 	}
 }
 
@@ -177,7 +171,7 @@ func TestIOResetReuse(t *testing.T) {
 	if io.ID != fresh.ID || io.Kind != fresh.Kind || io.Start != fresh.Start ||
 		io.Pages != fresh.Pages || io.Arrival != fresh.Arrival || io.FUA ||
 		io.QSlot != -1 || io.Seq != 0 || io.Done != 0 || io.FirstData != 0 ||
-		io.NumDone() != 0 || io.Complete() {
+		io.nDone != 0 {
 		t.Fatalf("recycled header differs from fresh: %+v", io)
 	}
 	if len(io.Mem) != 4 {
@@ -215,10 +209,9 @@ func TestIOResetGrowsForLargerRequest(t *testing.T) {
 		t.Fatal("done bitmap not cleared on >64-page reuse")
 	}
 	for i := 0; i < 70; i++ {
-		io.MarkDone(i)
-	}
-	if !io.Complete() {
-		t.Fatal("recycled 70-page I/O did not complete")
+		if done := io.MarkDone(i); done != (i == 69) {
+			t.Fatalf("recycled 70-page I/O: MarkDone(%d) = %v", i, done)
+		}
 	}
 }
 

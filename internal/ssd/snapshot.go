@@ -130,19 +130,34 @@ func (d *Device) CaptureState() (*DeviceState, error) {
 	return st, nil
 }
 
+// NewFTLImage builds the FTL a device of cfg holds once st is loaded:
+// a fresh FTL with st.FTL restored, bounds-checked and verified by
+// CheckInvariants. LoadState copies the image and reads none of st.FTL's
+// mappings, so one image, built and checked once, hydrates any number of
+// devices; nothing may run on it.
+func NewFTLImage(cfg Config, st *DeviceState) (*ftl.FTL, error) {
+	f, err := ftl.New(cfg.ftlConfig())
+	if err != nil {
+		return nil, err
+	}
+	if err := f.RestoreState(st.FTL); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // LoadState rehydrates a freshly built (or Reset) device from a captured
-// state. The device's configuration must be the one the state was
-// captured under — the public snapshot format embeds the config and
-// rebuilds the device from it, so a mismatch here means a corrupted or
-// hand-altered snapshot and is reported as an error. Validation is
-// complete before any part of the state is applied only at the FTL layer
-// (which verifies its own invariants); on error the device is in an
-// unspecified state and must be discarded, never run.
-func (d *Device) LoadState(st *DeviceState) error {
+// state whose FTL image (NewFTLImage) is img. The device's configuration
+// must be the one the state was captured under — the public snapshot
+// format embeds the config and rebuilds the device from it, so a mismatch
+// here means a corrupted or hand-altered snapshot and is reported as an
+// error. On error the device is in an unspecified state and must be
+// discarded, never run.
+func (d *Device) LoadState(st *DeviceState, img *ftl.FTL) error {
 	if err := st.CheckShape(d.cfg); err != nil {
 		return err
 	}
-	if err := d.fl.RestoreState(st.FTL); err != nil {
+	if err := d.fl.CopyFrom(img); err != nil {
 		return err
 	}
 	d.eng.SetClock(st.Engine)

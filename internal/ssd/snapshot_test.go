@@ -20,6 +20,17 @@ func gcConfig() Config {
 	return cfg
 }
 
+// loadState hydrates d from st the way the public snapshot path does:
+// it builds st's FTL image on cfg, the configuration st was captured
+// under, and loads st with it.
+func loadState(cfg Config, d *Device, st *DeviceState) error {
+	img, err := NewFTLImage(cfg, st)
+	if err != nil {
+		return err
+	}
+	return d.LoadState(st, img)
+}
+
 // TestCaptureStateRefusesMidRun pins the quiescence gate: a device with
 // inflight I/O or pending events cannot be checkpointed.
 func TestCaptureStateRefusesMidRun(t *testing.T) {
@@ -75,7 +86,7 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.LoadState(decoded); err != nil {
+	if err := loadState(cfg, d2, decoded); err != nil {
 		t.Fatal(err)
 	}
 	if err := d2.FTL().CheckInvariants(); err != nil {
@@ -113,10 +124,12 @@ func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.LoadState(st); err == nil {
+	if err := loadState(gcConfig(), db, st); err == nil {
 		t.Error("geometry mismatch did not error")
 	}
-
+	if _, err := NewFTLImage(bigger, st); err == nil {
+		t.Error("an image for a mismatched geometry was built")
+	}
 }
 
 // TestDecodeRejectsCountBeyondPayload pins that a length field longer
@@ -161,7 +174,7 @@ func TestEngineClockRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.LoadState(st); err != nil {
+	if err := loadState(gcConfig(), d2, st); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d2.Now(), d.Now(); got != want {

@@ -91,7 +91,7 @@ func TestGenerateBounds(t *testing.T) {
 		}
 		var last int64 = -1
 		for _, io := range ios {
-			if io.Start < 0 || int64(io.End()) > 1<<18 {
+			if io.Start < 0 || int64(io.Start)+int64(io.Pages) > 1<<18 {
 				t.Fatalf("%s: out-of-range request %v", w.Name, io)
 			}
 			if io.Pages < 1 || io.Pages > 1024 {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
+	"sprinkler/internal/ftl"
 	"sprinkler/internal/ssd"
 )
 
@@ -50,10 +52,20 @@ const SnapshotVersion = 1
 // ReadSnapshot, then hydrate any number of devices from it, all sharing
 // the one decoded state read-only: NewDevice builds fresh ones, and
 // Grid.Snapshot, Cell.Snapshot and WithSnapshot hydrate devices checked
-// out of a DeviceArena.
+// out of a DeviceArena. A DeviceSnapshot is safe for concurrent use.
+//
+// The first hydration restores the FTL state into an image and validates
+// it (bounds checks and the FTL's invariants), once for the snapshot;
+// every hydration, the first included, then copies that image into its
+// device. A snapshot whose FTL state fails validation fails every
+// hydration with the same error.
 type DeviceSnapshot struct {
 	cfg   Config
 	state *ssd.DeviceState
+
+	once     sync.Once
+	image    *ftl.FTL // the restored, validated FTL every hydration copies
+	imageErr error
 }
 
 // Config returns the configuration the snapshot was captured under.
@@ -251,10 +263,30 @@ func (s *DeviceSnapshot) checkout(a *DeviceArena, cfg Config) (*Device, error) {
 	if err != nil || s == nil {
 		return d, err
 	}
-	if err := d.inner.LoadState(s.state); err != nil {
+	img, err := s.ftlImage()
+	if err == nil {
+		err = d.inner.LoadState(s.state, img)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sprinkler: hydrating from snapshot: %w", err)
 	}
 	return d, nil
+}
+
+// ftlImage builds the snapshot's FTL image on first use and returns it,
+// or the error that building it met. Once the image exists the decoded
+// L2P pairs are dropped: the image holds the mapping, and nothing reads
+// the pairs again.
+func (s *DeviceSnapshot) ftlImage() (*ftl.FTL, error) {
+	s.once.Do(func() {
+		icfg, err := s.cfg.internal()
+		if err == nil {
+			s.image, err = ssd.NewFTLImage(icfg, s.state)
+		}
+		s.imageErr = err
+		s.state.FTL.L2P = nil
+	})
+	return s.image, s.imageErr
 }
 
 // encodeSnapshot frames config + payload with magic, version and CRC.

@@ -21,9 +21,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"sprinkler"
+	"sprinkler/internal/ssd"
 )
 
 // agedConfig is the parity tests' platform: small enough to keep the
@@ -373,7 +375,10 @@ const (
 // are hydrated too when they load: ReadSnapshot has already checked the
 // payload's shape against the config, so hydration builds no device the
 // payload does not account for. It may still reject FTL state that
-// breaks an invariant, but only with a descriptive error.
+// breaks an invariant, but only with a descriptive error. A snapshot
+// that hydrates is hydrated twice — the first hydration builds the FTL
+// image, the second only copies it — and both devices must checkpoint
+// to the same bytes.
 func FuzzReadSnapshot(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "warm_v1.snap"))
 	if err != nil {
@@ -395,8 +400,32 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return snap
 		}
+		// hydrateTwice hydrates snap twice; a second device must
+		// checkpoint like the first, and a failure must repeat.
+		hydrateTwice := func(snap *sprinkler.DeviceSnapshot) error {
+			var ckpt [2][]byte
+			var errs [2]error
+			for i := range ckpt {
+				dev, err := snap.NewDevice(snap.Config())
+				if errs[i] = err; err != nil {
+					continue
+				}
+				var buf bytes.Buffer
+				if err := dev.Checkpoint(&buf); err != nil {
+					t.Fatalf("hydration %d does not checkpoint: %v", i+1, err)
+				}
+				ckpt[i] = buf.Bytes()
+			}
+			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+				t.Fatalf("hydrations disagree: %v, then %v", errs[0], errs[1])
+			}
+			if !bytes.Equal(ckpt[0], ckpt[1]) {
+				t.Fatal("the second hydration checkpoints to other bytes than the first")
+			}
+			return errs[0]
+		}
 		if snap := read(file); snap != nil {
-			if _, err := snap.NewDevice(snap.Config()); err != nil {
+			if err := hydrateTwice(snap); err != nil {
 				t.Fatalf("snapshot loads but does not hydrate with its own config: %v", err)
 			}
 		}
@@ -404,7 +433,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			return
 		}
 		if snap := read(mutateSnapshot(file, func(b []byte) []byte { return b })); snap != nil {
-			if _, err := snap.NewDevice(snap.Config()); err != nil && !strings.HasPrefix(err.Error(), "sprinkler: ") {
+			if err := hydrateTwice(snap); err != nil && !strings.HasPrefix(err.Error(), "sprinkler: ") {
 				t.Fatalf("undescriptive hydration failure: %v", err)
 			}
 		}
@@ -491,6 +520,116 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 				t.Errorf("RestoreDevice returned (%v, %v) for damaged input", dev, err)
 			}
 		})
+	}
+}
+
+// withDeviceState re-frames a snapshot file with its payload decoded,
+// changed by edit and encoded again, under a recomputed checksum.
+func withDeviceState(t testing.TB, raw []byte, edit func(*ssd.DeviceState)) []byte {
+	t.Helper()
+	const header = 12 // magic + version
+	body := raw[header : len(raw)-4]
+	n, w := binary.Uvarint(body)
+	cfg, rest := body[:w+int(n)], body[w+int(n):]
+	n, w = binary.Uvarint(rest)
+	st, err := ssd.DecodeDeviceState(bytes.NewReader(rest[w : w+int(n)]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(st)
+	var payload bytes.Buffer
+	if err := st.Encode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	out := append(append([]byte(nil), raw[:header]...), cfg...)
+	out = binary.AppendUvarint(out, uint64(payload.Len()))
+	out = append(out, payload.Bytes()...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestSnapshotDamagedFTLFailsEveryHydration: a file whose framing,
+// checksum and shape are sound but whose FTL maps two LPNs to one page
+// reads, and then fails every hydration — the first, which validates the
+// FTL image, and every later one, through NewDevice and Open alike —
+// with the same descriptive error, and never hands out a device.
+func TestSnapshotDamagedFTLFailsEveryHydration(t *testing.T) {
+	cfg := agedConfig(sprinkler.SPK3)
+	raw := withDeviceState(t, checkpointOf(t, cfg, 0.6, 0.3, 7), func(st *ssd.DeviceState) {
+		st.FTL.L2P[1].PPN = st.FTL.L2P[0].PPN
+	})
+	_, want := sprinkler.RestoreDevice(bytes.NewReader(raw))
+	if want == nil || !strings.Contains(want.Error(), "sprinkler: hydrating from snapshot: ftl: snapshot maps ppn") {
+		t.Fatalf("RestoreDevice error = %v, want a shared-page hydration error", want)
+	}
+	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("a file with sound framing and shape does not read: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		dev, err := snap.NewDevice()
+		if dev != nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("hydration %d: (%v, %v), want error %q", i+1, dev, err, want)
+		}
+	}
+	if sess, err := sprinkler.Open(cfg, sprinkler.WithSnapshot(snap)); sess != nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("Open: (%v, %v), want error %q", sess, err, want)
+	}
+}
+
+// TestSnapshotConcurrentHydration hydrates one freshly read snapshot from
+// several goroutines at once, so the FTL image is built while other
+// hydrations wait for it, and runs each device. Every Result must be
+// byte-identical to a drive that replayed the warm-up.
+func TestSnapshotConcurrentHydration(t *testing.T) {
+	cfg := agedConfig(sprinkler.SPK3)
+	const fill, churn, seed = 0.85, 0.35, 13
+	raw := checkpointOf(t, cfg, fill, churn, seed)
+	replayed, err := sprinkler.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed.Precondition(fill, churn, seed)
+	want := runWorkload(t, replayed, "msnfs1", 200, 5)
+
+	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	var results [n]string
+	var errs [n]error
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev, err := snap.NewDevice()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "msnfs1", Requests: 200, Seed: 5})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := dev.Run(context.Background(), src)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			b, err := json.Marshal(res)
+			results[i], errs[i] = string(b), err
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatalf("hydration %d: %v", i, errs[i])
+		}
+		if results[i] != want {
+			t.Errorf("hydration %d diverged from the replayed drive:\n want: %s\n got:  %s", i, want, results[i])
+		}
 	}
 }
 
