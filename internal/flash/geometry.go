@@ -163,7 +163,9 @@ func (g Geometry) ToPPN(a Addr) PPN {
 	return PPN(n)
 }
 
-// FromPPN recovers the Addr encoded in p.
+// FromPPN recovers the Addr encoded in p. The FTL decodes PPNs its own
+// way, with a plane's recorded location; FromPPN, written independently,
+// is the tests' reference for it.
 func (g Geometry) FromPPN(p PPN) Addr {
 	n := int64(p)
 	var a Addr

@@ -13,20 +13,20 @@ import (
 // lives in the L2P overflow map.
 const overflowLPN = req.LPN(1 << 40)
 
-// requireSameFTL asserts got holds want's restored state: the captured
+// requireSameFTL asserts got holds want's state: the captured
 // state, every bitmap word, every block's valid count, the reverse entry
 // of every valid page, the mapping count, the pools, the cursor and the
 // counters.
 func requireSameFTL(t *testing.T, label string, got, want *FTL) {
 	t.Helper()
 	if !reflect.DeepEqual(got.CaptureState(), want.CaptureState()) {
-		t.Fatalf("%s: captured state differs from RestoreState's", label)
+		t.Fatalf("%s: captured state differs from the reference's", label)
 	}
 	if got.l2p.len() != want.l2p.len() {
-		t.Fatalf("%s: %d mappings, RestoreState has %d", label, got.l2p.len(), want.l2p.len())
+		t.Fatalf("%s: %d mappings, the reference has %d", label, got.l2p.len(), want.l2p.len())
 	}
 	if got.cursor != want.cursor || got.stats != want.stats {
-		t.Fatalf("%s: cursor %d stats %+v, RestoreState has %d %+v", label, got.cursor, got.stats, want.cursor, want.stats)
+		t.Fatalf("%s: cursor %d stats %+v, the reference has %d %+v", label, got.cursor, got.stats, want.cursor, want.stats)
 	}
 	for i, ps := range got.planes {
 		in := want.planes[i]
@@ -36,10 +36,11 @@ func requireSameFTL(t *testing.T, label string, got, want *FTL) {
 		if !reflect.DeepEqual(ps.free, in.free) || !reflect.DeepEqual(ps.spare, in.spare) || ps.active != in.active {
 			t.Fatalf("%s: plane %d pools differ", label, i)
 		}
-		chip, die, plane := got.planeAddr(i)
+		loc := got.locs[i]
+		chip, die, plane := loc.chip, loc.die, loc.plane
 		for b := range ps.blocks {
 			if ps.blocks[b].validCount != in.blocks[b].validCount {
-				t.Fatalf("%s: plane %d block %d validCount %d, RestoreState has %d",
+				t.Fatalf("%s: plane %d block %d validCount %d, the reference has %d",
 					label, i, b, ps.blocks[b].validCount, in.blocks[b].validCount)
 			}
 			valid := ps.valid(b)
@@ -49,7 +50,7 @@ func requireSameFTL(t *testing.T, label string, got, want *FTL) {
 				}
 				p := int64(got.geo.ToPPN(flash.Addr{Chip: chip, Die: die, Plane: plane, Block: b, Page: pg}))
 				if got.p2l.get(p) != want.p2l.get(p) {
-					t.Fatalf("%s: valid ppn %d reverse entry %d, RestoreState has %d", label, p, got.p2l.get(p), want.p2l.get(p))
+					t.Fatalf("%s: valid ppn %d reverse entry %d, the reference has %d", label, p, got.p2l.get(p), want.p2l.get(p))
 				}
 			}
 		}

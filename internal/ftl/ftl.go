@@ -7,6 +7,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sprinkler/internal/flash"
@@ -101,6 +102,12 @@ type blockMeta struct {
 	dirty      bool  // left the erased state since the last Reset (listed in FTL.dirtyBlocks)
 }
 
+// planeLoc locates a plane: its chip, die and plane within the die.
+type planeLoc struct {
+	chip       flash.ChipID
+	die, plane int
+}
+
 // planeState is the per-plane allocation state.
 type planeState struct {
 	blocks []blockMeta
@@ -158,11 +165,18 @@ type FTL struct {
 	l2pSpan int64         // sizing hint l2p was built for (Reset reuse check)
 	p2l     oobMap        // PPN -> LPN, read only where the page is valid
 	planes  []*planeState
+	// locs records where each plane sits, so the allocator, GC planning
+	// and Lookup never divide a plane index apart. It is kept out of
+	// planeState, which fills two cache lines exactly.
+	locs []planeLoc
 
-	// cursor implements the channel-first stripe for write allocation:
-	// consecutive writes go to consecutive chips across channels, then
-	// advance die and plane round-robin within each chip.
-	cursor int64
+	// cursor counts the host write allocations made; it is the write
+	// stripe's position. stripe lists the plane each write of one stripe
+	// period takes (buildStripe), and stripePos is cursor mod the period,
+	// so stripeTarget is one table read.
+	cursor    int64
+	stripe    []int
+	stripePos int
 
 	// Recycle bookkeeping. allocate is the only way a block leaves the
 	// erased state (GC erase, retirement and spare promotion act only on
@@ -199,6 +213,7 @@ func New(cfg Config) (*FTL, error) {
 		l2pSpan: logical,
 		p2l:     oobMap{newChunkStore(g.TotalPages())},
 		planes:  make([]*planeState, nPlanes),
+		locs:    make([]planeLoc, 0, nPlanes),
 		nSpare:  nSpare,
 		// Capacity hint: striped writes open a block in every plane
 		// before any plane fills its first.
@@ -226,6 +241,14 @@ func New(cfg Config) (*FTL, error) {
 		ps.layoutPools(nSpare, 0)
 		f.planes[i] = ps
 	}
+	for chip := range g.NumChips() {
+		for die := range g.DiesPerChip {
+			for plane := range g.PlanesPerDie {
+				f.locs = append(f.locs, planeLoc{flash.ChipID(chip), die, plane})
+			}
+		}
+	}
+	f.buildStripe()
 	return f, nil
 }
 
@@ -305,8 +328,12 @@ func (f *FTL) Reset(cfg Config) error {
 	f.dirtyBlocks = f.dirtyBlocks[:0]
 	f.dirtyPlanes = f.dirtyPlanes[:0]
 	f.nSpare, f.restored = nSpare, false
+	rebuild := cfg.Allocation != f.cfg.Allocation
 	f.cfg = cfg
-	f.cursor = 0
+	if rebuild {
+		f.buildStripe()
+	}
+	f.cursor, f.stripePos = 0, 0
 	f.stats = Stats{}
 	return nil
 }
@@ -318,65 +345,81 @@ func (f *FTL) planeIndex(chip flash.ChipID, die, plane int) int {
 
 // pageAt locates PPN p: its plane index, block and page. PPNs are
 // plane-major, so p / PagesPerPlane is the plane index planeIndex would
-// compute, and the rest takes one more division — where FromPPN followed
-// by planeIndex takes four.
+// compute, and the block takes one more division — where FromPPN
+// followed by planeIndex takes eight.
 func (f *FTL) pageAt(p int64) (pi, block, page int) {
 	ppp := int64(f.geo.PagesPerPlane())
 	q := p / ppp
 	off := int(p - q*ppp)
-	return int(q), off / f.geo.PagesPerBlock, off % f.geo.PagesPerBlock
+	block = off / f.geo.PagesPerBlock
+	return int(q), block, off - block*f.geo.PagesPerBlock
 }
 
-// planeAddr recovers (chip, die, plane) from a plane index.
-func (f *FTL) planeAddr(idx int) (flash.ChipID, int, int) {
-	plane := idx % f.geo.PlanesPerDie
-	idx /= f.geo.PlanesPerDie
-	die := idx % f.geo.DiesPerChip
-	chip := flash.ChipID(idx / f.geo.DiesPerChip)
-	return chip, die, plane
+// addrOf decodes PPN p with pageAt and the plane's recorded location.
+func (f *FTL) addrOf(p int64) flash.Addr {
+	pi, b, pg := f.pageAt(p)
+	loc := f.locs[pi]
+	return flash.Addr{Chip: loc.chip, Die: loc.die, Plane: loc.plane, Block: b, Page: pg}
 }
 
-// stripeTarget returns the plane index the next write allocation should
-// use, following the configured allocation scheme. The default
-// (channel-first) walks chips across channels (chip offset 0 on every
-// channel, then offset 1, ...), maximizing channel striping, and advances
-// die/plane round-robin on each full sweep so planes fill in lockstep —
-// which keeps page offsets aligned for plane sharing.
-func (f *FTL) stripeTarget() int {
+// buildStripe lays out the stripe table: the plane each write of one
+// stripe period goes to under the configured allocation scheme, one
+// write per plane. The default (channel-first) walks chips across
+// channels (chip offset 0 on every channel, then offset 1, ...),
+// maximizing channel striping, and advances die/plane round-robin on
+// each full sweep so planes fill in lockstep — which keeps page offsets
+// aligned for plane sharing.
+func (f *FTL) buildStripe() {
 	g := f.geo
-	n := f.cursor
-	f.cursor++
-	var chip flash.ChipID
-	var die, plane int
+	f.stripe = slices.Grow(f.stripe[:0], len(f.planes))
+	add := func(channel, offset, die, plane int) {
+		f.stripe = append(f.stripe, f.planeIndex(g.ChipAt(channel, offset), die, plane))
+	}
 	switch f.cfg.Allocation {
 	case AllocWayFirst:
 		// Chips within a channel first, then the next channel.
-		chipStep := n % int64(g.NumChips())
-		offset := int(chipStep) % g.ChipsPerChan
-		channel := int(chipStep) / g.ChipsPerChan
-		chip = g.ChipAt(channel, offset)
-		rest := n / int64(g.NumChips())
-		plane = int(rest) % g.PlanesPerDie
-		die = (int(rest) / g.PlanesPerDie) % g.DiesPerChip
+		for die := range g.DiesPerChip {
+			for plane := range g.PlanesPerDie {
+				for channel := range g.Channels {
+					for offset := range g.ChipsPerChan {
+						add(channel, offset, die, plane)
+					}
+				}
+			}
+		}
 	case AllocPlaneFirst:
 		// Planes, then dies of one chip, then the next chip.
-		flp := int64(g.MaxFLP())
-		plane = int(n % int64(g.PlanesPerDie))
-		die = int((n / int64(g.PlanesPerDie)) % int64(g.DiesPerChip))
-		chipStep := (n / flp) % int64(g.NumChips())
-		channel := int(chipStep) % g.Channels
-		offset := int(chipStep) / g.Channels
-		chip = g.ChipAt(channel, offset)
+		for offset := range g.ChipsPerChan {
+			for channel := range g.Channels {
+				for die := range g.DiesPerChip {
+					for plane := range g.PlanesPerDie {
+						add(channel, offset, die, plane)
+					}
+				}
+			}
+		}
 	default: // AllocChannelFirst
-		chipStep := n % int64(g.NumChips())
-		channel := int(chipStep) % g.Channels
-		offset := int(chipStep) / g.Channels
-		chip = g.ChipAt(channel, offset)
-		rest := n / int64(g.NumChips())
-		plane = int(rest) % g.PlanesPerDie
-		die = (int(rest) / g.PlanesPerDie) % g.DiesPerChip
+		for die := range g.DiesPerChip {
+			for plane := range g.PlanesPerDie {
+				for offset := range g.ChipsPerChan {
+					for channel := range g.Channels {
+						add(channel, offset, die, plane)
+					}
+				}
+			}
+		}
 	}
-	return f.planeIndex(chip, die, plane)
+}
+
+// stripeTarget returns the plane index the next write allocation should
+// use and advances the stripe.
+func (f *FTL) stripeTarget() int {
+	pi := f.stripe[f.stripePos]
+	f.cursor++
+	if f.stripePos++; f.stripePos == len(f.stripe) {
+		f.stripePos = 0
+	}
+	return pi
 }
 
 // allocate takes the next free page in the plane's active block, refusing
@@ -388,8 +431,8 @@ func (f *FTL) allocate(planeIdx, reserve int) (flash.Addr, error) {
 	ps := f.planes[planeIdx]
 	if ps.active < 0 || ps.blocks[ps.active].full {
 		if len(ps.free) <= reserve {
-			chip, die, plane := f.planeAddr(planeIdx)
-			return flash.Addr{}, fmt.Errorf("ftl: plane c%d/d%d/p%d out of free blocks", chip, die, plane)
+			loc := f.locs[planeIdx]
+			return flash.Addr{}, fmt.Errorf("ftl: plane c%d/d%d/p%d out of free blocks", loc.chip, loc.die, loc.plane)
 		}
 		ps.active = ps.free[len(ps.free)-1]
 		ps.free = ps.free[:len(ps.free)-1]
@@ -406,8 +449,8 @@ func (f *FTL) allocate(planeIdx, reserve int) (flash.Addr, error) {
 		}
 	}
 	blk := &ps.blocks[ps.active]
-	chip, die, plane := f.planeAddr(planeIdx)
-	a := flash.Addr{Chip: chip, Die: die, Plane: plane, Block: ps.active, Page: int(blk.written)}
+	loc := f.locs[planeIdx]
+	a := flash.Addr{Chip: loc.chip, Die: loc.die, Plane: loc.plane, Block: ps.active, Page: int(blk.written)}
 	blk.written++
 	if int(blk.written) >= f.geo.PagesPerBlock {
 		blk.full = true
@@ -447,7 +490,7 @@ func (f *FTL) Lookup(lpn req.LPN) (flash.Addr, bool) {
 	if !ok {
 		return flash.Addr{}, false
 	}
-	return f.geo.FromPPN(flash.PPN(p)), true
+	return f.addrOf(p), true
 }
 
 // VirtualAddr is the deterministic physical placement of a logical page
@@ -495,22 +538,97 @@ func (f *FTL) Preprocess(m *req.Mem) error {
 		m.Addr = f.VirtualAddr(m.LPN)
 		return nil
 	case req.Write:
-		// Allocate before invalidating so a failed allocation leaves the
-		// old mapping intact (the caller may GC and retry).
-		a, err := f.allocate(f.stripeTarget(), 1)
+		a, err := f.write(f.stripeTarget(), m.LPN)
 		if err != nil {
 			return err
 		}
-		if old, ok := f.Lookup(m.LPN); ok {
-			f.invalidate(old)
-		}
-		f.markValid(a, m.LPN)
-		f.stats.HostWrites++
 		m.Addr = a
 		return nil
 	default:
 		return fmt.Errorf("ftl: unknown kind %v", m.IO.Kind)
 	}
+}
+
+// write makes a host write of lpn on plane pi. It allocates before
+// invalidating, so a failed allocation leaves the old mapping intact (the
+// caller may GC and retry).
+func (f *FTL) write(pi int, lpn req.LPN) (flash.Addr, error) {
+	a, err := f.allocate(pi, 1)
+	if err != nil {
+		return flash.Addr{}, err
+	}
+	if old, ok := f.Lookup(lpn); ok {
+		f.invalidate(old)
+	}
+	f.markValid(a, lpn)
+	f.stats.HostWrites++
+	return a, nil
+}
+
+// fillTile is how many stripe rows Fill writes on one plane before it
+// moves to the next: the plane's active block, bitmap words and
+// reverse-map run stay in cache across its writes, and the tile's stretch
+// of the L2P table stays in cache across the planes.
+const fillTile = 16
+
+// Fill makes the host writes of LPNs lpn0, lpn0+1, ..., lpn0+n-1 that n
+// Preprocess calls would make, up to but not including the first that
+// would find its plane out of space. It returns how many it made; the
+// caller continues from there one write at a time, so a write that needs
+// garbage collection first reaches it exactly as it would have.
+//
+// Write j goes to the plane at stripe position (stripePos+j) mod the
+// period, so each plane's share of the prefix, and the first write it
+// cannot place, follow from the pages it has left above the host's
+// one-block reserve. No write in the prefix can fail or collect, and the
+// planes share no allocation state, so the prefix is written in tiles of
+// fillTile stripe rows, one plane at a time and each plane's writes in
+// order: the result is the state the same writes leave through
+// Preprocess, up to the order of lists whose order nothing depends on
+// (Reset's dirty lists and the mapping tables' touched chunks).
+func (f *FTL) Fill(lpn0 req.LPN, n int64) int64 {
+	period, pos := int64(len(f.stripe)), int64(f.stripePos)
+	k := max(n, 0)
+	for s, pi := range f.stripe {
+		first := (int64(s) - pos + period) % period
+		if stop := first + f.hostRoom(f.planes[pi])*period; stop < k {
+			k = stop
+		}
+	}
+	// Stripe row r holds the writes at positions r*period .. r*period +
+	// period-1, counted from the start of the row pos lies in.
+	lo, hi := pos, pos+k
+	for row := int64(0); row*period < hi; row += fillTile {
+		end := min(row+fillTile, (hi+period-1)/period)
+		for s, pi := range f.stripe {
+			for r := row; r < end; r++ {
+				g := r*period + int64(s)
+				if g < lo || g >= hi {
+					continue
+				}
+				if _, err := f.write(pi, lpn0+req.LPN(g-lo)); err != nil {
+					panic(fmt.Sprintf("ftl: Fill overran its prefix: %v", err))
+				}
+			}
+		}
+	}
+	f.cursor += k
+	f.stripePos = int(hi % period)
+	return k
+}
+
+// hostRoom returns how many pages host writes can still take on ps before
+// allocate refuses them: the active block's unwritten pages plus every
+// free block but the one held in reserve.
+func (f *FTL) hostRoom(ps *planeState) int64 {
+	var room int64
+	if ps.active >= 0 && !ps.blocks[ps.active].full {
+		room = int64(f.geo.PagesPerBlock - int(ps.blocks[ps.active].written))
+	}
+	if spare := len(ps.free) - 1; spare > 0 {
+		room += int64(spare) * int64(f.geo.PagesPerBlock)
+	}
+	return room
 }
 
 // NeedGC reports the plane indices whose free-block count is at or below
@@ -532,9 +650,9 @@ func (f *FTL) NeedGC() []int {
 	return idx
 }
 
-// PlaneUnderPressure reports whether the given plane needs GC.
-func (f *FTL) PlaneUnderPressure(chip flash.ChipID, die, plane int) bool {
-	return len(f.planes[f.planeIndex(chip, die, plane)].free) <= f.cfg.GCFreeTarget
+// PlaneUnderPressure reports whether plane index pi needs GC.
+func (f *FTL) PlaneUnderPressure(pi int) bool {
+	return len(f.planes[pi].free) <= f.cfg.GCFreeTarget
 }
 
 // Migration is one live-page move in a GC job.
@@ -560,7 +678,8 @@ type GCJob struct {
 // anyway would turn GC into an endless migration storm.
 func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 	ps := f.planes[planeIdx]
-	chip, die, plane := f.planeAddr(planeIdx)
+	loc := f.locs[planeIdx]
+	chip, die, plane := loc.chip, loc.die, loc.plane
 	victim := -1
 	best := f.geo.PagesPerBlock + 1
 	for b := range ps.blocks {
@@ -576,7 +695,7 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 	if victim < 0 || best >= f.geo.PagesPerBlock {
 		return nil, nil
 	}
-	job := &GCJob{Victim: flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim}}
+	job := &GCJob{Victim: flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim}, Migrations: make([]Migration, 0, best)}
 	valid := ps.valid(victim)
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 		if !valid.Get(pg) {
@@ -631,14 +750,15 @@ func (f *FTL) bestPlaneOnChip(chip flash.ChipID, fallback int) int {
 // (eraseFailed): then the block is retired and a spare activated in its
 // place.
 //
-// It returns the migrations actually applied.
+// It returns the migrations actually applied, filtered in place into
+// the front of job.Migrations, which a committed job no longer needs.
 func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 	if job.committed {
 		panic("ftl: GC job committed twice")
 	}
 	job.committed = true
 	f.stats.GCRuns++
-	var applied []Migration
+	applied := job.Migrations[:0]
 	for _, mg := range job.Migrations {
 		cur, ok := f.l2p.get(int64(mg.LPN))
 		if !ok || flash.PPN(cur) != f.geo.ToPPN(mg.Src) {
@@ -774,7 +894,7 @@ func (f *FTL) CheckInvariants() error {
 	f.l2p.forEach(func(lpn, p int64) bool {
 		pi, b, pg := f.pageAt(p)
 		if !f.planes[pi].valid(b).Get(pg) {
-			ierr = fmt.Errorf("ftl: mapped page %v not marked valid", f.geo.FromPPN(flash.PPN(p)))
+			ierr = fmt.Errorf("ftl: mapped page %v not marked valid", f.addrOf(p))
 			return false
 		}
 		if back := f.p2l.get(p); back != lpn {
@@ -822,6 +942,11 @@ func (f *FTL) CheckInvariants() error {
 			if ps.blocks[b].bad {
 				return fmt.Errorf("ftl: plane %d spare pool contains bad block %d", i, b)
 			}
+		}
+		// The allocator writes on past the active block's write pointer
+		// until it is full, so it must be neither pooled nor bad.
+		if a := ps.active; a >= 0 && (free[a] || ps.blocks[a].bad) {
+			return fmt.Errorf("ftl: plane %d active block %d is also free, spare or bad", i, a)
 		}
 		for b := range ps.blocks {
 			if ps.blocks[b].bad && ps.blocks[b].validCount != 0 {

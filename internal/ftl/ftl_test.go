@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -389,5 +390,21 @@ func TestStatsMappedPages(t *testing.T) {
 	}
 	if got := f.Stats().MappedPages; got != 10 {
 		t.Fatalf("MappedPages = %d, want 10", got)
+	}
+}
+
+// TestCaptureStateSortsL2P: CaptureState lists the mappings by LPN, the
+// overflow map's after the slice table's, whatever order the writes took.
+func TestCaptureStateSortsL2P(t *testing.T) {
+	f := newTestFTL(t)
+	for _, lpn := range []req.LPN{overflowLPN + 9, 5, overflowLPN + 2, 1, overflowLPN + 5, 3, overflowLPN} {
+		writeMem(t, f, lpn)
+	}
+	var lpns []int64
+	for _, e := range f.CaptureState().L2P {
+		lpns = append(lpns, e.LPN)
+	}
+	if want := []int64{1, 3, 5, int64(overflowLPN), int64(overflowLPN + 2), int64(overflowLPN + 5), int64(overflowLPN + 9)}; !slices.Equal(lpns, want) {
+		t.Fatalf("captured LPNs %v, want %v", lpns, want)
 	}
 }

@@ -2,6 +2,8 @@ package ftl
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"sprinkler/internal/flash"
@@ -77,6 +79,9 @@ func requireMatchesNew(t *testing.T, label string, f *FTL, cfg Config) {
 		if ps.dirty {
 			t.Fatalf("%s: plane %d still flagged dirty", label, i)
 		}
+	}
+	if !slices.Equal(f.stripe, fresh.stripe) || f.stripePos != fresh.stripePos {
+		t.Fatalf("%s: stripe table or position differs from New", label)
 	}
 	if len(f.dirtyBlocks) != 0 || len(f.dirtyPlanes) != 0 {
 		t.Fatalf("%s: %d dirty blocks, %d dirty planes listed", label, len(f.dirtyBlocks), len(f.dirtyPlanes))
@@ -173,6 +178,64 @@ func TestRestoreStateRejectsOversizedErases(t *testing.T) {
 	st.Planes[1].Blocks[3].Erases = 1 << 40
 	if err := f.RestoreState(st); err == nil {
 		t.Fatal("accepted an erase count past int32")
+	}
+}
+
+// TestRestoreStateRejectsNegativeCursor: a negative write cursor would
+// index the stripe table below zero on the first host write.
+func TestRestoreStateRejectsNegativeCursor(t *testing.T) {
+	f := newTestFTL(t)
+	writeMem(t, f, 3)
+	st := f.CaptureState()
+	st.Cursor = -7
+	g := newTestFTL(t)
+	if err := g.RestoreState(st); err == nil || err.Error() != "ftl: snapshot write cursor -7 is negative" {
+		t.Fatalf("RestoreState of a negative cursor: %v", err)
+	}
+}
+
+// TestRestoreStateRejectsBrokenActiveBlock: the allocator writes the
+// active block from its write pointer until the block is full, then
+// pops a free one. A snapshot whose active block was written through but
+// not marked full, or is also on the free list, or is bad, would have a
+// later host write take a page past a block's end (an index panic when
+// the block's pages fill whole bitmap words) or write into a retired
+// block, so RestoreState refuses each.
+func TestRestoreStateRejectsBrokenActiveBlock(t *testing.T) {
+	cfg := DefaultConfig(gcGeo())
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeMem(t, f, 3)
+	for _, tc := range []struct {
+		name string
+		edit func(ps *PlaneState)
+		want string
+	}{
+		{"written through, not full", func(ps *PlaneState) {
+			blk := &ps.Blocks[ps.Active]
+			blk.Written, blk.Full = f.geo.PagesPerBlock, false
+		}, "not marked full"},
+		{"also free", func(ps *PlaneState) {
+			ps.Free = append(ps.Free, ps.Active)
+			ps.Blocks[ps.Active] = BlockState{}
+		}, "also free, spare or bad"},
+		{"bad", func(ps *PlaneState) {
+			ps.Blocks[ps.Active] = BlockState{Full: true, Bad: true}
+		}, "also free, spare or bad"},
+	} {
+		st := f.CaptureState()
+		pi := slices.IndexFunc(st.Planes, func(ps PlaneState) bool { return ps.Active >= 0 })
+		st.L2P = nil // the mapped page sits in the edited block
+		tc.edit(&st.Planes[pi])
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RestoreState(st); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RestoreState: %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

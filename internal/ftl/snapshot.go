@@ -69,10 +69,12 @@ func (f *FTL) CaptureState() State {
 		st.L2P = append(st.L2P, MapPair{LPN: k, PPN: v})
 		return true
 	})
-	// The slice tables iterate in key order but overflow entries (keys
-	// far past the sizing hint) come from a Go map: sort so the capture
-	// is canonical — identical warm state always captures identically.
-	sort.Slice(st.L2P, func(a, b int) bool { return st.L2P[a].LPN < st.L2P[b].LPN })
+	// The slice table comes first, in key order; the overflow entries
+	// (keys past its ceiling, so past all of its keys) follow from a Go
+	// map: sort them so the capture is canonical — identical warm state
+	// always captures identically.
+	tail := st.L2P[f.l2p.main.len():]
+	sort.Slice(tail, func(a, b int) bool { return tail[a].LPN < tail[b].LPN })
 	for i, ps := range f.planes {
 		out := &st.Planes[i]
 		out.Blocks = make([]BlockState, len(ps.blocks))
@@ -99,6 +101,9 @@ func (f *FTL) RestoreState(st State) error {
 	if len(st.Planes) != len(f.planes) {
 		return fmt.Errorf("ftl: snapshot has %d planes, geometry needs %d", len(st.Planes), len(f.planes))
 	}
+	if st.Cursor < 0 {
+		return fmt.Errorf("ftl: snapshot write cursor %d is negative", st.Cursor)
+	}
 	// Restored blocks bypass allocate's dirty tracking: the next Reset
 	// must scrub every block.
 	f.restored = true
@@ -114,6 +119,9 @@ func (f *FTL) RestoreState(st State) error {
 			bs := &in.Blocks[b]
 			if bs.Written < 0 || bs.Written > f.geo.PagesPerBlock {
 				return fmt.Errorf("ftl: snapshot plane %d block %d written %d outside [0, %d]", i, b, bs.Written, f.geo.PagesPerBlock)
+			}
+			if bs.Written == f.geo.PagesPerBlock && !bs.Full {
+				return fmt.Errorf("ftl: snapshot plane %d block %d has all %d pages written but is not marked full", i, b, bs.Written)
 			}
 			if bs.Erases < 0 || bs.Erases > math.MaxInt32 {
 				return fmt.Errorf("ftl: snapshot plane %d block %d erase count %d outside [0, %d]", i, b, bs.Erases, math.MaxInt32)
@@ -164,6 +172,7 @@ func (f *FTL) RestoreState(st State) error {
 		f.p2l.set(e.PPN, e.LPN)
 	}
 	f.cursor = st.Cursor
+	f.stripePos = int(st.Cursor % int64(len(f.stripe)))
 	f.stats = st.Stats
 	f.stats.MappedPages = 0
 	if err := f.CheckInvariants(); err != nil {
@@ -195,7 +204,7 @@ func (f *FTL) CopyFrom(src *FTL) error {
 	}
 	f.l2p.copyFrom(src.l2p)
 	f.p2l.copyFrom(&src.p2l.chunkStore)
-	f.cursor = src.cursor
+	f.cursor, f.stripePos = src.cursor, src.stripePos
 	f.stats = src.stats
 	return nil
 }

@@ -290,8 +290,10 @@ func (d *Device) Precondition(fillFrac, churnFrac float64, seed uint64) {
 	fill := int64(float64(logical) * fillFrac)
 	// One reusable I/O for the whole fill+churn: preconditioning touches
 	// millions of pages and would otherwise allocate three objects each.
+	// The FTL writes the fill in row tiles up to the first write that
+	// needs garbage collection; the loop places the rest one at a time.
 	io := req.NewIO(-1, req.Write, 0, 1, 0)
-	for lpn := int64(0); lpn < fill; lpn++ {
+	for lpn := d.fl.Fill(0, fill); lpn < fill; lpn++ {
 		io.Reset(-1, req.Write, req.LPN(lpn), 1, 0)
 		d.preprocess(io.Mem[0])
 	}

@@ -50,10 +50,10 @@ func (d *Device) maybeStartGC(now sim.Time, addr flash.Addr) {
 	if d.gcActive[addr.Chip] {
 		return
 	}
-	if !d.fl.PlaneUnderPressure(addr.Chip, addr.Die, addr.Plane) {
+	pi := d.planeIndex(addr)
+	if !d.fl.PlaneUnderPressure(pi) {
 		return
 	}
-	pi := d.planeIndex(addr)
 	job, err := d.fl.PlanGC(pi)
 	if err != nil || job == nil {
 		return
@@ -151,8 +151,7 @@ func (r *gcRun) finish(now sim.Time) {
 	d.applyMigrations(applied)
 	d.setGCActive(r.chip, false)
 	// Chain another pass while the plane stays pressured.
-	chip, die, plane := r.planeAddr()
-	if d.fl.PlaneUnderPressure(chip, die, plane) {
+	if d.fl.PlaneUnderPressure(r.planeIdx) {
 		if job, err := d.fl.PlanGC(r.planeIdx); err == nil && job != nil {
 			d.setGCActive(r.chip, true)
 			next := &gcRun{dev: d, chip: r.chip, planeIdx: r.planeIdx, job: job}
@@ -162,15 +161,6 @@ func (r *gcRun) finish(now sim.Time) {
 	// Freed space may unblock admission stalled on the allocator.
 	d.drainBacklog(now)
 	d.pump(now)
-}
-
-func (r *gcRun) planeAddr() (flash.ChipID, int, int) {
-	g := r.dev.cfg.Geo
-	idx := r.planeIdx
-	plane := idx % g.PlanesPerDie
-	idx /= g.PlanesPerDie
-	die := idx % g.DiesPerChip
-	return flash.ChipID(idx / g.DiesPerChip), die, plane
 }
 
 // applyMigrations is the readdressing callback (§4.3): still-queued reads

@@ -1,11 +1,13 @@
 package ssd
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"sprinkler/internal/flash"
 	"sprinkler/internal/ftl"
@@ -231,23 +233,20 @@ func (st *DeviceState) CheckShape(cfg Config) error {
 // that header.
 //
 // The layout lives only in DeviceState.code: one walk over the state
-// that hands each field to a stateCodec, which writes it when encoding
-// and reads into it when decoding. Encode and DecodeDeviceState only
-// set the codec up, so writer and reader cannot disagree on the order.
+// that hands each field to a stateCodec, which appends it when encoding
+// and reads into it when decoding. Append and DecodeDeviceState only set
+// the codec up, so writer and reader cannot disagree on the order.
 
-// stateCodec writes to w or, when r is set, reads from r. Every
+// stateCodec appends to out or, when decoding, reads from in. Every
 // primitive takes a pointer to the field it codes and does nothing after
 // the first error. Encoding only reads the fields; only decoding stores
 // into them.
 type stateCodec struct {
-	w    io.Writer
-	r    io.ByteReader
-	left interface{ Len() int } // unread input length; nil when unknown
-	buf  [binary.MaxVarintLen64]byte
-	err  error
+	out []byte // encoding: the payload so far
+	in  []byte // decoding: the unread payload
+	dec bool   // decoding, not encoding
+	err error
 }
-
-func (c *stateCodec) decoding() bool { return c.r != nil }
 
 func (c *stateCodec) fail(err error) {
 	if c.err == nil && err != nil {
@@ -255,33 +254,52 @@ func (c *stateCodec) fail(err error) {
 	}
 }
 
-func (c *stateCodec) write(p []byte) {
-	if c.err == nil {
-		_, c.err = c.w.Write(p)
+// errVarintOverflow is binary.ReadUvarint's error for a varint past 64
+// bits, under the same text.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// varintErr explains a varint that did not decode from left unread bytes,
+// n being binary.Uvarint's count: the error binary.ReadUvarint would have
+// returned reading them one by one. Ten bytes that all continue overflow
+// there, while binary.Uvarint reports them as too short.
+func varintErr(n, left int) error {
+	switch {
+	case n < 0 || left >= binary.MaxVarintLen64:
+		return errVarintOverflow
+	case left == 0:
+		return io.EOF
+	default:
+		return io.ErrUnexpectedEOF
 	}
 }
 
 func (c *stateCodec) uvarint(v *uint64) {
 	switch {
 	case c.err != nil:
-	case c.decoding():
-		x, err := binary.ReadUvarint(c.r)
-		*v = x
-		c.fail(err)
+	case c.dec:
+		x, n := binary.Uvarint(c.in)
+		if n <= 0 {
+			c.fail(varintErr(n, len(c.in)))
+			return
+		}
+		*v, c.in = x, c.in[n:]
 	default:
-		c.write(c.buf[:binary.PutUvarint(c.buf[:], *v)])
+		c.out = binary.AppendUvarint(c.out, *v)
 	}
 }
 
 func (c *stateCodec) varint(v *int64) {
 	switch {
 	case c.err != nil:
-	case c.decoding():
-		x, err := binary.ReadVarint(c.r)
-		*v = x
-		c.fail(err)
+	case c.dec:
+		x, n := binary.Varint(c.in)
+		if n <= 0 {
+			c.fail(varintErr(n, len(c.in)))
+			return
+		}
+		*v, c.in = x, c.in[n:]
 	default:
-		c.write(c.buf[:binary.PutVarint(c.buf[:], *v)])
+		c.out = binary.AppendVarint(c.out, *v)
 	}
 }
 
@@ -290,14 +308,14 @@ func (c *stateCodec) time(v *sim.Time) { c.varint((*int64)(v)) }
 // uvarintInt and varintInt code an int field.
 func (c *stateCodec) uvarintInt(v *int) {
 	x := uint64(*v)
-	if c.uvarint(&x); c.decoding() {
+	if c.uvarint(&x); c.dec {
 		*v = int(x)
 	}
 }
 
 func (c *stateCodec) varintInt(v *int) {
 	x := int64(*v)
-	if c.varint(&x); c.decoding() {
+	if c.varint(&x); c.dec {
 		*v = int(x)
 	}
 }
@@ -305,25 +323,20 @@ func (c *stateCodec) varintInt(v *int) {
 func (c *stateCodec) u64(v *uint64) {
 	switch {
 	case c.err != nil:
-	case c.decoding():
-		for i := 0; i < 8; i++ {
-			b, err := c.r.ReadByte()
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.buf[i] = b
+	case c.dec:
+		if len(c.in) < 8 {
+			c.fail(io.EOF)
+			return
 		}
-		*v = binary.LittleEndian.Uint64(c.buf[:8])
+		*v, c.in = binary.LittleEndian.Uint64(c.in), c.in[8:]
 	default:
-		binary.LittleEndian.PutUint64(c.buf[:8], *v)
-		c.write(c.buf[:8])
+		c.out = binary.LittleEndian.AppendUint64(c.out, *v)
 	}
 }
 
 func (c *stateCodec) f64(v *float64) {
 	x := math.Float64bits(*v)
-	if c.u64(&x); c.decoding() {
+	if c.u64(&x); c.dec {
 		*v = math.Float64frombits(x)
 	}
 }
@@ -331,41 +344,39 @@ func (c *stateCodec) f64(v *float64) {
 func (c *stateCodec) bool(v *bool) {
 	switch {
 	case c.err != nil:
-	case c.decoding():
-		b, err := c.r.ReadByte()
+	case c.dec:
 		switch {
-		case err != nil:
-			c.fail(err)
-		case b > 1:
-			c.fail(fmt.Errorf("invalid boolean byte 0x%02x", b))
+		case len(c.in) == 0:
+			c.fail(io.EOF)
+		case c.in[0] > 1:
+			c.fail(fmt.Errorf("invalid boolean byte 0x%02x", c.in[0]))
 		default:
-			*v = b == 1
+			*v, c.in = c.in[0] == 1, c.in[1:]
 		}
 	default:
-		c.buf[0] = 0
+		b := byte(0)
 		if *v {
-			c.buf[0] = 1
+			b = 1
 		}
-		c.write(c.buf[:1])
+		c.out = append(c.out, b)
 	}
 }
 
-// count codes a uvarint length field. Decoding bounds it by max and,
-// when the input length is known, by the unread bytes (every element
-// encodes to at least one byte); the bounds turn a corrupt length into a
-// descriptive error instead of a huge allocation. After an error the
-// count is zero.
+// count codes a uvarint length field. Decoding bounds it by max and by
+// the unread bytes (every element encodes to at least one byte); the
+// bounds turn a corrupt length into a descriptive error instead of a huge
+// allocation. After an error the count is zero.
 func (c *stateCodec) count(what string, n *int, max uint64) {
 	x := uint64(*n)
 	c.uvarint(&x)
-	if !c.decoding() {
+	if !c.dec {
 		return
 	}
 	if x > max {
 		c.fail(fmt.Errorf("%s count %d exceeds limit %d", what, x, max))
 	}
-	if c.left != nil && x > uint64(c.left.Len()) {
-		c.fail(fmt.Errorf("%s count %d exceeds the %d unread payload bytes", what, x, c.left.Len()))
+	if x > uint64(len(c.in)) {
+		c.fail(fmt.Errorf("%s count %d exceeds the %d unread payload bytes", what, x, len(c.in)))
 	}
 	*n = 0
 	if c.err == nil {
@@ -377,10 +388,51 @@ func (c *stateCodec) count(what string, n *int, max uint64) {
 // with a zeroed one of that length for the walk to fill.
 func codeLen[T any](c *stateCodec, what string, s *[]T, max uint64) int {
 	n := len(*s)
-	if c.count(what, &n, max); c.decoding() {
+	if c.count(what, &n, max); c.dec {
 		*s = make([]T, n)
 	}
 	return n
+}
+
+// pairs codes the L2P map delta-coded over its sorted LPNs: a count,
+// then per pair the uvarint distance of its LPN from the previous one
+// (from 0 for the first) and its PPN. It is nearly all of an aged
+// drive's payload, so it runs its own loop rather than a primitive call
+// per field. A pair takes at least two bytes, so decoding presizes the
+// pairs to the count capped at half the unread bytes: a corrupt count
+// allocates no more than the input could hold.
+func (c *stateCodec) pairs(l2p *[]ftl.MapPair) {
+	n := len(*l2p)
+	if c.count("L2P mapping", &n, maxSnapshotPairs); c.err != nil {
+		return
+	}
+	prev := int64(0)
+	if !c.dec {
+		for _, e := range *l2p {
+			c.out = binary.AppendUvarint(c.out, uint64(e.LPN-prev))
+			c.out = binary.AppendUvarint(c.out, uint64(e.PPN))
+			prev = e.LPN
+		}
+		return
+	}
+	out, in := make([]ftl.MapPair, 0, min(n, len(c.in)/2)), c.in
+	for range n {
+		delta, k := binary.Uvarint(in)
+		if k <= 0 {
+			c.fail(varintErr(k, len(in)))
+			return
+		}
+		in = in[k:]
+		ppn, k := binary.Uvarint(in)
+		if k <= 0 {
+			c.fail(varintErr(k, len(in)))
+			return
+		}
+		in = in[k:]
+		prev += int64(delta)
+		out = append(out, ftl.MapPair{LPN: prev, PPN: int64(ppn)})
+	}
+	*l2p, c.in = out, in
 }
 
 func (c *stateCodec) counter(st *sim.TimedCounterState) {
@@ -391,7 +443,7 @@ func (c *stateCodec) counter(st *sim.TimedCounterState) {
 
 func (c *stateCodec) timed(tc *sim.TimedCounter) {
 	st := tc.State()
-	if c.counter(&st); c.decoding() {
+	if c.counter(&st); c.dec {
 		tc.SetState(st)
 	}
 }
@@ -402,7 +454,7 @@ func (c *stateCodec) weighted(w *sim.WeightedSum) {
 	c.time(&st.Since)
 	c.f64(&st.Sum)
 	c.time(&st.Start)
-	if c.bool(&st.Began); c.decoding() {
+	if c.bool(&st.Began); c.dec {
 		w.SetState(st)
 	}
 }
@@ -431,7 +483,7 @@ func (st *DeviceState) code(c *stateCodec) {
 	// held per-channel clocks in earlier builds, which the host clock
 	// subsumes, so any a file carries are read and discarded.
 	c.clock(&st.Engine)
-	if now := st.Engine.Now; c.decoding() && (now < 0 || now > sim.Horizon) {
+	if now := st.Engine.Now; c.dec && (now < 0 || now > sim.Horizon) {
 		c.fail(fmt.Errorf("engine clock %d ns outside [0, %d]", int64(now), int64(sim.Horizon)))
 	}
 	var clocks int
@@ -511,29 +563,13 @@ func (st *DeviceState) code(c *stateCodec) {
 		}
 	}
 
-	// FTL: the L2P map delta-coded over its sorted LPNs. Decoding appends
-	// into a bounded capacity, so a corrupt count allocates little before
-	// the payload runs out.
+	// FTL: the L2P map, then the rest of its state.
 	f := &st.FTL
-	pairs := len(f.L2P)
-	if c.count("L2P mapping", &pairs, maxSnapshotPairs); c.decoding() {
-		f.L2P = make([]ftl.MapPair, 0, min(pairs, 1<<20))
+	c.pairs(&f.L2P)
+	// A negative write cursor would index the stripe table below zero.
+	if c.varint(&f.Cursor); c.dec && f.Cursor < 0 {
+		c.fail(fmt.Errorf("FTL write cursor %d is negative", f.Cursor))
 	}
-	prev := int64(0)
-	for i := 0; i < pairs && c.err == nil; i++ {
-		var e ftl.MapPair
-		if !c.decoding() {
-			e = f.L2P[i]
-		}
-		delta, ppn := uint64(e.LPN-prev), uint64(e.PPN)
-		c.uvarint(&delta)
-		c.uvarint(&ppn)
-		prev += int64(delta)
-		if c.decoding() {
-			f.L2P = append(f.L2P, ftl.MapPair{LPN: prev, PPN: int64(ppn)})
-		}
-	}
-	c.varint(&f.Cursor)
 	var reserved uint64 // a former FTL generator state: zero, ignored on read
 	c.u64(&reserved)
 	for i := range codeLen(c, "plane", &f.Planes, maxSnapshotPlanes) {
@@ -549,7 +585,7 @@ func (st *DeviceState) code(c *stateCodec) {
 			if blk.Bad {
 				flags |= 2
 			}
-			if c.uvarint(&flags); c.decoding() {
+			if c.uvarint(&flags); c.dec {
 				if flags > 3 {
 					c.fail(fmt.Errorf("invalid block flags 0x%x", flags))
 				}
@@ -580,23 +616,40 @@ func (st *DeviceState) code(c *stateCodec) {
 	c.bool(&f.Degraded)
 }
 
-// Encode writes the state in the versioned binary payload layout.
-func (st *DeviceState) Encode(w io.Writer) error {
-	c := &stateCodec{w: w}
-	st.code(c)
-	return c.err
+// sizeHint returns about how many bytes st encodes to: the L2P pairs
+// exactly, as they make up nearly all of an aged drive's payload, and a
+// per-element bound on the rest.
+func (st *DeviceState) sizeHint() int {
+	n := 256 + 160*len(st.Chips) + 8*len(st.Latency.Samples) + 3*len(st.Latency.Buckets) + 30*len(st.Series)
+	prev := int64(0)
+	for _, e := range st.FTL.L2P {
+		n += uvarintLen(uint64(e.LPN-prev)) + uvarintLen(uint64(e.PPN))
+		prev = e.LPN
+	}
+	for i := range st.FTL.Planes {
+		ps := &st.FTL.Planes[i]
+		n += 8 + 12*len(ps.Blocks) + 3*(len(ps.Free)+len(ps.Spare))
+	}
+	return n
 }
 
-// DecodeDeviceState parses a binary payload written by Encode. Every
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Append appends the state's binary payload to b, growing b once to
+// about the payload's size first.
+func (st *DeviceState) Append(b []byte) []byte {
+	c := &stateCodec{out: slices.Grow(b, st.sizeHint())}
+	st.code(c)
+	return c.out
+}
+
+// DecodeDeviceState parses a binary payload written by Append. Every
 // length is bounds-checked; a malformed payload yields a descriptive
-// error and no partially-populated state escapes to callers.
-func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	left, _ := r.(interface{ Len() int })
-	c := &stateCodec{r: br, left: left}
+// error and no partially-populated state escapes to callers. The state
+// keeps no reference to payload.
+func DecodeDeviceState(payload []byte) (*DeviceState, error) {
+	c := &stateCodec{in: payload, dec: true}
 	st := &DeviceState{}
 	if st.code(c); c.err != nil {
 		return nil, fmt.Errorf("ssd: malformed snapshot payload: %w", c.err)

@@ -3,10 +3,15 @@ package ssd
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"sprinkler/internal/core"
+	"sprinkler/internal/ftl"
 	"sprinkler/internal/req"
 	"sprinkler/internal/sim"
 )
@@ -73,11 +78,8 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := st.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeDeviceState(bytes.NewReader(buf.Bytes()))
+	buf := st.Append(nil)
+	decoded, err := DecodeDeviceState(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +98,9 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf2 bytes.Buffer
-	if err := st2.Encode(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("re-captured state differs from the original (%d vs %d bytes)", buf.Len(), buf2.Len())
+	buf2 := st2.Append(nil)
+	if !bytes.Equal(buf, buf2) {
+		t.Fatalf("re-captured state differs from the original (%d vs %d bytes)", len(buf), len(buf2))
 	}
 }
 
@@ -136,15 +135,11 @@ func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 // than the unread payload is refused before anything is allocated for
 // it: a few corrupt bytes must not ask for a multi-gigabyte slice.
 func TestDecodeRejectsCountBeyondPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&DeviceState{}).Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	payload := buf.Bytes()
+	payload := (&DeviceState{}).Append(nil)
 	// The payload opens with the engine clock (three varints, here all
 	// zero) and the channel-clock count; claim 60000 clocks.
 	corrupt := append([]byte{0, 0, 0, 0xE0, 0xD4, 0x03}, payload[4:]...)
-	_, err := DecodeDeviceState(bytes.NewReader(corrupt))
+	_, err := DecodeDeviceState(corrupt)
 	if err == nil || !strings.Contains(err.Error(), "unread payload bytes") {
 		t.Fatalf("oversized count: err = %v, want an unread-bytes error", err)
 	}
@@ -182,5 +177,151 @@ func TestEngineClockRestore(t *testing.T) {
 	}
 	if got := d2.Now(); got == sim.Time(0) {
 		t.Fatal("restored clock is zero")
+	}
+}
+
+// fieldOffset returns the payload offset of the first field edit
+// changes: the first byte at which the encodings of base and of base
+// after edit differ.
+func fieldOffset(t *testing.T, base DeviceState, edit func(*DeviceState)) int {
+	t.Helper()
+	changed := base
+	edit(&changed)
+	a, b := base.Append(nil), changed.Append(nil)
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	t.Fatal("fieldOffset: the edit changed no byte")
+	return 0
+}
+
+// TestDecodeRejectsMalformedFields pins the codec's error for each way a
+// field can be cut or garbled, in the words binary.ReadUvarint and an
+// io.ByteReader give reading the same bytes one at a time: a varint cut
+// short, a varint past 64 bits (ten continuing bytes overflow there,
+// though binary.Uvarint calls them too short), a fixed-width field cut
+// short and a boolean byte above 1.
+func TestDecodeRejectsMalformedFields(t *testing.T) {
+	base := DeviceState{Chips: []ChipState{{}}}
+	payload := base.Append(nil)
+	f64At := fieldOffset(t, base, func(st *DeviceState) { st.BusyIntegral = 1 })
+	boolAt := fieldOffset(t, base, func(st *DeviceState) { st.Queue.Full.On = true })
+	ff := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"empty", nil, "payload: EOF"},
+		{"varint cut short", []byte{0x80}, "payload: unexpected EOF"},
+		{"varint of ten continuing bytes", ff(10), "payload: binary: varint overflows a 64-bit integer"},
+		{"varint past ten bytes", ff(11), "payload: binary: varint overflows a 64-bit integer"},
+		{"varint with a tenth byte above 1", append(ff(9), 0x02), "payload: binary: varint overflows a 64-bit integer"},
+		{"u64 cut short", payload[:f64At+3], "payload: EOF"},
+		{"boolean byte 2", append(append(slices.Clone(payload[:boolAt]), 2), payload[boolAt+1:]...), "payload: invalid boolean byte 0x02"},
+		{"boolean cut short", payload[:boolAt], "payload: EOF"},
+	} {
+		_, err := DecodeDeviceState(tc.in)
+		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one ending %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := DecodeDeviceState(payload); err != nil {
+		t.Fatalf("the intact payload: %v", err)
+	}
+}
+
+// TestDecodeHostileL2PCountAllocatesWithinInput: an L2P count that the
+// unread bytes allow but the pairs do not fill (here zero bytes, which
+// decode as two-byte pairs until the payload runs out) must fail with a
+// descriptive error having allocated no more than the input could hold:
+// 16-byte pairs for at most half the unread bytes.
+func TestDecodeHostileL2PCountAllocatesWithinInput(t *testing.T) {
+	var base DeviceState
+	at := fieldOffset(t, base, func(st *DeviceState) { st.FTL.L2P = []ftl.MapPair{{LPN: 1, PPN: 1}} })
+	const filler = 1 << 20
+	in := binary.AppendUvarint(slices.Clone(base.Append(nil)[:at]), filler)
+	in = append(in, make([]byte, filler)...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := DecodeDeviceState(in)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "malformed snapshot payload") {
+		t.Fatalf("hostile L2P count: err = %v", err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(in)+1<<16); got > limit {
+		t.Fatalf("hostile L2P count allocated %d bytes for a %d-byte payload, limit %d", got, len(in), limit)
+	}
+}
+
+// agedWriteConfig is the aged-write benchmark's drive: 64 chips of 2
+// dies × 4 planes, 64 blocks of 128 pages per plane, and a logical space
+// of 80% of the pages.
+func agedWriteConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Geo.BlocksPerPlane = 64
+	cfg.LogicalPages = cfg.Geo.TotalPages() * 8 / 10
+	return cfg
+}
+
+// agedState is agedWriteConfig's drive aged the way the aged-write
+// benchmark ages it, captured once for the codec benchmarks.
+var agedState = sync.OnceValues(func() (*DeviceState, error) {
+	d, err := New(agedWriteConfig(), core.NewSPK3())
+	if err != nil {
+		return nil, err
+	}
+	d.Precondition(0.9, 0.3, 1)
+	return d.CaptureState()
+})
+
+// BenchmarkPrecondition prices the aging phase alone: the fill and churn
+// of Precondition on agedWriteConfig's drive, each on a freshly built
+// device whose construction is not timed.
+func BenchmarkPrecondition(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := New(agedWriteConfig(), core.NewSPK3())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		d.Precondition(0.9, 0.3, 1)
+	}
+}
+
+// BenchmarkSnapshotEncode prices encoding one aged drive's state into a
+// snapshot payload (3.0M L2P pairs).
+func BenchmarkSnapshotEncode(b *testing.B) {
+	st, err := agedState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(st.Append(nil))))
+	}
+}
+
+// BenchmarkSnapshotDecode prices decoding that payload back into a
+// DeviceState.
+func BenchmarkSnapshotDecode(b *testing.B) {
+	st, err := agedState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := st.Append(nil)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeDeviceState(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

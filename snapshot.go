@@ -87,10 +87,9 @@ type SnapshotStats struct {
 	GCRuns     int64 `json:"gcRuns"`
 	GCErases   int64 `json:"gcErases"`
 
-	// BadBlocks/RetiredBlocks/SparesUsed/Degraded carry the fault
-	// model's wear state: blocks retired to the spare pool and whether
-	// the drive was already degraded to read-only when captured.
-	BadBlocks     int64 `json:"badBlocks,omitempty"`
+	// RetiredBlocks/SparesUsed/Degraded carry the fault model's wear
+	// state: blocks retired to the spare pool and whether the drive was
+	// already degraded to read-only when captured.
 	RetiredBlocks int64 `json:"retiredBlocks,omitempty"`
 	SparesUsed    int64 `json:"sparesUsed,omitempty"`
 	Degraded      bool  `json:"degraded,omitempty"`
@@ -108,7 +107,6 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 		HostWrites:    s.state.FTL.HostWrites,
 		GCRuns:        s.state.FTL.GCRuns,
 		GCErases:      s.state.FTL.GCErases,
-		BadBlocks:     s.state.FTL.RetiredBlocks,
 		RetiredBlocks: s.state.FTL.RetiredBlocks,
 		SparesUsed:    s.state.FTL.SparesUsed,
 		Degraded:      s.state.FTL.Degraded,
@@ -163,7 +161,7 @@ func RestoreDevice(r io.Reader) (*Device, error) {
 // accounted for by its payload. Nothing device-shaped is built yet; use
 // NewDevice (or Grid.Snapshot, or WithSnapshot) for that.
 func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
-	raw, err := io.ReadAll(r)
+	raw, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("sprinkler: reading snapshot: %w", err)
 	}
@@ -206,7 +204,7 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot config invalid: %w", err)
 	}
-	st, err := ssd.DecodeDeviceState(bytes.NewReader(payload))
+	st, err := ssd.DecodeDeviceState(payload)
 	if err != nil {
 		return nil, fmt.Errorf("sprinkler: %w", err)
 	}
@@ -214,6 +212,29 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 		return nil, fmt.Errorf("sprinkler: snapshot payload does not match its config: %w", err)
 	}
 	return &DeviceSnapshot{cfg: cfg, state: st}, nil
+}
+
+// readAll reads r to its end. A reader that reports its unread length
+// (bytes.Buffer, bytes.Reader, strings.Reader) is read into one buffer of
+// that length, not through io.ReadAll's growing ones.
+func readAll(r io.Reader) ([]byte, error) {
+	l, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, l.Len())
+	for len(b) < cap(b) {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	rest, err := io.ReadAll(r) // anything past the reported length
+	return append(b, rest...), err
 }
 
 // storedConfig is a snapshot's config section as files may hold it. Files
@@ -290,28 +311,25 @@ func (s *DeviceSnapshot) ftlImage() (*ftl.FTL, error) {
 }
 
 // encodeSnapshot frames config + payload with magic, version and CRC.
+// The payload is encoded first, into one buffer with room in front for
+// the header, which goes in once the payload's length is known; the file
+// is then one contiguous slice of that buffer.
 func encodeSnapshot(w io.Writer, cfg Config, st *ssd.DeviceState) error {
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return fmt.Errorf("sprinkler: encoding snapshot config: %w", err)
 	}
-	var payload bytes.Buffer
-	if err := st.Encode(&payload); err != nil {
-		return fmt.Errorf("sprinkler: encoding snapshot payload: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(snapshotMagic) + 4 + 2*binary.MaxVarintLen64 + len(cfgJSON) + payload.Len() + 4)
-	buf.WriteString(snapshotMagic)
-	var scratch [binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint32(scratch[:4], SnapshotVersion)
-	buf.Write(scratch[:4])
-	buf.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(cfgJSON)))])
-	buf.Write(cfgJSON)
-	buf.Write(scratch[:binary.PutUvarint(scratch[:], uint64(payload.Len()))])
-	buf.Write(payload.Bytes())
-	binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(scratch[:4])
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	room := len(snapshotMagic) + 4 + 2*binary.MaxVarintLen64 + len(cfgJSON)
+	buf := st.Append(make([]byte, room))
+	payload := len(buf) - room
+	head := binary.LittleEndian.AppendUint32([]byte(snapshotMagic), SnapshotVersion)
+	head = binary.AppendUvarint(head, uint64(len(cfgJSON)))
+	head = append(head, cfgJSON...)
+	head = binary.AppendUvarint(head, uint64(payload))
+	file := buf[room-len(head):]
+	copy(file, head)
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
+	if _, err := w.Write(file); err != nil {
 		return fmt.Errorf("sprinkler: writing snapshot: %w", err)
 	}
 	return nil

@@ -508,6 +508,9 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		// event scheduled after it; a negative one would run time back.
 		{"engine clock past the horizon", withEngineClock(t, tiny, math.MaxInt64-10), "engine clock"},
 		{"negative engine clock", withEngineClock(t, tiny, -1000), "engine clock"},
+		// A negative write cursor once hydrated and then panicked the
+		// first host write in the FTL's stripe.
+		{"negative write cursor", withDeviceState(t, tiny, func(st *ssd.DeviceState) { st.FTL.Cursor = -7 }), "write cursor -7 is negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -532,18 +535,15 @@ func withDeviceState(t testing.TB, raw []byte, edit func(*ssd.DeviceState)) []by
 	n, w := binary.Uvarint(body)
 	cfg, rest := body[:w+int(n)], body[w+int(n):]
 	n, w = binary.Uvarint(rest)
-	st, err := ssd.DecodeDeviceState(bytes.NewReader(rest[w : w+int(n)]))
+	st, err := ssd.DecodeDeviceState(rest[w : w+int(n)])
 	if err != nil {
 		t.Fatal(err)
 	}
 	edit(st)
-	var payload bytes.Buffer
-	if err := st.Encode(&payload); err != nil {
-		t.Fatal(err)
-	}
+	payload := st.Append(nil)
 	out := append(append([]byte(nil), raw[:header]...), cfg...)
-	out = binary.AppendUvarint(out, uint64(payload.Len()))
-	out = append(out, payload.Bytes()...)
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	out = append(out, payload...)
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
