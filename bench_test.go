@@ -333,8 +333,8 @@ func BenchmarkSweepArena(b *testing.B) {
 // against the preconditioning it replaces, on a GC-heavy 64-chip aged
 // platform. "precondition" is the reference: build a fresh device and
 // simulate the fill+churn aging pass. "restore" reads the same warm
-// state back from an in-memory snapshot (decode + hydrate, the
-// RestoreDevice path), so it pays the snapshot's one validated FTL
+// state back from an in-memory snapshot (ReadSnapshot + NewDevice, the
+// -load-state path), so it pays the snapshot's one validated FTL
 // restore; "hydrate" hydrates from an already-decoded DeviceSnapshot
 // whose FTL image exists (the DeviceArena/Runner path after its first
 // cell, paying no parsing and no restore, only the copy). The
@@ -380,7 +380,11 @@ func BenchmarkWarmRestore(b *testing.B) {
 	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sprinkler.RestoreDevice(bytes.NewReader(raw)); err != nil {
+			snap, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := snap.NewDevice(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -20,17 +20,13 @@ func hostWrite(t *testing.T, f *FTL, lpn req.LPN) (failed bool) {
 	if f.Preprocess(m) == nil {
 		return false
 	}
-	for attempt := 0; attempt < 16; attempt++ {
-		for _, pi := range f.NeedGC() {
-			job, err := f.PlanGC(pi)
-			if err != nil || job == nil {
-				continue
-			}
-			f.CommitGC(job, false)
-			if f.Preprocess(m) == nil {
-				return true
-			}
-		}
+	placed := false
+	retry := func() bool { placed = f.Preprocess(m) == nil; return placed }
+	for attempt := 0; attempt < 16 && !placed; attempt++ {
+		collectAll(f, nil, retry)
+	}
+	if placed {
+		return true
 	}
 	t.Fatalf("write of lpn %d found no space", lpn)
 	return true

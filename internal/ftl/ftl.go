@@ -6,9 +6,10 @@
 package ftl
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"sprinkler/internal/flash"
 	"sprinkler/internal/req"
@@ -422,17 +423,20 @@ func (f *FTL) stripeTarget() int {
 	return pi
 }
 
+// errPlaneFull is allocate's refusal: one shared value, since a pressured
+// drive retries a refused write on every completion until GC frees space.
+var errPlaneFull = errors.New("ftl: plane out of free blocks")
+
 // allocate takes the next free page in the plane's active block, refusing
 // to dip below reserve free blocks (host writes keep one block in reserve
 // so garbage collection always has somewhere to migrate; GC itself
-// allocates with reserve 0). It returns an error when the plane is out of
-// space (GC must run first).
+// allocates with reserve 0). It returns errPlaneFull when the plane is out
+// of space (GC must run first).
 func (f *FTL) allocate(planeIdx, reserve int) (flash.Addr, error) {
 	ps := f.planes[planeIdx]
 	if ps.active < 0 || ps.blocks[ps.active].full {
 		if len(ps.free) <= reserve {
-			loc := f.locs[planeIdx]
-			return flash.Addr{}, fmt.Errorf("ftl: plane c%d/d%d/p%d out of free blocks", loc.chip, loc.die, loc.plane)
+			return flash.Addr{}, errPlaneFull
 		}
 		ps.active = ps.free[len(ps.free)-1]
 		ps.free = ps.free[:len(ps.free)-1]
@@ -631,23 +635,20 @@ func (f *FTL) hostRoom(ps *planeState) int64 {
 	return room
 }
 
-// NeedGC reports the plane indices whose free-block count is at or below
-// the GC threshold, most urgent first.
-func (f *FTL) NeedGC() []int {
-	var idx []int
+// NeedGC appends to dst the plane indices whose free-block count is at
+// or below the GC threshold, most urgent first (fewest free blocks, then
+// lowest index), and returns the extended slice.
+func (f *FTL) NeedGC(dst []int) []int {
+	n := len(dst)
 	for i, ps := range f.planes {
 		if len(ps.free) <= f.cfg.GCFreeTarget {
-			idx = append(idx, i)
+			dst = append(dst, i)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := len(f.planes[idx[a]].free), len(f.planes[idx[b]].free)
-		if fa != fb {
-			return fa < fb
-		}
-		return idx[a] < idx[b]
+	slices.SortFunc(dst[n:], func(a, b int) int {
+		return cmp.Or(cmp.Compare(len(f.planes[a].free), len(f.planes[b].free)), cmp.Compare(a, b))
 	})
-	return idx
+	return dst
 }
 
 // PlaneUnderPressure reports whether plane index pi needs GC.
@@ -664,7 +665,8 @@ type Migration struct {
 
 // GCJob is a planned collection of one victim block: read the live pages,
 // program them at Dst, erase the victim. The SSD layer simulates the
-// corresponding flash transactions and then calls Commit.
+// corresponding flash transactions and then calls CommitGC. A job is
+// caller-owned storage: PlanGC refills it, reusing its Migrations.
 type GCJob struct {
 	Victim     flash.Addr // Block field identifies the victim; Page is 0
 	Migrations []Migration
@@ -672,11 +674,12 @@ type GCJob struct {
 }
 
 // PlanGC selects a victim in the plane (greedy: fewest valid pages among
-// full blocks) and pre-allocates migration destinations. It returns nil if
-// the plane has no collectable block — including when every candidate is
-// fully valid: erasing such a block reclaims nothing, and collecting it
-// anyway would turn GC into an endless migration storm.
-func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
+// full blocks), pre-allocates migration destinations and writes the plan
+// into job, overwriting whatever job held. It reports false if the plane
+// has no collectable block — including when every candidate is fully
+// valid: erasing such a block reclaims nothing, and collecting it anyway
+// would turn GC into an endless migration storm.
+func (f *FTL) PlanGC(planeIdx int, job *GCJob) (bool, error) {
 	ps := f.planes[planeIdx]
 	loc := f.locs[planeIdx]
 	chip, die, plane := loc.chip, loc.die, loc.plane
@@ -693,9 +696,11 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 		}
 	}
 	if victim < 0 || best >= f.geo.PagesPerBlock {
-		return nil, nil
+		return false, nil
 	}
-	job := &GCJob{Victim: flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim}, Migrations: make([]Migration, 0, best)}
+	job.Victim = flash.Addr{Chip: chip, Die: die, Plane: plane, Block: victim}
+	job.Migrations = job.Migrations[:0]
+	job.committed = false
 	valid := ps.valid(victim)
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 		if !valid.Get(pg) {
@@ -709,11 +714,11 @@ func (f *FTL) PlanGC(planeIdx int) (*GCJob, error) {
 		}
 		dst, err := f.allocate(dstPlane, 0)
 		if err != nil {
-			return nil, fmt.Errorf("ftl: no room for GC migration: %w", err)
+			return false, fmt.Errorf("ftl: no room for GC migration: %w", err)
 		}
 		job.Migrations = append(job.Migrations, Migration{LPN: lpn, Src: src, Dst: dst})
 	}
-	return job, nil
+	return true, nil
 }
 
 // bestPlaneOnChip returns the plane index on chip with the most free
@@ -744,14 +749,14 @@ func (f *FTL) bestPlaneOnChip(chip flash.ChipID, fallback int) int {
 
 // CommitGC applies the mapping changes of a finished job: live pages are
 // remapped to their destinations (skipping any the host overwrote while
-// the job was in flight), the victim is erased, and the migration observer
-// fires once per applied move. The erased victim returns to the free list,
-// unless the chip-level fault model reported its erase as failed
-// (eraseFailed): then the block is retired and a spare activated in its
-// place.
+// the job was in flight) and the victim is erased. The erased victim
+// returns to the free list, unless the chip-level fault model reported its
+// erase as failed (eraseFailed): then the block is retired and a spare
+// activated in its place.
 //
-// It returns the migrations actually applied, filtered in place into
-// the front of job.Migrations, which a committed job no longer needs.
+// It returns the migrations actually applied, filtered in place into the
+// front of job.Migrations: the slice aliases the job's storage and is
+// valid only until the next PlanGC into that job.
 func (f *FTL) CommitGC(job *GCJob, eraseFailed bool) []Migration {
 	if job.committed {
 		panic("ftl: GC job committed twice")

@@ -34,6 +34,33 @@ func writeMem(t *testing.T, f *FTL, lpn req.LPN) *req.Mem {
 	return io.Mem[0]
 }
 
+// collectAll plans and commits one GC job on every plane under pressure,
+// most urgent first, in one reused job as the device's untimed loops do.
+// eraseFailed (nil: never) gives each commit's erase outcome; done (nil:
+// never), asked after each commit, ends the pass early. A plane whose plan
+// fails is skipped. It returns the jobs committed and the first PlanGC
+// error.
+func collectAll(f *FTL, eraseFailed func(*GCJob) bool, done func() bool) (int, error) {
+	var job GCJob
+	var first error
+	n := 0
+	for _, pi := range f.NeedGC(nil) {
+		ok, err := f.PlanGC(pi, &job)
+		if err != nil && first == nil {
+			first = err
+		}
+		if !ok {
+			continue
+		}
+		f.CommitGC(&job, eraseFailed != nil && eraseFailed(&job))
+		n++
+		if done != nil && done() {
+			break
+		}
+	}
+	return n, first
+}
+
 func readMem(t *testing.T, f *FTL, lpn req.LPN) *req.Mem {
 	t.Helper()
 	io := req.NewIO(0, req.Read, lpn, 1, 0)
@@ -178,10 +205,26 @@ func TestNeedGCOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := f.NeedGC()
-	if len(need) != g.NumChips()*g.DiesPerChip*g.PlanesPerDie {
-		t.Fatalf("with threshold 16 every plane (%d) should need GC, got %d",
-			g.NumChips()*g.DiesPerChip*g.PlanesPerDie, len(need))
+	planes := g.NumChips() * g.DiesPerChip * g.PlanesPerDie
+	need := f.NeedGC(nil)
+	if len(need) != planes {
+		t.Fatalf("with threshold 16 every plane (%d) should need GC, got %d", planes, len(need))
+	}
+	// Fewest free blocks first, then lowest index: the two planes that
+	// took an active block for a write lead. NeedGC appends after dst.
+	var used []int
+	for lpn := range req.LPN(2) {
+		a := writeMem(t, f, lpn).Addr
+		used = append(used, f.planeIndex(a.Chip, a.Die, a.Plane))
+	}
+	want := append([]int{-1}, slices.Sorted(slices.Values(used))...)
+	for i := range planes {
+		if !slices.Contains(used, i) {
+			want = append(want, i)
+		}
+	}
+	if need = f.NeedGC([]int{-1}); !slices.Equal(need, want) {
+		t.Fatalf("NeedGC = %v, want %v", need, want)
 	}
 }
 
@@ -198,20 +241,21 @@ func TestGCPlanAndCommit(t *testing.T) {
 		writeMem(t, f, req.LPN(i%64))
 	}
 	var migrations int
-	need := f.NeedGC()
+	need := f.NeedGC(nil)
 	if len(need) == 0 {
 		t.Fatal("no plane under GC pressure after exhausting free blocks")
 	}
 	collected := 0
+	var job GCJob
 	for _, pi := range need {
-		job, err := f.PlanGC(pi)
+		ok, err := f.PlanGC(pi, &job)
 		if err != nil {
 			t.Fatalf("PlanGC: %v", err)
 		}
-		if job == nil {
+		if !ok {
 			continue
 		}
-		applied := f.CommitGC(job, false)
+		applied := f.CommitGC(&job, false)
 		if len(applied) != len(job.Migrations) {
 			t.Fatalf("applied %d of %d planned migrations with no interference",
 				len(applied), len(job.Migrations))
@@ -243,24 +287,25 @@ func TestGCSkipsHostOverwrittenPages(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		writeMem(t, f, req.LPN(i%64))
 	}
-	var job *GCJob
+	var job GCJob
+	found := false
 	for pi := range f.planes {
-		j, err := f.PlanGC(pi)
+		ok, err := f.PlanGC(pi, &job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j != nil && len(j.Migrations) > 0 {
-			job = j
+		if ok && len(job.Migrations) > 0 {
+			found = true
 			break
 		}
 	}
-	if job == nil {
+	if !found {
 		t.Skip("no job with live migrations; workload too clean")
 	}
 	// Host overwrites the first migrating LPN mid-flight.
 	victimLPN := job.Migrations[0].LPN
 	writeMem(t, f, victimLPN)
-	applied := f.CommitGC(job, false)
+	applied := f.CommitGC(&job, false)
 	for _, mg := range applied {
 		if mg.LPN == victimLPN {
 			t.Fatal("GC applied a migration for a host-overwritten LPN")
@@ -276,27 +321,28 @@ func TestCommitGCTwicePanics(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		writeMem(t, f, req.LPN(i%64))
 	}
-	var job *GCJob
+	var job GCJob
+	found := false
 	for pi := range f.planes {
-		j, err := f.PlanGC(pi)
+		ok, err := f.PlanGC(pi, &job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j != nil {
-			job = j
+		if ok {
+			found = true
 			break
 		}
 	}
-	if job == nil {
+	if !found {
 		t.Fatal("no collectable block")
 	}
-	f.CommitGC(job, false)
+	f.CommitGC(&job, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double CommitGC did not panic")
 		}
 	}()
-	f.CommitGC(job, false)
+	f.CommitGC(&job, false)
 }
 
 func TestWriteAmplification(t *testing.T) {
@@ -307,13 +353,7 @@ func TestWriteAmplification(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		writeMem(t, f, req.LPN(i%64))
 	}
-	for _, pi := range f.NeedGC() {
-		job, err := f.PlanGC(pi)
-		if err != nil || job == nil {
-			continue
-		}
-		f.CommitGC(job, false)
-	}
+	collectAll(f, nil, nil)
 	if wa := f.WriteAmplification(); wa < 1 {
 		t.Fatalf("WA = %v, want >= 1", wa)
 	}
@@ -362,13 +402,7 @@ func TestGCDurabilityProperty(t *testing.T) {
 			}
 			live[lpn] = true
 			if i%50 == 0 {
-				for _, pi := range f.NeedGC() {
-					job, err := f.PlanGC(pi)
-					if err != nil || job == nil {
-						continue
-					}
-					f.CommitGC(job, false)
-				}
+				collectAll(f, nil, nil)
 			}
 		}
 		for lpn := range live {

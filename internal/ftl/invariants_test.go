@@ -114,6 +114,7 @@ func TestReverseMapStaleEntriesNeverLeak(t *testing.T) {
 	}
 	span := f.geo.TotalPages() * 6 / 10
 	var jobs, moves, skipped int
+	var job GCJob
 	run := func(seed uint64, writes int) {
 		rng := sim.NewRand(seed)
 		write := func(lpn req.LPN) error {
@@ -125,12 +126,10 @@ func TestReverseMapStaleEntriesNeverLeak(t *testing.T) {
 				if attempt == 64 {
 					t.Fatalf("seed %d write %d: no reclaimable space", seed, i)
 				}
-				for _, pi := range f.NeedGC() {
-					job, err := f.PlanGC(pi)
-					if err != nil {
+				for _, pi := range f.NeedGC(nil) {
+					if ok, err := f.PlanGC(pi, &job); err != nil {
 						t.Fatal(err)
-					}
-					if job == nil {
+					} else if !ok {
 						continue
 					}
 					for _, mg := range job.Migrations {
@@ -146,7 +145,7 @@ func TestReverseMapStaleEntriesNeverLeak(t *testing.T) {
 						// pre-allocated destination with a stale entry.
 						_ = write(job.Migrations[0].LPN)
 					}
-					applied := f.CommitGC(job, false)
+					applied := f.CommitGC(&job, false)
 					jobs++
 					moves += len(applied)
 					skipped += len(job.Migrations) - len(applied)

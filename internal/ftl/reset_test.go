@@ -42,19 +42,8 @@ func driveRandom(f *FTL, rng *sim.Rand, logical int64, writes int, failP float64
 // collectOnce runs one GC pass over every plane under pressure, reporting
 // whether any block was reclaimed.
 func collectOnce(f *FTL, rng *sim.Rand, failP float64) bool {
-	progressed := false
-	for _, pi := range f.NeedGC() {
-		job, err := f.PlanGC(pi)
-		if err != nil {
-			return false
-		}
-		if job == nil {
-			continue
-		}
-		f.CommitGC(job, rng.Float64() < failP)
-		progressed = true
-	}
-	return progressed
+	n, err := collectAll(f, func(*GCJob) bool { return rng.Float64() < failP }, nil)
+	return err == nil && n > 0
 }
 
 // requireMatchesNew asserts f is indistinguishable from New(cfg): the

@@ -17,16 +17,7 @@ func churn(t *testing.T, f *FTL, writes, span int, eraseFailed func(*GCJob) bool
 		io := req.NewIO(0, req.Write, req.LPN(rng.Intn(span)), 1, 0)
 		err := f.Preprocess(io.Mem[0])
 		for attempts := 0; err != nil && attempts < 64; attempts++ {
-			progress := false
-			for _, pi := range f.NeedGC() {
-				job, jerr := f.PlanGC(pi)
-				if jerr != nil || job == nil {
-					continue
-				}
-				f.CommitGC(job, eraseFailed(job))
-				progress = true
-			}
-			if !progress {
+			if n, _ := collectAll(f, eraseFailed, nil); n == 0 {
 				t.Fatalf("write %d: no reclaimable space: %v", i, err)
 			}
 			err = f.Preprocess(io.Mem[0])

@@ -80,8 +80,9 @@ type Device struct {
 	// free-list recycling hook for the session/source layer.
 	onRetire func(*req.IO)
 
-	gcActive      []bool // per chip: background GC job in flight
-	gcActiveCount int
+	gc            []gcRun // per chip, reused across jobs
+	gcActiveCount int     // runners with a timed job in flight
+	needGC        []int   // NeedGC scratch for the untimed collection loops
 	emergencyGCs  int64
 	staleFixes    int64
 	failedIOs     int64 // host I/Os completed with Failed set (incl. refusals)
@@ -127,8 +128,11 @@ func New(cfg Config, scheduler sched.Scheduler) (*Device, error) {
 		fl:          fl,
 		outstanding: make([]int, cfg.Geo.NumChips()),
 		ready:       sched.NewReadyIndex(cfg.Geo),
-		gcActive:    make([]bool, cfg.Geo.NumChips()),
+		gc:          make([]gcRun, cfg.Geo.NumChips()),
 		sampleBuf:   make([]metrics.ChipSample, 0, cfg.Geo.NumChips()),
+	}
+	for i := range d.gc {
+		d.gc[i].dev = d
 	}
 	d.latency.SetCap(cfg.MetricsSampleCap)
 	d.composeTimer = sim.NewTimer(func(t sim.Time) {
@@ -229,8 +233,8 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 	d.pumping = false
 	d.onRetire = nil
 
-	for i := range d.gcActive {
-		d.gcActive[i] = false
+	for i := range d.gc {
+		d.gc[i].active = false
 	}
 	d.gcActiveCount = 0
 	d.emergencyGCs, d.staleFixes, d.failedIOs = 0, 0, 0
@@ -316,12 +320,9 @@ func (d *Device) Precondition(fillFrac, churnFrac float64, seed uint64) {
 // mappingGCSweep runs one timing-free collection pass over every plane
 // under pressure (preconditioning only).
 func (d *Device) mappingGCSweep() {
-	for _, pi := range d.fl.NeedGC() {
-		job, err := d.fl.PlanGC(pi)
-		if err != nil || job == nil {
-			continue
-		}
-		d.applyMigrations(d.fl.CommitGC(job, false))
+	d.needGC = d.fl.NeedGC(d.needGC[:0])
+	for _, pi := range d.needGC {
+		d.collect(pi)
 	}
 }
 
@@ -555,18 +556,11 @@ func (d *Device) preprocess(m *req.Mem) bool {
 	// or nothing more can be reclaimed right now.
 	for attempt := 0; attempt < 16; attempt++ {
 		reclaimed := false
-		for _, pi := range d.fl.NeedGC() {
-			// Never touch a chip with a background GC job in flight: the
-			// in-flight job's victim and destinations would be invalidated
-			// under it.
-			if d.gcActive[d.planeChip(pi)] {
+		d.needGC = d.fl.NeedGC(d.needGC[:0])
+		for _, pi := range d.needGC {
+			if !d.collect(pi) {
 				continue
 			}
-			job, jerr := d.fl.PlanGC(pi)
-			if jerr != nil || job == nil {
-				continue
-			}
-			d.applyMigrations(d.fl.CommitGC(job, false))
 			reclaimed = true
 			// Retry as soon as one block is reclaimed: full passes over
 			// every pressured plane are wasted work under heavy churn.
@@ -664,13 +658,13 @@ func (d *Device) commit(now sim.Time, m *req.Mem) {
 }
 
 // onFlashReqDone routes flash-level completions: host memory requests
-// finish their I/O bookkeeping; GC steps advance their job state machine.
+// finish their I/O bookkeeping; GC requests advance their runner's job.
 func (d *Device) onFlashReqDone(now sim.Time, r flash.Request) {
 	switch tok := r.Token.(type) {
 	case *req.Mem:
 		d.finishMem(now, tok, r.Failed)
-	case *gcStep:
-		tok.advance(now, r.Failed)
+	case *gcRun:
+		tok.stepDone(now, r.Op, r.Failed)
 	default:
 		panic(fmt.Sprintf("ssd: unknown token %T", r.Token))
 	}
@@ -745,7 +739,7 @@ func (d *Device) finishMem(now sim.Time, m *req.Mem, failed bool) {
 		d.completeIO(now, io)
 	}
 	if kind == req.Write && !d.cfg.DisableGC {
-		d.maybeStartGC(now, addr)
+		d.start(now, d.planeIndex(addr))
 	}
 	// No pump here: member completions arrive in bursts within one
 	// transaction, and the controller's TxnDone callback pumps once for

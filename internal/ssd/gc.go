@@ -13,26 +13,21 @@ import (
 // device plans a GC job on the FTL (greedy victim) and executes it as
 // internal flash traffic on the victim's chip: read every live page,
 // program it at its migration destination, erase the victim, then commit
-// the mapping changes. The commit fires the FTL's migration observer,
-// which the device turns into the readdressing callback for schedulers
-// that subscribe to it; other schedulers are left with stale physical
-// addresses and pay the re-translation penalty at commit time.
+// the mapping changes. The device turns the applied migrations into the
+// readdressing callback for schedulers that subscribe to it; other
+// schedulers are left with stale physical addresses and pay the
+// re-translation penalty at commit time.
+//
+// Each chip owns one runner, reused for every job on it, timed or not:
+// the runner holds the job's storage and is itself the token of the job's
+// flash requests.
 
-// gcStep is the token attached to internal GC flash requests; advance
-// drives the per-job state machine as member requests complete.
-type gcStep struct {
-	run  *gcRun
-	kind flash.Op
-}
-
-func (s *gcStep) advance(now sim.Time, failed bool) { s.run.stepDone(now, s.kind, failed) }
-
-// gcRun tracks one in-flight GC job on a chip.
+// gcRun is a chip's garbage collector, with at most one job in flight.
 type gcRun struct {
 	dev       *Device
-	chip      flash.ChipID
+	job       ftl.GCJob
+	active    bool // a timed job is in flight
 	planeIdx  int
-	job       *ftl.GCJob
 	remaining int
 	phase     flash.Op // current phase: read -> program -> erase
 
@@ -44,37 +39,42 @@ type gcRun struct {
 	eraseFailed bool
 }
 
-// maybeStartGC launches background collection for the plane containing
-// addr when it is under pressure and the chip has no GC in flight.
-func (d *Device) maybeStartGC(now sim.Time, addr flash.Addr) {
-	if d.gcActive[addr.Chip] {
-		return
+// plan plans a job on plane pi into its chip's runner and returns the
+// runner, or nil when the plane has no collectable block or the chip has a
+// timed job in flight, whose victim and destinations a second plan would
+// invalidate.
+func (d *Device) plan(pi int) *gcRun {
+	r := &d.gc[d.planeChip(pi)]
+	if r.active {
+		return nil
 	}
-	pi := d.planeIndex(addr)
+	if ok, err := d.fl.PlanGC(pi, &r.job); err != nil || !ok {
+		return nil
+	}
+	return r
+}
+
+// start launches a timed job on plane pi when the plane is under pressure
+// and its chip's runner is free.
+func (d *Device) start(now sim.Time, pi int) {
 	if !d.fl.PlaneUnderPressure(pi) {
 		return
 	}
-	job, err := d.fl.PlanGC(pi)
-	if err != nil || job == nil {
-		return
+	if r := d.plan(pi); r != nil {
+		r.active, r.planeIdx, r.eraseFailed = true, pi, false
+		d.gcActiveCount++ // preprocess waits on in-flight jobs
+		r.startReads(now)
 	}
-	d.setGCActive(addr.Chip, true)
-	run := &gcRun{dev: d, chip: addr.Chip, planeIdx: pi, job: job}
-	run.startReads(now)
 }
 
-// setGCActive flips a chip's background-GC flag, keeping the active count
-// current (admission stalls consult the count).
-func (d *Device) setGCActive(c flash.ChipID, on bool) {
-	if d.gcActive[c] == on {
-		return
+// collect runs one untimed job on plane pi: plan, then commit at once. It
+// reports whether a block was reclaimed.
+func (d *Device) collect(pi int) bool {
+	r := d.plan(pi)
+	if r != nil {
+		d.applyMigrations(d.fl.CommitGC(&r.job, false))
 	}
-	d.gcActive[c] = on
-	if on {
-		d.gcActiveCount++
-	} else {
-		d.gcActiveCount--
-	}
+	return r != nil
 }
 
 func (d *Device) planeIndex(a flash.Addr) int {
@@ -86,8 +86,9 @@ func (d *Device) planeChip(planeIdx int) flash.ChipID {
 	return flash.ChipID(planeIdx / (d.cfg.Geo.DiesPerChip * d.cfg.Geo.PlanesPerDie))
 }
 
-func (r *gcRun) ctl() *controller {
-	return r.dev.ctrls[r.dev.cfg.Geo.Channel(r.chip)]
+// issue commits one of the job's flash requests, with the runner as token.
+func (r *gcRun) issue(now sim.Time, op flash.Op, a flash.Addr) {
+	r.dev.ctrls[r.dev.cfg.Geo.Channel(a.Chip)].commit(now, flash.Request{Op: op, Addr: a, Token: r})
 }
 
 // startReads issues the live-page reads. Jobs with no live pages skip
@@ -100,7 +101,7 @@ func (r *gcRun) startReads(now sim.Time) {
 	r.phase = flash.OpRead
 	r.remaining = len(r.job.Migrations)
 	for _, mg := range r.job.Migrations {
-		r.ctl().commit(now, flash.Request{Op: flash.OpRead, Addr: mg.Src, Token: &gcStep{run: r, kind: flash.OpRead}})
+		r.issue(now, flash.OpRead, mg.Src)
 	}
 }
 
@@ -108,8 +109,7 @@ func (r *gcRun) startPrograms(now sim.Time) {
 	r.phase = flash.OpProgram
 	r.remaining = len(r.job.Migrations)
 	for _, mg := range r.job.Migrations {
-		ch := r.dev.cfg.Geo.Channel(mg.Dst.Chip)
-		r.dev.ctrls[ch].commit(now, flash.Request{Op: flash.OpProgram, Addr: mg.Dst, Token: &gcStep{run: r, kind: flash.OpProgram}})
+		r.issue(now, flash.OpProgram, mg.Dst)
 	}
 }
 
@@ -118,7 +118,7 @@ func (r *gcRun) startErase(now sim.Time) {
 	r.remaining = 1
 	victim := r.job.Victim
 	victim.Page = 0
-	r.ctl().commit(now, flash.Request{Op: flash.OpErase, Addr: victim, Token: &gcStep{run: r, kind: flash.OpErase}})
+	r.issue(now, flash.OpErase, victim)
 }
 
 // stepDone advances the job when a member flash request completes.
@@ -147,17 +147,10 @@ func (r *gcRun) stepDone(now sim.Time, kind flash.Op, failed bool) {
 // next victim if the plane is still under pressure.
 func (r *gcRun) finish(now sim.Time) {
 	d := r.dev
-	applied := d.fl.CommitGC(r.job, r.eraseFailed)
-	d.applyMigrations(applied)
-	d.setGCActive(r.chip, false)
-	// Chain another pass while the plane stays pressured.
-	if d.fl.PlaneUnderPressure(r.planeIdx) {
-		if job, err := d.fl.PlanGC(r.planeIdx); err == nil && job != nil {
-			d.setGCActive(r.chip, true)
-			next := &gcRun{dev: d, chip: r.chip, planeIdx: r.planeIdx, job: job}
-			next.startReads(now)
-		}
-	}
+	d.applyMigrations(d.fl.CommitGC(&r.job, r.eraseFailed))
+	r.active = false
+	d.gcActiveCount--
+	d.start(now, r.planeIdx)
 	// Freed space may unblock admission stalled on the allocator.
 	d.drainBacklog(now)
 	d.pump(now)

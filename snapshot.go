@@ -22,8 +22,8 @@ import (
 // per-plane spare pools and bad-block retirements, metrics accumulators,
 // queue admission counters, engine clocks, and every deterministic RNG
 // stream position) into a versioned, checksummed binary file, and
-// RestoreDevice rebuilds a device from it that behaves byte-identically
-// to one that replayed the warm-up. The snapshot embeds the full Config
+// ReadSnapshot followed by NewDevice rebuilds a device from it that
+// behaves byte-identically to one that replayed the warm-up. The snapshot embeds the full Config
 // it was captured under; restoring never requires — and never accepts —
 // a second configuration that could drift from it.
 //
@@ -142,16 +142,6 @@ func (d *Device) Checkpoint(w io.Writer) error {
 		return err
 	}
 	return encodeSnapshot(w, d.cfg, st)
-}
-
-// RestoreDevice reads a snapshot and builds a device from it, ready to
-// run as if it had just replayed the warm-up the snapshot captured.
-func RestoreDevice(r io.Reader) (*Device, error) {
-	snap, err := ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return snap.NewDevice()
 }
 
 // ReadSnapshot reads and fully validates a snapshot: magic, version,

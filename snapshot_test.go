@@ -57,6 +57,15 @@ func checkpointOf(t *testing.T, cfg sprinkler.Config, fill, churn float64, seed 
 	return buf.Bytes()
 }
 
+// restore reads a snapshot from raw and builds a device from it.
+func restore(raw []byte) (*sprinkler.Device, error) {
+	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	return snap.NewDevice()
+}
+
 // runWorkload replays a deterministic workload and fingerprints the full
 // Result.
 func runWorkload(t *testing.T, dev *sprinkler.Device, workload string, n int, seed uint64) string {
@@ -123,7 +132,7 @@ func TestSnapshotRestoreReplayParity(t *testing.T) {
 					if parallel > 0 {
 						raw = legacyFrame(t, raw, fmt.Sprintf(`"ParallelChannels":%d`, parallel), 2)
 					}
-					dev, err := sprinkler.RestoreDevice(bytes.NewReader(raw))
+					dev, err := restore(raw)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -298,7 +307,7 @@ func TestSnapshotLegacyParallelChannels(t *testing.T) {
 	raw := checkpointOf(t, agedConfig(sprinkler.SPK3), 0.7, 0.3, 29)
 	run := func(file []byte) string {
 		t.Helper()
-		dev, err := sprinkler.RestoreDevice(bytes.NewReader(file))
+		dev, err := restore(file)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,8 +450,8 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // TestSnapshotRejectsDamage feeds every flavour of damaged file through
-// ReadSnapshot/RestoreDevice and demands a descriptive error — never a
-// device, never a panic.
+// ReadSnapshot and demands a descriptive error — never a snapshot to
+// build a device from, never a panic.
 func TestSnapshotRejectsDamage(t *testing.T) {
 	raw := checkpointOf(t, agedConfig(sprinkler.SPK2), 0.6, 0.3, 7)
 
@@ -514,13 +523,12 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := sprinkler.ReadSnapshot(bytes.NewReader(tc.in)); err == nil {
-				t.Fatal("damaged snapshot decoded without error")
-			} else if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			snap, err := sprinkler.ReadSnapshot(bytes.NewReader(tc.in))
+			if err == nil || snap != nil {
+				t.Fatalf("ReadSnapshot returned (%v, %v) for damaged input", snap, err)
 			}
-			if dev, err := sprinkler.RestoreDevice(bytes.NewReader(tc.in)); err == nil || dev != nil {
-				t.Errorf("RestoreDevice returned (%v, %v) for damaged input", dev, err)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}
@@ -557,9 +565,9 @@ func TestSnapshotDamagedFTLFailsEveryHydration(t *testing.T) {
 	raw := withDeviceState(t, checkpointOf(t, cfg, 0.6, 0.3, 7), func(st *ssd.DeviceState) {
 		st.FTL.L2P[1].PPN = st.FTL.L2P[0].PPN
 	})
-	_, want := sprinkler.RestoreDevice(bytes.NewReader(raw))
+	_, want := restore(raw)
 	if want == nil || !strings.Contains(want.Error(), "sprinkler: hydrating from snapshot: ftl: snapshot maps ppn") {
-		t.Fatalf("RestoreDevice error = %v, want a shared-page hydration error", want)
+		t.Fatalf("restore error = %v, want a shared-page hydration error", want)
 	}
 	snap, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
@@ -817,7 +825,7 @@ func TestCheckpointDrainedDevice(t *testing.T) {
 		if err := dev.Checkpoint(&buf); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		if _, err := sprinkler.RestoreDevice(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := restore(buf.Bytes()); err != nil {
 			t.Fatalf("%s: restore: %v", stage, err)
 		}
 	}
